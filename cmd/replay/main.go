@@ -257,9 +257,6 @@ func runStats(path string) int {
 	printHeader(path, j)
 	live := j.Meta.Probes
 	if live == nil {
-		if j.Meta.SchemaVersion < 2 {
-			return usageErr("%s: journal predates probe capture (schema %d); re-record it with a current build", path, j.Meta.SchemaVersion)
-		}
 		return usageErr("%s: journal carries no live probe capture to check against", path)
 	}
 	stream, err := j.RecomputeProbes()

@@ -72,7 +72,7 @@ func run() int {
 		gridFile    = flag.String("grid", "", "JSON grid-spec file; explicit flags override its keys")
 		out         = flag.String("out", "", "report path (default stdout)")
 		minimize    = flag.Bool("minimize", false, "shrink the first retained failure to a minimal reproducer")
-		probes      = flag.Bool("probes", def.Probes, "fold per-run trace probes into the report's aggregates (step mode only)")
+		probes      = flag.Bool("probes", def.Probes, "fold per-run trace probes into the report's aggregates")
 		progress    = flag.Duration("progress", 0, "JSONL progress interval on stderr (0 = off)")
 	)
 	var prof cliutil.ProfileFlags

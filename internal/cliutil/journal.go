@@ -28,14 +28,14 @@ func (jf *JournalFlags) Register(fs *flag.FlagSet) {
 func (jf *JournalFlags) Enabled() bool { return jf.Dir != "" }
 
 // Dump re-executes cfg with full-stream journaling and writes the journal to
-// <dir>/<name>.journal (atomically), returning the path. Step-mode runs are
+// <dir>/<name>.journal (atomically), returning the path. Runs are
 // deterministic and capture is observe-only, so the re-run reproduces the
 // retained failure's exact schedule rather than perturbing it; the price is
 // one extra run per retained failure, paid only when -journals is set. The
 // journal is written even if the re-run's verdict changed (it then still
 // documents the schedule the config produces), but a run with no trace to
-// journal — free-running, or tainted by its wall-clock timeout — is an
-// error naming the reason.
+// journal — setup failed, or no runner was launched — is an error naming the
+// reason.
 func (jf *JournalFlags) Dump(ctx context.Context, name string, cfg scenario.Config, proto scenario.Protocol) (string, error) {
 	if err := os.MkdirAll(jf.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("journals: %w", err)
@@ -48,7 +48,7 @@ func (jf *JournalFlags) Dump(ctx context.Context, name string, cfg scenario.Conf
 		if reason := res.TraceSummary.TaintReason; reason != "" {
 			return "", fmt.Errorf("journals: %s: run produced no journal: %s", name, reason)
 		}
-		return "", fmt.Errorf("journals: %s: run produced no journal (free-running mode, or no runners launched): %v", name, res.Verdict)
+		return "", fmt.Errorf("journals: %s: run produced no journal (setup failed, or no runners launched): %v", name, res.Verdict)
 	}
 	data, err := res.Journal.Encode()
 	if err != nil {

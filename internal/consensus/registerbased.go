@@ -110,8 +110,8 @@ func (c *RegisterConsensus) Metrics() *trace.Metrics { return c.metrics }
 // Propose runs the protocol with proposal v and returns the decided value.
 func (c *RegisterConsensus) Propose(ctx context.Context, v Value) (Value, error) {
 	c.metrics.Inc("propose")
-	// Step mode: adopt the caller. Every wait below — register Read/Write
-	// round-trips and the poll Sleep — is task-aware through the ctx.
+	// Adopt the caller. Every wait below — register Read/Write round-trips
+	// and the poll Sleep — finds the task in the ctx.
 	ctx, release := net.AdoptTask(ctx, c.ep, "consensus.register")
 	defer release()
 	for {

@@ -40,10 +40,7 @@ func (m Mutator) weight() float64 {
 // covering the decision moments of the protocols under test. Under the
 // goroutine-step scheduler a crash racing a decision is an ordinary (time,
 // seq)-ordered event against a deterministic grant schedule, so even those
-// runs are a pure function of the seed. (An earlier alphabet capped crashes
-// at 500µs to keep them clear of decision moments, which the free-running
-// runtime could not order reproducibly; the step scheduler lifted that
-// restriction.)
+// runs are a pure function of the seed.
 const (
 	maxCrashAt    = 5 * time.Millisecond
 	delayFloor    = time.Millisecond

@@ -63,6 +63,8 @@ type SigmaExtractor struct {
 	cancel   context.CancelFunc
 	done     chan struct{}
 	respDone chan struct{}
+	runTask  *net.Task
+	respTask *net.Task
 }
 
 // SigmaExtractorConfig configures one process's extractor.
@@ -114,8 +116,12 @@ func StartSigmaExtractor(cfg SigmaExtractorConfig) *SigmaExtractor {
 		done:     make(chan struct{}),
 		respDone: make(chan struct{}),
 	}
-	go e.respond()
-	go e.run()
+	// Both loops are scheduler tasks, spawned in a fixed order, so the
+	// construction's traffic interleaves deterministically with the runners
+	// that poll its output.
+	nw := e.ep.Network()
+	e.respTask = nw.Go(e.ep, "extract.respond", e.respond)
+	e.runTask = nw.Go(e.ep, "extract.run", e.run)
 	return e
 }
 
@@ -136,9 +142,11 @@ func (e *SigmaExtractor) Rounds() int {
 // Metrics returns the extractor's metrics sink.
 func (e *SigmaExtractor) Metrics() *trace.Metrics { return e.metrics }
 
-// Stop terminates the extractor's background goroutines.
+// Stop terminates the extractor's background tasks.
 func (e *SigmaExtractor) Stop() {
 	e.cancel()
+	e.runTask.Wake()
+	e.respTask.Wake()
 	<-e.done
 	<-e.respDone
 }
@@ -151,41 +159,51 @@ type pongMsg struct {
 	Token int64
 }
 
-// respond implements task 2 of Figure 1: answer every ping.
-func (e *SigmaExtractor) respond() {
+// respond implements task 2 of Figure 1: answer every ping. It drains the
+// ping mailbox on each granted step and parks, woken by the dispatcher's
+// pushes (Watch), by crash, and by Stop.
+func (e *SigmaExtractor) respond(task *net.Task) {
 	defer close(e.respDone)
-	inbox := e.ep.Subscribe(e.pingInst)
+	in := e.ep.Instance(e.pingInst)
+	in.Watch(task)
 	for {
-		select {
-		case <-e.ctx.Done():
-			return
-		case <-e.ep.Context().Done():
-			return
-		case msg := <-inbox:
+		for {
+			msg, ok := in.TryRecv()
+			if !ok {
+				break
+			}
 			if msg.Type == "ping" {
 				e.ep.Send(msg.From, e.pongInst, "pong", pongMsg{Token: msg.Payload.(pingMsg).Token})
 			}
 		}
+		if e.ctx.Err() != nil || e.ep.Context().Err() != nil {
+			return
+		}
+		task.Await(nil)
 	}
 }
 
 // run implements task 1 of Figure 1.
-func (e *SigmaExtractor) run() {
+func (e *SigmaExtractor) run(task *net.Task) {
 	defer close(e.done)
 	self := int(e.ep.ID())
-	pongs := e.ep.Subscribe(e.pongInst)
+	// The register operations and the inter-round Sleep find the task in the
+	// ctx and park on it instead of adopting one of their own.
+	ctx := net.WithTask(e.ctx, task)
+	pongs := e.ep.Instance(e.pongInst)
+	pongs.Watch(task)
 
 	sets := []model.ProcessSet{model.AllProcesses(e.ep.N())} // Ei, with Pi(0) = Π
 	prev := model.AllProcesses(e.ep.N())                     // Pi(k-1)
 	token := int64(0)
 
 	for k := 1; ; k++ {
-		if e.ctx.Err() != nil || e.ep.Crashed() {
+		if ctx.Err() != nil || e.ep.Crashed() {
 			return
 		}
 		// Line 8: write (k, Ei) into our own register and record the
 		// participants of the write.
-		participants, err := e.regs[self].WriteTracked(e.ctx, RegContents{K: k, Sets: cloneSets(sets)})
+		participants, err := e.regs[self].WriteTracked(ctx, RegContents{K: k, Sets: cloneSets(sets)})
 		if err != nil {
 			return
 		}
@@ -197,23 +215,19 @@ func (e *SigmaExtractor) run() {
 
 		// Lines 11-16: read every register and select one live member of
 		// every participant set it contains.
-		aborted := false
-		for j := 0; j < e.ep.N() && !aborted; j++ {
-			contents, err := e.regs[j].Read(e.ctx)
+		for j := 0; j < e.ep.N(); j++ {
+			contents, err := e.regs[j].Read(ctx)
 			if err != nil {
 				return
 			}
 			for _, x := range contents.Sets {
-				pt, ok := e.selectFrom(x, &token, pongs)
+				token++
+				pt, ok := e.selectFrom(ctx, x, token, pongs)
 				if !ok {
-					aborted = true
-					break
+					return
 				}
 				trusted.Add(pt)
 			}
-		}
-		if aborted {
-			return
 		}
 
 		// Line 17: publish the new Σ-output.
@@ -230,43 +244,35 @@ func (e *SigmaExtractor) run() {
 
 		// Inter-round pause on the network's virtual clock: free in
 		// wall-clock terms, ordered against the traffic of the round.
-		timer := e.ep.NewTimer(e.interval)
-		select {
-		case <-e.ctx.Done():
-			timer.Stop()
+		if err := e.ep.Sleep(ctx, e.interval); err != nil {
 			return
-		case <-e.ep.Context().Done():
-			timer.Stop()
-			return
-		case <-timer.C:
 		}
 	}
 }
 
-// selectFrom sends a ping to every member of x and waits for the first pong
-// for this token from a member of x (lines 14-16 of Figure 1).
-func (e *SigmaExtractor) selectFrom(x model.ProcessSet, token *int64, pongs <-chan net.Message) (model.ProcessID, bool) {
-	*token++
-	t := *token
+// selectFrom sends a ping carrying token to every member of x and waits for
+// the first pong for that token from a member of x (lines 14-16 of Figure 1).
+func (e *SigmaExtractor) selectFrom(ctx context.Context, x model.ProcessSet, token int64, pongs net.Instance) (model.ProcessID, bool) {
 	for _, q := range x.Slice() {
-		e.ep.Send(q, e.pingInst, "ping", pingMsg{Token: t})
+		e.ep.Send(q, e.pingInst, "ping", pingMsg{Token: token})
 		e.metrics.Inc("pings")
 	}
+	task := net.TaskFrom(ctx)
 	for {
-		select {
-		case <-e.ctx.Done():
-			return 0, false
-		case <-e.ep.Context().Done():
-			return 0, false
-		case msg := <-pongs:
-			if msg.Type != "pong" {
-				continue
+		for {
+			msg, ok := pongs.TryRecv()
+			if !ok {
+				break
 			}
-			if msg.Payload.(pongMsg).Token != t || !x.Contains(msg.From) {
-				continue // stale pong from an earlier token
+			// Anything else is a stale pong from an earlier token.
+			if msg.Type == "pong" && msg.Payload.(pongMsg).Token == token && x.Contains(msg.From) {
+				return msg.From, true
 			}
-			return msg.From, true
 		}
+		if ctx.Err() != nil || e.ep.Context().Err() != nil {
+			return 0, false
+		}
+		task.Await(ctx)
 	}
 }
 

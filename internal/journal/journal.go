@@ -21,22 +21,20 @@
 //
 // # Place on the determinism contract
 //
-// Journal bytes are trace-tier: in step mode they are a pure function of
-// (seed, config) — two identically-configured runs journal byte-identical
-// files — and capturing them is observe-only, so a journaled run keeps the
-// TraceFingerprint of its unjournaled twin. Free-running runs have no step
-// trace and refuse journaling outright (scenario.Run fails the run rather
-// than writing an empty journal). Tainted runs (a wall-clock escape cut the
-// schedule at a point virtual time cannot pin) journal their taint reason in
-// place of a fingerprint, and replay refuses them with that reason.
+// Journal bytes are trace-tier: they are a pure function of (seed, config) —
+// two identically-configured runs journal byte-identical files — and
+// capturing them is observe-only, so a journaled run keeps the
+// TraceFingerprint of its unjournaled twin. Tainted runs (a wall-clock escape
+// cut the schedule at a point virtual time cannot pin) journal their taint
+// reason in place of a fingerprint, and replay refuses them with that reason.
 //
 // # On-disk format
 //
 // A journal is JSON-lines: line 1 is the Meta object (schema_version first),
 // each subsequent line one Record. Loaders reject future schema versions, the
-// same policy as cliutil reports. Encoding is canonical — encoding/json over
-// fixed structs — so load → re-encode is byte-identity, which the round-trip
-// tests pin.
+// same policy as cliutil reports, and version 1 (see Version). Encoding is
+// canonical — encoding/json over fixed structs — so load → re-encode is
+// byte-identity, which the round-trip tests pin.
 package journal
 
 import (
@@ -56,9 +54,9 @@ import (
 // reject journals stamped with a newer version — the records they would
 // silently misread are exactly the ones a newer writer added fields to.
 // Version 2 added the observational record fields (sent, proc, group) and the
-// probe block in the meta; version-1 journals still load, verify and replay
-// (the checker masks fields their writer could not have known), but offline
-// probe recomputation refuses them — the fields it folds are not there.
+// probe block in the meta. Version-1 journals lack fields the replay checker
+// compares and the probe fold consumes, so loaders reject them too: a run is
+// a pure function of its recorded config, so re-recording loses nothing.
 const Version = 2
 
 // KeepAll selects full-mode capture (every record) when passed as a
@@ -215,22 +213,23 @@ func (r Record) ToNet() (net.TraceRecord, error) {
 	return tr, nil
 }
 
-// String renders the record compactly for divergence reports.
+// String renders the record compactly for divergence reports: every field
+// the replay checker compares, so two records that differ never print alike.
 func (r Record) String() string {
 	switch r.Op {
 	case "E":
 		switch r.Kind {
 		case "message":
-			return fmt.Sprintf("E message at=%d seq=%d %d->%d %s/%s", r.At, r.Seq, r.From, r.To, r.Instance, r.Type)
+			return fmt.Sprintf("E message at=%d seq=%d %d->%d %s/%s sent=%d", r.At, r.Seq, r.From, r.To, r.Instance, r.Type, r.Sent)
 		case "timer":
 			return fmt.Sprintf("E timer at=%d seq=%d tid=%d", r.At, r.Seq, r.Tid)
 		case "crash":
 			return fmt.Sprintf("E crash at=%d seq=%d p=%d", r.At, r.Seq, r.To)
 		}
 	case "G":
-		return fmt.Sprintf("G task=%d", r.Task)
+		return fmt.Sprintf("G task=%d proc=%d", r.Task, r.Proc)
 	case "X":
-		return fmt.Sprintf("X task=%d", r.Task)
+		return fmt.Sprintf("X task=%d proc=%d group=%t", r.Task, r.Proc, r.Group)
 	}
 	b, _ := json.Marshal(r)
 	return string(b)
@@ -261,7 +260,8 @@ func (j *Journal) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode parses a journal, rejecting future schema versions.
+// Decode parses a journal, rejecting schema versions this build cannot read
+// faithfully: future ones, and version 1.
 func Decode(data []byte) (*Journal, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -277,6 +277,9 @@ func Decode(data []byte) (*Journal, error) {
 	}
 	if j.Meta.SchemaVersion > Version {
 		return nil, fmt.Errorf("journal: schema_version %d is newer than this build understands (%d); rebuild or use a newer binary", j.Meta.SchemaVersion, Version)
+	}
+	if j.Meta.SchemaVersion < 2 {
+		return nil, fmt.Errorf("journal: schema_version %d predates the record fields replay and probes need (sent/proc/group landed in 2); re-record the run", j.Meta.SchemaVersion)
 	}
 	for line := 1; sc.Scan(); line++ {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
@@ -355,9 +358,8 @@ func (j *Journal) Verify() error {
 // RecomputeProbes folds the journal's stored record stream through the
 // probe analyzer — the offline twin of live capture, no re-execution. It
 // refuses journals that cannot anchor the fold: tainted runs (the stream
-// was cut at a wall-clock point), ring suffixes (the fold needs the whole
-// stream) and schema-v1 journals (their records lack the sent/proc/group
-// fields the fold consumes; re-record with this build).
+// was cut at a wall-clock point) and ring suffixes (the fold needs the whole
+// stream).
 func (j *Journal) RecomputeProbes() (probe.StreamProbes, error) {
 	var none probe.StreamProbes
 	if j.Meta.TaintReason != "" {
@@ -365,9 +367,6 @@ func (j *Journal) RecomputeProbes() (probe.StreamProbes, error) {
 	}
 	if !j.Complete() {
 		return none, j.suffixErr("probe recomputation")
-	}
-	if j.Meta.SchemaVersion < 2 {
-		return none, fmt.Errorf("journal schema_version %d predates the probe fields (sent/proc/group landed in 2); re-record the run to compute probes offline", j.Meta.SchemaVersion)
 	}
 	a := probe.NewAnalyzer(0)
 	for i := range j.Records {

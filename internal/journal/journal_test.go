@@ -100,6 +100,15 @@ func TestDecodeRefusesFutureSchema(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesSchemaV1: a version-1 meta line is refused at load with
+// the remedy named — its records lack fields the replay checker compares.
+func TestDecodeRefusesSchemaV1(t *testing.T) {
+	data := []byte(`{"schema_version":1,"protocol":"consensus/omega-sigma","mode":"full","first_index":0,"total_records":1,"events":0,"messages":0,"timers":0,"crashes":0,"grants":1}` + "\n" + `{"op":"G","task":1}` + "\n")
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("schema-v1 journal not refused: %v", err)
+	}
+}
+
 // TestVerify: the fingerprint recomputation passes on an intact journal and
 // pins any record mutation.
 func TestVerify(t *testing.T) {
@@ -201,6 +210,16 @@ func TestCheckerDivergence(t *testing.T) {
 		if !strings.Contains(rep, fmt.Sprintf("diverged at record %d", at)) || !strings.Contains(rep, ">>>") {
 			t.Fatalf("mutation at %d: report missing index or marker:\n%s", at, rep)
 		}
+	}
+
+	// A mutation of an unhashed field alone is still a divergence, and the
+	// report's expected and actual lines must show the difference.
+	mutated := append([]net.TraceRecord(nil), stream...)
+	mutated[1].Proc += 3 // a grant
+	chk = NewChecker(j)
+	replayThrough(chk, mutated)
+	if div := chk.Finish(); div == nil || div.Index != 1 || div.Expected.String() == div.Actual.String() {
+		t.Fatalf("proc-only mutation: divergence %+v renders expected and actual alike", div)
 	}
 
 	// The run produced a record past the journal's end.

@@ -18,17 +18,12 @@ type Checker struct {
 	j    *Journal
 	next int
 	div  *Divergence
-	// legacy marks a journal written before schema v2: its records lack the
-	// observational fields (sent/proc/group), so the checker masks them on
-	// the live side — the hashed schedule is what replay holds a run to, and
-	// it is version-independent.
-	legacy bool
 }
 
 // NewChecker returns a checker over j, which must be complete
 // (Journal.Replayable).
 func NewChecker(j *Journal) *Checker {
-	return &Checker{j: j, legacy: j.Meta.SchemaVersion < 2}
+	return &Checker{j: j}
 }
 
 // Record implements net.TraceRecorder.
@@ -37,9 +32,6 @@ func (c *Checker) Record(tr net.TraceRecord) {
 		return
 	}
 	actual := FromNet(tr)
-	if c.legacy {
-		actual.Sent, actual.Proc, actual.Group = 0, 0, false
-	}
 	if c.next >= len(c.j.Records) {
 		c.div = &Divergence{Index: c.next, Actual: &actual,
 			Reason: "the run produced a record past the journal's end"}

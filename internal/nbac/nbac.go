@@ -127,8 +127,8 @@ type voteMsg struct {
 // Vote runs Figure 4 with vote v and returns Commit or Abort.
 func (a *QCNBAC) Vote(ctx context.Context, v Vote) (Outcome, error) {
 	a.metrics.Inc("vote")
-	// Step mode: adopt the caller so the vote wait and the embedded QC step
-	// run as scheduler tasks (a no-op when the ctx already carries a task,
+	// Adopt the caller so the vote wait and the embedded QC step run as
+	// scheduler tasks (a no-op when the ctx already carries a task,
 	// e.g. when the FS emulation drives successive instances from one task).
 	ctx, release := net.AdoptTask(ctx, a.ep, "nbac.vote")
 	defer release()
@@ -143,62 +143,38 @@ func (a *QCNBAC) Vote(ctx context.Context, v Vote) (Outcome, error) {
 	ticker.Bind(task)
 	defer ticker.Stop()
 	sawRed := false
-	if task != nil {
-		in := a.ep.Instance(a.instance)
-		in.Watch(task)
-		defer in.Watch(nil)
-		for len(votes) < a.ep.N() {
-			if a.fs.Sample() == model.Red {
-				sawRed = true
-				break
-			}
-			if msg, ok := in.TryRecv(); ok {
-				if msg.Type == "vote" {
-					votes[msg.From] = msg.Payload.(voteMsg).Vote
-				}
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return Abort, fmt.Errorf("nbac vote: %w", err)
-			}
-			if err := a.ep.Context().Err(); err != nil {
-				return Abort, fmt.Errorf("nbac vote: %w", err)
-			}
-			if ticker.TryFire() {
-				// A "nop" step while waiting; advance the logical clock so
-				// time-based detector behaviour (e.g. detection delays) makes
-				// progress even without message traffic.
-				a.ep.Clock().Tick()
-			} else {
-				task.Await(ctx)
-			}
+	in := a.ep.Instance(a.instance)
+	in.Watch(task)
+	defer in.Watch(nil)
+	for len(votes) < a.ep.N() {
+		if a.fs.Sample() == model.Red {
+			sawRed = true
+			break
 		}
-	} else {
-		inbox := a.ep.Subscribe(a.instance)
-		for len(votes) < a.ep.N() {
-			if a.fs.Sample() == model.Red {
-				sawRed = true
-				break
+		if msg, ok := in.TryRecv(); ok {
+			if msg.Type == "vote" {
+				votes[msg.From] = msg.Payload.(voteMsg).Vote
 			}
-			select {
-			case <-ctx.Done():
-				return Abort, fmt.Errorf("nbac vote: %w", ctx.Err())
-			case <-a.ep.Context().Done():
-				return Abort, fmt.Errorf("nbac vote: %w", a.ep.Context().Err())
-			case msg := <-inbox:
-				if msg.Type == "vote" {
-					votes[msg.From] = msg.Payload.(voteMsg).Vote
-				}
-			case <-ticker.C:
-				// A "nop" step while waiting (see the task path above).
-				a.ep.Clock().Tick()
-			}
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return Abort, fmt.Errorf("nbac vote: %w", err)
+		}
+		if err := a.ep.Context().Err(); err != nil {
+			return Abort, fmt.Errorf("nbac vote: %w", err)
+		}
+		if ticker.TryFire() {
+			// A "nop" step while waiting; advance the logical clock so
+			// time-based detector behaviour (e.g. detection delays) makes
+			// progress even without message traffic.
+			a.ep.Clock().Tick()
+		} else {
+			task.Await(ctx)
 		}
 	}
 
 	// The vote wait is over; release the ticker before blocking in the QC
-	// step, whose waits ride their own timers — an unconsumed virtual tick
-	// would freeze the network's clock.
+	// step, whose waits ride their own timers.
 	ticker.Stop()
 
 	// Lines 3-6: propose 1 only if every vote arrived and all are Yes.
@@ -292,7 +268,7 @@ func (q *NBACQC) Propose(ctx context.Context, v qc.Value) (qc.Decision, error) {
 	if !ok {
 		return qc.Decision{}, fmt.Errorf("nbac-based qc: proposal must be int, got %T", v)
 	}
-	// Step mode: adopt the caller; the embedded NBAC vote reuses the task.
+	// Adopt the caller; the embedded NBAC vote reuses the task.
 	ctx, release := net.AdoptTask(ctx, q.ep, "nbacqc.propose")
 	defer release()
 
@@ -315,39 +291,24 @@ func (q *NBACQC) Propose(ctx context.Context, v qc.Value) (qc.Decision, error) {
 	// Lines 5-7: Commit means every process voted, hence every process also
 	// broadcast its proposal; wait for all of them and return the smallest.
 	proposals := make(map[model.ProcessID]int, q.ep.N())
-	if task := net.TaskFrom(ctx); task != nil {
-		in := q.ep.Instance(q.instance)
-		in.Watch(task)
-		defer in.Watch(nil)
-		for len(proposals) < q.ep.N() {
-			if msg, ok := in.TryRecv(); ok {
-				if msg.Type == "proposal" {
-					proposals[msg.From] = msg.Payload.(proposalMsg).Value
-				}
-				continue
+	task := net.TaskFrom(ctx)
+	in := q.ep.Instance(q.instance)
+	in.Watch(task)
+	defer in.Watch(nil)
+	for len(proposals) < q.ep.N() {
+		if msg, ok := in.TryRecv(); ok {
+			if msg.Type == "proposal" {
+				proposals[msg.From] = msg.Payload.(proposalMsg).Value
 			}
-			if err := ctx.Err(); err != nil {
-				return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", err)
-			}
-			if err := q.ep.Context().Err(); err != nil {
-				return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", err)
-			}
-			task.Await(ctx)
+			continue
 		}
-	} else {
-		inbox := q.ep.Subscribe(q.instance)
-		for len(proposals) < q.ep.N() {
-			select {
-			case <-ctx.Done():
-				return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", ctx.Err())
-			case <-q.ep.Context().Done():
-				return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", q.ep.Context().Err())
-			case msg := <-inbox:
-				if msg.Type == "proposal" {
-					proposals[msg.From] = msg.Payload.(proposalMsg).Value
-				}
-			}
+		if err := ctx.Err(); err != nil {
+			return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", err)
 		}
+		if err := q.ep.Context().Err(); err != nil {
+			return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", err)
+		}
+		task.Await(ctx)
 	}
 	smallest := 0
 	first := true
@@ -405,9 +366,8 @@ func StartFSFromNBAC(ctx context.Context, ep *net.Endpoint, newInstance func(k i
 		cancel:      cancel,
 		done:        make(chan struct{}),
 	}
-	// In step mode the emulation loop is a scheduler task, so the endless
-	// sequence of NBAC instances interleaves deterministically with the
-	// protocols under test; in free-running mode it is a plain goroutine.
+	// The emulation loop is a scheduler task, so the endless sequence of NBAC
+	// instances interleaves deterministically with the protocols under test.
 	ep.Network().Go(ep, "nbac.fs", func(task *net.Task) {
 		f.run(ctx, task)
 	})
@@ -440,11 +400,9 @@ func (f *FSFromNBAC) Stop() {
 
 func (f *FSFromNBAC) run(ctx context.Context, task *net.Task) {
 	defer close(f.done)
-	if task != nil {
-		// Thread the task through the ctx so the Vote and Sleep calls below
-		// park on the scheduler instead of blocking invisibly.
-		ctx = net.WithTask(ctx, task)
-	}
+	// Thread the task through the ctx so the Vote and Sleep calls below park
+	// on the scheduler instead of adopting a task of their own.
+	ctx = net.WithTask(ctx, task)
 	for k := 0; ; k++ {
 		outcome, err := f.newInstance(k).Vote(ctx, VoteYes)
 		if err != nil {

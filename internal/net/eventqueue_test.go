@@ -235,7 +235,7 @@ func TestDropThresholdEdgeCases(t *testing.T) {
 // reliable link: with the old unclamped conversion a rounded product of
 // exactly 2⁶⁴ could yield threshold 0 and deliver everything.
 func TestDropRateJustBelowOneDropsMessages(t *testing.T) {
-	q := newEventQueue(2, 1, 0, 0, math.Nextafter(1, 0), false)
+	q := newEventQueue(2, 1, 0, 0, math.Nextafter(1, 0))
 	delivered := 0
 	for i := 0; i < 200; i++ {
 		if q.pushMessage(Message{To: 0}, nil) {

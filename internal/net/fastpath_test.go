@@ -31,19 +31,33 @@ func waitQuiesced(t *testing.T, nw *Network) {
 
 // ---- batched vs serial broadcast: white-box schedule equality ----
 
+// serialBroadcast is the reference the batched fast path is checked against:
+// the n-call per-recipient loop (n queue-lock acquisitions, n pushMessage
+// calls) that pushBroadcast replaces.
+func serialBroadcast(ep *Endpoint, instance, typ string, payload any) {
+	st := ep.net.intern(instance)
+	for i := 0; i < ep.net.n; i++ {
+		ep.net.sendTo(st, ep.id, model.ProcessID(i), typ, 0, 0, payload)
+	}
+}
+
 // broadcastSchedule drives a fixed mixed workload — broadcasts from rotating
 // senders interleaved with unicasts — on a fresh network and returns, per
-// recipient, the exact delivery sequence as "from/type@sentAt" strings.
-func broadcastSchedule(t *testing.T, seed int64, drop float64, opts ...Option) [][]string {
+// recipient, the exact delivery sequence as "from/type@sentAt" strings. With
+// serial set, every broadcast goes through the serialBroadcast reference.
+func broadcastSchedule(t *testing.T, seed int64, drop float64, serial bool) [][]string {
 	t.Helper()
 	const n, rounds = 5, 12
-	all := append([]Option{WithSeed(seed), WithDropRate(drop)}, opts...)
-	nw := NewNetwork(n, all...)
+	nw := NewNetwork(n, WithSeed(seed), WithDropRate(drop))
 	defer nw.Close()
 	nw.Freeze()
 	for r := 0; r < rounds; r++ {
-		nw.Endpoint(model.ProcessID(r % n)).Broadcast("sched", "b", r)
-		nw.Endpoint(model.ProcessID((r + 1) % n)).Send(model.ProcessID((r+2)%n), "sched", "u", r)
+		if sender := nw.Endpoint(model.ProcessID(r % n)); serial {
+			serialBroadcast(sender, "sched", "b", r)
+		} else {
+			sender.Broadcast("sched", "b", r)
+		}
+		nw.Endpoint(model.ProcessID((r+1)%n)).Send(model.ProcessID((r+2)%n), "sched", "u", r)
 	}
 	nw.Thaw()
 	// Let the dispatcher drain, then collect what each recipient saw. The
@@ -65,14 +79,12 @@ func broadcastSchedule(t *testing.T, seed int64, drop float64, opts ...Option) [
 // The batched broadcast enqueue must produce byte-for-byte the schedule of
 // the serial per-recipient loop: same RNG draws in the same order (drop draw
 // first where links are lossy, then the delay draw), same (time, seq) slots.
-// This is the white-box half of the determinism contract; the scenario
-// package pins the same property end-to-end on Result.Fingerprint.
 func TestBatchedBroadcastMatchesSerialSchedule(t *testing.T) {
 	for _, drop := range []float64{0, 0.3} {
 		for _, seed := range []int64{1, 7, 42, 99} {
 			t.Run(fmt.Sprintf("drop=%v/seed=%d", drop, seed), func(t *testing.T) {
-				batched := broadcastSchedule(t, seed, drop)
-				serial := broadcastSchedule(t, seed, drop, WithSerialBroadcast())
+				batched := broadcastSchedule(t, seed, drop, false)
+				serial := broadcastSchedule(t, seed, drop, true)
 				if len(batched) != len(serial) {
 					t.Fatalf("recipient counts differ: %d vs %d", len(batched), len(serial))
 				}

@@ -13,15 +13,16 @@
 //
 // Delivery is a discrete-event scheduler, not a goroutine per message: every
 // send pushes a (deliveryTime, seq) event onto a min-heap drained by one
-// dispatcher goroutine. By default the scheduler runs in virtual time — the
-// injected delay determines the delivery order exactly as it would in real
-// time, but waiting for it costs zero wall-clock time, so a run executes as
-// fast as the hardware allows and, for a batch of sends enqueued under
-// Freeze/Thaw with WithSeed, deterministically. WithRealTime switches the same scheduler to
-// wall-clock waits for fidelity experiments. Timers (Endpoint.NewTicker,
-// Endpoint.NewTimer) ride the same event heap, which is how heartbeat-style
-// failure detectors stay meaningful when time is virtual. See ARCHITECTURE.md
-// for the scheduler's design and its determinism guarantees.
+// dispatcher goroutine. The scheduler runs in virtual time — the injected
+// delay determines the delivery order exactly as it would in real time, but
+// waiting for it costs zero wall-clock time, so a run executes as fast as the
+// hardware allows. Between deliveries the dispatcher grants the goroutines a
+// delivery woke (Tasks; see step.go) one at a time, so a seeded run laid out
+// under Freeze/Thaw is deterministic down to its full trace. Timers
+// (Endpoint.NewTicker, Endpoint.NewTimer) ride the same event heap, which is
+// how heartbeat-style failure detectors stay meaningful when time is virtual.
+// See ARCHITECTURE.md for the scheduler's design and its determinism
+// guarantees.
 //
 // Protocol instances are interned: the first use of an instance name resolves
 // it to a per-network instState carrying the contiguous mailbox array and the
@@ -45,7 +46,7 @@ type Option func(*Network)
 
 // WithDelays sets the per-message delivery delay range. Delays are drawn
 // uniformly from [min, max]. The default is [0, 200µs], which is enough to
-// reorder messages aggressively; in virtual-time mode the magnitude is free.
+// reorder messages aggressively; in virtual time the magnitude is free.
 func WithDelays(min, max time.Duration) Option {
 	return func(n *Network) {
 		n.minDelay, n.maxDelay = min, max
@@ -53,21 +54,13 @@ func WithDelays(min, max time.Duration) Option {
 }
 
 // WithSeed seeds the delay generator. The drawn delay sequence is a pure
-// function of the seed and enqueue order; in virtual-time mode the delivery
-// order of a batch enqueued under Freeze/Thaw is then fully reproducible
-// (the virtual clock is still during a freeze, so the whole batch shares one
-// base time). Free-running senders racing the dispatcher (or each other)
-// reintroduce enqueue-order and base-time nondeterminism.
+// function of the seed and enqueue order; the delivery order of a batch
+// enqueued under Freeze/Thaw is then fully reproducible (the virtual clock is
+// still during a freeze, so the whole batch shares one base time). Senders
+// outside the task discipline (see Task) racing the dispatcher, or each
+// other, reintroduce enqueue-order and base-time nondeterminism.
 func WithSeed(seed int64) Option {
 	return func(n *Network) { n.seed = seed }
-}
-
-// WithRealTime makes the scheduler wait out delays and timer deadlines on the
-// wall clock instead of virtual time. Use it for wall-clock fidelity tests;
-// everything else is faster and more reproducible in the default virtual-time
-// mode.
-func WithRealTime() Option {
-	return func(n *Network) { n.realtime = true }
 }
 
 // WithDropRate makes every message be dropped independently with probability
@@ -97,35 +90,12 @@ func WithLog(l *trace.Log) Option {
 	return func(n *Network) { n.log = l }
 }
 
-// WithSerialBroadcast makes Broadcast enqueue its n per-recipient sends one
-// at a time (n queue-lock acquisitions and n sift-ups) instead of through the
-// batched single-lock fast path. Both paths consume the seeded RNG streams in
-// exactly the same per-recipient order and therefore produce byte-identical
-// (deliveryTime, seq) schedules; the knob exists so determinism tests can
-// prove that equivalence and benchmarks can measure the batching win.
-func WithSerialBroadcast() Option {
-	return func(n *Network) { n.serial = true }
-}
-
-// WithFreeRunning disables the deterministic goroutine-step scheduler and
-// lets protocol goroutines race the dispatcher, as the runtime did before
-// run-to-quiescence stepping: events are popped in timestamp batches, the
-// anti-gallop heuristics (bounded yields plus unbuffered-timer backpressure)
-// pace virtual time, and determinism holds only for schedule-determined
-// outcomes, not traces. It is kept as a benchmarked ablation — the measured
-// price of the step discipline — and as the mode real-time runs use.
-// Networks in free-running mode never produce a trace fingerprint.
-func WithFreeRunning() Option {
-	return func(n *Network) { n.freeRunning = true }
-}
-
 // WithTraceRecorder attaches rec to the step scheduler's trace stream: every
 // record the trace digest hashes (events, grants, exits — see TraceRecord) is
 // also passed to rec, in hash order, while a trace group is armed. The
 // recorder is observe-only: attaching one cannot perturb the schedule, so a
 // journaled run and a plain run of the same seeded configuration produce the
-// same TraceFingerprint. A no-op in free-running or real-time mode, which
-// have no step trace to record.
+// same TraceFingerprint.
 func WithTraceRecorder(rec TraceRecorder) Option {
 	return func(n *Network) { n.traceRec = rec }
 }
@@ -143,15 +113,9 @@ type Network struct {
 	maxDelay time.Duration
 	seed     int64
 	dropRate float64
-	realtime bool
-	serial   bool
 
-	// freeRunning disables run-to-quiescence stepping (WithFreeRunning);
-	// real-time mode implies it. When false, stepper holds the scheduler
-	// state and the dispatcher runs dispatchStep instead of the batch loop.
-	freeRunning bool
-	stepper     *stepper
-	traceRec    TraceRecorder
+	stepper  *stepper // run-to-quiescence scheduler state; see step.go
+	traceRec TraceRecorder
 
 	q *eventQueue
 
@@ -199,10 +163,8 @@ func NewNetwork(n int, opts ...Option) *Network {
 	nw.cDelivered = nw.metrics.Counter("msgs.delivered")
 	nw.cDropped = nw.metrics.Counter("msgs.dropped")
 	nw.cCrashes = nw.metrics.Counter("crashes")
-	nw.q = newEventQueue(n, nw.seed, nw.minDelay, nw.maxDelay, nw.dropRate, nw.realtime)
-	if !nw.freeRunning && !nw.realtime {
-		nw.stepper = newStepper(nw.q, nw.traceRec)
-	}
+	nw.q = newEventQueue(n, nw.seed, nw.minDelay, nw.maxDelay, nw.dropRate)
+	nw.stepper = newStepper(nw.q, nw.traceRec)
 	nw.instances = make(map[string]*instState)
 	nw.endpoints = make([]Endpoint, n)
 	for i := range nw.endpoints {
@@ -329,12 +291,10 @@ func (nw *Network) Close() {
 		ep.ctx.cancel()
 		ep.stopTimers()
 	}
-	if nw.stepper != nil {
-		// Release every task blocked on a grant (parked, or waiting its first
-		// step) so their goroutines can observe cancellation and exit; the
-		// dispatcher never waits on an aborted task.
-		nw.stepper.abortAll()
-	}
+	// Release every task blocked on a grant (parked, or waiting its first
+	// step) so their goroutines can observe cancellation and exit; the
+	// dispatcher never waits on an aborted task.
+	nw.stepper.abortAll()
 	if dropped := nw.q.close(); dropped > 0 {
 		nw.cDropped.Add(int64(dropped))
 	}
@@ -379,21 +339,14 @@ func (nw *Network) sendTo(st *instState, from, to model.ProcessID, typ string, a
 	}
 }
 
-// broadcast enqueues one delivery per process. On the default fast path the
-// whole fan-out is one eventQueue.pushBroadcast call: the logical clock is
-// advanced n ticks at once and the queue lock taken once, but the
-// per-recipient RNG consumption and sequence numbering are exactly those of
-// n sendTo calls in recipient order — see pushBroadcast for the contract.
-// With WithSerialBroadcast it degenerates to that n-call loop.
+// broadcast enqueues one delivery per process. The whole fan-out is one
+// eventQueue.pushBroadcast call: the logical clock is advanced n ticks at
+// once and the queue lock taken once, but the per-recipient RNG consumption
+// and sequence numbering are exactly those of n sendTo calls in recipient
+// order — see pushBroadcast for the contract.
 func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, aux, aux2 int64, payload any) {
 	if nw.closed.Load() || nw.Crashed(from) {
 		nw.cDropped.Add(int64(nw.n))
-		return
-	}
-	if nw.serial {
-		for i := 0; i < nw.n; i++ {
-			nw.sendTo(st, from, model.ProcessID(i), typ, aux, aux2, payload)
-		}
 		return
 	}
 	first := nw.clock.TickN(nw.n)
@@ -409,43 +362,16 @@ func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, au
 	}
 }
 
-// dispatch is the single delivery goroutine. In step mode (the default) it
-// runs the run-to-quiescence loop: deliver ONE event, then grant every task
-// that delivery woke — serially, in deterministic FIFO wake order — until the
-// network is quiescent again, then pop the next event. In free-running mode
-// (WithFreeRunning, or real time) it drains the event queue in
-// (deliveryTime, seq) order with same-instant events popped as one batch
-// under a single lock acquisition (the delivery path is handoff-bound, so
-// per-event locking was the hot spot). Either way no goroutine is ever
-// spawned per message, and no lock or lookup beyond the destination mailbox's
-// own mutex is taken per delivery.
+// dispatch is the single delivery goroutine. It runs the run-to-quiescence
+// loop: deliver ONE event, then grant every task that delivery woke —
+// serially, in deterministic FIFO wake order — until the network is quiescent
+// again, then pop the next event. popStep prioritises ready tasks over due
+// events, so an event delivery's entire wake cascade (including wakes issued
+// by granted tasks themselves) settles before the next event is popped — the
+// quiescence handshake. No goroutine is ever spawned per message, and no lock
+// or lookup beyond the destination mailbox's own mutex is taken per delivery.
 func (nw *Network) dispatch() {
 	defer nw.wg.Done()
-	if nw.stepper != nil {
-		nw.dispatchStep()
-		return
-	}
-	var batch []event
-	for {
-		var ok bool
-		batch, ok = nw.q.popBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for i := range batch {
-			ev := &batch[i]
-			nw.deliver(ev)
-			*ev = event{} // release payload references held by the batch buffer
-		}
-	}
-}
-
-// dispatchStep is the step-mode dispatcher loop: alternate between granting
-// ready tasks to quiescence and delivering single events. popStep prioritises
-// ready tasks over due events, so an event delivery's entire wake cascade
-// (including wakes issued by granted tasks themselves) settles before the
-// next event is popped — the quiescence handshake.
-func (nw *Network) dispatchStep() {
 	s := nw.stepper
 	for {
 		ev, mode := nw.q.popStep(s)
@@ -461,7 +387,7 @@ func (nw *Network) dispatchStep() {
 	}
 }
 
-// deliver executes one popped event; shared by both dispatcher modes.
+// deliver executes one popped event.
 func (nw *Network) deliver(ev *event) {
 	switch ev.kind {
 	case evMessage:
@@ -520,7 +446,7 @@ type Endpoint struct {
 
 	mu       sync.Mutex
 	timers   []*Timer
-	tasks    []*Task   // step-mode tasks owned by this process, woken on crash
+	tasks    []*Task   // tasks owned by this process, woken on crash
 	timerArr [4]*Timer // inline backing for timers: typical processes hold at most a few concurrent leases
 }
 
@@ -753,7 +679,7 @@ type mailbox struct {
 	wakes   uint64
 	closed  bool
 	handler Handler
-	watcher *Task // step-mode task woken per push; see Instance.Watch
+	watcher *Task // task woken per push; see Instance.Watch
 
 	out     chan Message
 	quit    chan struct{}

@@ -11,13 +11,10 @@ import (
 
 // runPingPong stands up a two-process network, runs a traced ping-pong of
 // fixed length between two scheduler-visible tasks, and returns the trace
-// fingerprint with its counters. Under WithFreeRunning the same code runs as
-// plain goroutines (nil tasks) and the trace degrades to the empty
-// fingerprint — the mode-agnostic call-site contract the protocol packages
-// rely on.
-func runPingPong(t *testing.T, opts ...Option) (string, TraceStats) {
+// fingerprint with its counters.
+func runPingPong(t *testing.T) (string, TraceStats) {
 	t.Helper()
-	nw := NewNetwork(2, append([]Option{WithSeed(9), WithDelays(time.Millisecond, 5*time.Millisecond)}, opts...)...)
+	nw := NewNetwork(2, WithSeed(9), WithDelays(time.Millisecond, 5*time.Millisecond))
 	defer nw.Close()
 	nw.Freeze()
 
@@ -27,10 +24,8 @@ func runPingPong(t *testing.T, opts ...Option) (string, TraceStats) {
 		return func(task *Task) {
 			defer func() { done <- struct{}{} }()
 			in := ep.Instance("pp")
-			if task != nil {
-				in.Watch(task)
-				defer in.Watch(nil)
-			}
+			in.Watch(task)
+			defer in.Watch(nil)
 			// The opener serves rounds balls and counts the echoes; the
 			// responder echoes every ball it receives. Both sides see exactly
 			// rounds messages, so neither parks waiting on a reply that will
@@ -48,11 +43,7 @@ func runPingPong(t *testing.T, opts ...Option) (string, TraceStats) {
 					}
 					continue
 				}
-				if task != nil {
-					task.Await(nil)
-				} else {
-					time.Sleep(100 * time.Microsecond)
-				}
+				task.Await(nil)
 			}
 		}
 	}
@@ -71,13 +62,13 @@ func runPingPong(t *testing.T, opts ...Option) (string, TraceStats) {
 	return fp, st
 }
 
-// TestStepTraceDeterministic: two identically-seeded step-mode runs hash to
+// TestStepTraceDeterministic: two identically-seeded runs hash to
 // byte-identical trace fingerprints, and the counters agree.
 func TestStepTraceDeterministic(t *testing.T) {
 	fp1, st1 := runPingPong(t)
 	fp2, st2 := runPingPong(t)
 	if fp1 == "" {
-		t.Fatal("step-mode run produced no trace fingerprint")
+		t.Fatal("run produced no trace fingerprint")
 	}
 	if fp1 != fp2 {
 		t.Fatalf("trace fingerprints diverged:\n%s\n%s", fp1, fp2)
@@ -87,51 +78,6 @@ func TestStepTraceDeterministic(t *testing.T) {
 	}
 	if st1.Messages == 0 || st1.Grants == 0 {
 		t.Fatalf("trace counters implausible: %+v", st1)
-	}
-}
-
-// TestFreeRunningAblationHasNoTrace: the ablation runs the same code to the
-// same outcome but pins nothing — empty fingerprint, zero counters.
-func TestFreeRunningAblationHasNoTrace(t *testing.T) {
-	fp, st := runPingPong(t, WithFreeRunning())
-	if fp != "" || st != (TraceStats{}) {
-		t.Fatalf("free-running run reported a trace: %q %+v", fp, st)
-	}
-}
-
-// TestFreeRunningNilTaskContract: in free-running mode Go returns nil, fn
-// receives nil, and every Task method (plus TaskFrom) is a safe no-op on nil —
-// the branch-free degradation the converted protocol loops depend on.
-func TestFreeRunningNilTaskContract(t *testing.T) {
-	nw := NewNetwork(1, WithFreeRunning())
-	defer nw.Close()
-	if nw.StepMode() {
-		t.Fatal("WithFreeRunning network still reports step mode")
-	}
-	got := make(chan *Task, 1)
-	if tk := nw.Go(nw.Endpoint(0), "noop", func(task *Task) { got <- task }); tk != nil {
-		t.Fatalf("Go returned non-nil task in free-running mode: %v", tk)
-	}
-	select {
-	case task := <-got:
-		if task != nil {
-			t.Fatalf("fn received non-nil task: %v", task)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("free-running fn never ran")
-	}
-	var nilTask *Task
-	nilTask.Wake() // must not panic
-	if TaskFrom(context.Background()) != nil || TaskFrom(nil) != nil {
-		t.Fatal("TaskFrom invented a task")
-	}
-	ctx, release := AdoptTask(context.Background(), nw.Endpoint(0), "adopt")
-	defer release()
-	if TaskFrom(ctx) != nil {
-		t.Fatal("AdoptTask adopted in free-running mode")
-	}
-	if fp, st := nw.TraceResult(); fp != "" || st != (TraceStats{}) {
-		t.Fatalf("TraceResult on free-running network = %q %+v", fp, st)
 	}
 }
 

@@ -7,19 +7,18 @@ import (
 )
 
 // Timer is a one-shot or periodic timer driven by the network's scheduler.
-// In virtual-time mode it fires when the virtual clock reaches its deadline —
-// instantly in wall-clock terms once no earlier event is pending — and in
-// real-time mode it fires on the wall clock, like time.Timer.
+// It fires when the virtual clock reaches its deadline — instantly in
+// wall-clock terms once no earlier event is pending.
 //
-// C receives the virtual time at which the timer fired. The channel is
-// unbuffered and fed with backpressure: in virtual-time mode the dispatcher
-// will not advance virtual time past a fire that its consumer has not yet
-// taken, for any timer in the network. This keeps virtual time from
-// galloping ahead of the goroutines it drives, which is what makes
-// timeout-based failure detectors meaningful under virtual time.
+// Tasks consume fires through Bind and TryFire. C is for consumers outside
+// the task discipline (raw-network tests): it receives the virtual time at
+// which the timer fired. The channel is unbuffered and fed with backpressure:
+// the dispatcher will not advance virtual time past a fire that its consumer
+// has not yet taken, for any timer in the network, so virtual time cannot
+// gallop ahead of the goroutines it drives.
 //
 // Timers created through an Endpoint are stopped automatically when the
-// process crashes or the network closes; a consumer that stops receiving
+// process crashes or the network closes; a C consumer that stops receiving
 // must call Stop, or virtual time freezes for the whole network.
 //
 // A Timer is a lease on a pooled core: the struct and channels behind it are
@@ -60,7 +59,7 @@ type timerCore struct {
 	// Task binding (Timer.Bind): when owner is set, a fire wakes the owner
 	// task and increments pending for Timer.TryFire instead of feeding the
 	// channel — no feeder handoff, no outstanding-count backpressure; the
-	// step scheduler's grant discipline paces virtual time exactly.
+	// scheduler's grant discipline paces virtual time exactly.
 	owner   *Task
 	pending int
 }
@@ -131,18 +130,15 @@ func newTimer(q *eventQueue, delay, period time.Duration) *Timer {
 // concurrently with fires.
 func (t *Timer) Stop() { t.core.stopLease(t.gen) }
 
-// Bind routes this timer's fires to a step-scheduler task: instead of feeding
-// the C channel (with its backpressure on virtual time), each fire wakes the
-// task and banks one TryFire credit. The task consumes fires with the
-// condition-recheck idiom — TryFire inside its Await loop. Bind must be called
-// before the first fire can pop, i.e. by the task that created the timer
-// during one of its own granted steps; binding a nil task is a no-op (the
-// free-running call-site degrades to the channel path). A bound timer's C
-// must not be received from.
+// Bind routes this timer's fires to a task: instead of feeding the C channel
+// (with its backpressure on virtual time), each fire wakes the task and banks
+// one TryFire credit. The task consumes fires with the condition-recheck
+// idiom — TryFire inside its Await loop. Bind must be called before the first
+// fire can pop: by the task that created the timer during one of its own
+// granted steps, or by a freshly spawned task on its first step (grants beat
+// events) for a timer created before dispatch could reach its deadline. A
+// bound timer's C must not be received from.
 func (t *Timer) Bind(task *Task) {
-	if task == nil {
-		return
-	}
 	tc := t.core
 	tc.mu.Lock()
 	if tc.gen == t.gen && !tc.stopped {
@@ -196,12 +192,9 @@ func (tc *timerCore) stopLease(gen uint64) {
 // dead lease are discarded here.
 //
 // A periodic timer reschedules eagerly, before its consumer has taken the
-// fire: the next tick sits in the heap while the previous one counts as
-// outstanding, so in virtual-time mode the clock freezes — for the whole
-// network — until the slowest tick consumer has caught up. That is what
-// stops virtual time from galloping past a descheduled process and tripping
-// timeout-based failure detectors. (In real-time mode the wall clock paces
-// pops instead, and a lagging consumer just loses ticks, like time.Ticker.)
+// fire: for a channel-fed timer the next tick sits in the heap while the
+// previous one counts as outstanding, so the clock freezes — for the whole
+// network — until the slowest tick consumer has caught up.
 //
 // The fire is pushed while still holding the core's mutex: a concurrent Stop
 // serialises either entirely before (and the push is skipped) or entirely
@@ -217,7 +210,7 @@ func (tc *timerCore) fired(at int64, gen uint64) {
 		tc.q.scheduleTimer(tc, at+tc.period, gen, tc.leaseID)
 	}
 	if tc.owner != nil {
-		// Task-bound (step mode): bank a TryFire credit and wake the owner.
+		// Task-bound: bank a TryFire credit and wake the owner.
 		// No outstanding count — the dispatcher delivers timer fires one at a
 		// time and runs the woken task to its next park before popping
 		// further events, so virtual time cannot outrun the consumer.
@@ -231,8 +224,10 @@ func (tc *timerCore) fired(at int64, gen uint64) {
 	select {
 	case tc.fire <- timerFire{at: at, gen: gen}:
 	default:
-		// Consumer more than one fire behind (possible only under real
-		// time, where pops are wall-clock paced): drop the tick.
+		// The channel is free here — popStep waits out this core's
+		// outstanding fire before popping its next one — so this branch only
+		// keeps a broken invariant from blocking the dispatcher under the
+		// core's mutex: the tick is dropped and its count released.
 		tc.q.fireDone()
 	}
 	tc.mu.Unlock()
@@ -322,8 +317,7 @@ func (tc *timerCore) endLease(q *eventQueue) bool {
 }
 
 // VirtualNow returns the network's current virtual time: the timestamp of the
-// latest dispatched event in virtual-time mode, or the wall-clock time since
-// network creation in real-time mode.
+// latest dispatched event.
 func (nw *Network) VirtualNow() time.Duration { return nw.q.virtualNow() }
 
 // NewTimer returns a timer that fires once after d of virtual time. The
@@ -359,34 +353,26 @@ func (ep *Endpoint) NewTicker(d time.Duration) *Timer {
 // first relevant error if ctx is cancelled or the process crashes (a crashed
 // process never finishes a sleep).
 func (ep *Endpoint) Sleep(ctx context.Context, d time.Duration) error {
-	if task := TaskFrom(ctx); task != nil {
-		// Step mode: the sleep is a park point the scheduler can see. The
-		// timer is created and bound during one of our own granted steps, so
-		// its fire cannot pop before the binding is visible.
-		t := ep.NewTimer(d)
-		defer t.Stop()
-		t.Bind(task)
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := ep.ctx.Err(); err != nil {
-				return err
-			}
-			if t.TryFire() {
-				return nil
-			}
-			task.Await(ctx)
-		}
-	}
+	// The sleep is a park point the scheduler can see; a caller outside the
+	// task discipline is adopted for its span. The timer is created and bound
+	// during one of our own granted steps, so its fire cannot pop before the
+	// binding is visible.
+	ctx, release := AdoptTask(ctx, ep, "net.sleep")
+	defer release()
+	task := TaskFrom(ctx)
 	t := ep.NewTimer(d)
 	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-ep.ctx.Done():
-		return ep.ctx.Err()
-	case <-t.C:
-		return nil
+	t.Bind(task)
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := ep.ctx.Err(); err != nil {
+			return err
+		}
+		if t.TryFire() {
+			return nil
+		}
+		task.Await(ctx)
 	}
 }

@@ -127,32 +127,3 @@ func TestTimerStopIsIdempotent(t *testing.T) {
 		t.Fatalf("dispatcher wedged after ticker Stop")
 	}
 }
-
-// WithRealTime preserves wall-clock fidelity: delays and timer deadlines are
-// actually waited out.
-func TestRealTimeModeWaitsWallClock(t *testing.T) {
-	nw := NewNetwork(2, WithRealTime(), WithDelays(5*time.Millisecond, 5*time.Millisecond))
-	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("rt")
-	start := time.Now()
-	nw.Endpoint(0).Send(1, "rt", "m", nil)
-	select {
-	case <-inbox:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("real-time delivery never happened")
-	}
-	if wall := time.Since(start); wall < 4*time.Millisecond {
-		t.Fatalf("5ms real-time delay delivered after only %v", wall)
-	}
-
-	start = time.Now()
-	tm := nw.Endpoint(0).NewTimer(10 * time.Millisecond)
-	select {
-	case <-tm.C:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("real-time timer never fired")
-	}
-	if wall := time.Since(start); wall < 8*time.Millisecond {
-		t.Fatalf("10ms real-time timer fired after only %v", wall)
-	}
-}

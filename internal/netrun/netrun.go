@@ -28,10 +28,10 @@ type Runner struct {
 	Detector  Detector
 	Input     any
 	// Poll is the virtual-time pause between steps when no message is pending
-	// (a λ step is taken on each poll). Default 500µs. Under the virtual-time
-	// scheduler the pause costs no wall-clock time: the λ ticker rides the
-	// network's event queue, so the loop blocks on the queue and wakes the
-	// moment no earlier event exists, instead of sleep-polling.
+	// (a λ step is taken on each poll). Default 500µs. The pause costs no
+	// wall-clock time: the λ ticker rides the network's event queue, so the
+	// loop parks on the scheduler and wakes the moment no earlier event
+	// exists, instead of sleep-polling.
 	Poll time.Duration
 }
 
@@ -45,8 +45,8 @@ func (r *Runner) Run(ctx context.Context) (any, error) {
 	}
 	instance := "netrun." + r.Instance
 	ep := r.Endpoint
-	// Step mode: adopt the caller so the message/λ-step loop below runs as a
-	// scheduler task.
+	// Adopt the caller so the message/λ-step loop below runs as a scheduler
+	// task.
 	ctx, release := net.AdoptTask(ctx, ep, "netrun.run")
 	defer release()
 	task := net.TaskFrom(ctx)
@@ -69,76 +69,35 @@ func (r *Runner) Run(ctx context.Context) (any, error) {
 		}
 	}
 
-	if task != nil {
-		in := ep.Instance(instance)
-		in.Watch(task)
-		defer in.Watch(nil)
-		for {
-			if v, ok := r.Automaton.Output(state); ok {
-				return v, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), err)
-			}
-			if err := ep.Context().Err(); err != nil {
-				return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), err)
-			}
-			// Pending messages take priority over λ steps: a λ step models
-			// "no message available".
-			if msg, ok := in.TryRecv(); ok {
-				m := msg.Payload.(sim.Message)
-				dispatch(&m)
-				continue
-			}
-			if ticker.TryFire() {
-				// λ step: lets detector-driven transitions (leadership,
-				// quorum re-evaluation) make progress without message
-				// traffic, and advances the logical clock like any step.
-				ep.Clock().Tick()
-				dispatch(nil)
-				continue
-			}
-			task.Await(ctx)
-		}
-	}
-
-	inbox := ep.Subscribe(instance)
+	in := ep.Instance(instance)
+	in.Watch(task)
+	defer in.Watch(nil)
 	for {
 		if v, ok := r.Automaton.Output(state); ok {
 			return v, nil
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), err)
+		}
+		if err := ep.Context().Err(); err != nil {
+			return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), err)
+		}
 		// Pending messages take priority over λ steps: a λ step models "no
-		// message available", and under virtual time holding the tick back
-		// holds the clock back until this process has processed its traffic.
-		// Cancellation stays in this select too — with it only in the
-		// blocking select below, sustained traffic would starve the context
-		// check and a livelocked automaton would ignore its deadline.
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), ctx.Err())
-		case <-ep.Context().Done():
-			return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), ep.Context().Err())
-		case msg := <-inbox:
+		// message available".
+		if msg, ok := in.TryRecv(); ok {
 			m := msg.Payload.(sim.Message)
 			dispatch(&m)
 			continue
-		default:
 		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), ctx.Err())
-		case <-ep.Context().Done():
-			return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), ep.Context().Err())
-		case msg := <-inbox:
-			m := msg.Payload.(sim.Message)
-			dispatch(&m)
-		case <-ticker.C:
+		if ticker.TryFire() {
 			// λ step: lets detector-driven transitions (leadership, quorum
 			// re-evaluation) make progress without message traffic, and
-			// advances the logical clock like any other step.
+			// advances the logical clock like any step.
 			ep.Clock().Tick()
 			dispatch(nil)
+			continue
 		}
+		task.Await(ctx)
 	}
 }
 

@@ -115,8 +115,8 @@ func (a *Analyzer) Finish() StreamProbes {
 // crash time in logical ticks, clamped at 0 when a persistent false
 // suspicion predates the crash.
 //
-// The join is deterministic on the trace tier: in step mode detector
-// queries are token-serialized, so the sample stream — including which
+// The join is deterministic on the trace tier: detector queries are
+// token-serialized, so the sample stream — including which
 // samples a bounded history ring drops — is a pure function of
 // (seed, config). A dropped prefix can only delay or miss a detection,
 // never invent one, and does so identically across runs.

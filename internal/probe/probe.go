@@ -9,15 +9,14 @@
 //
 // # Place on the determinism contract
 //
-// Probes are trace-tier: a pure fold over the record stream, which in step
-// mode is a byte-reproducible pure function of (seed, config). Two
+// Probes are trace-tier: a pure fold over the record stream, which is a
+// byte-reproducible pure function of (seed, config). Two
 // identically-configured runs therefore produce byte-identical Probes
 // (Encode), the property the determinism tests pin under -race. Capture is
 // observe-only — an Analyzer rides the TraceRecorder tee beside the digest
 // and the journal, so a probed run keeps the TraceFingerprint of its
-// unprobed twin. Free-running runs have no record stream to fold and refuse
-// probes with a reason (scenario.Run fails the run, mirroring the journal
-// refusal); tainted runs forfeit them the way they forfeit the fingerprint.
+// unprobed twin. Tainted runs forfeit them the way they forfeit the
+// fingerprint.
 //
 // # Histogram bucketing
 //

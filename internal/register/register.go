@@ -110,7 +110,7 @@ type Register[V any] struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
-	task     *net.Task // replica loop's step-scheduler task (nil when free-running)
+	task     *net.Task // replica loop's step-scheduler task
 }
 
 // pending tracks the acknowledgements of one in-flight phase.
@@ -118,8 +118,7 @@ type pending[V any] struct {
 	acked   model.ProcessSet
 	bestTs  Timestamp
 	bestVal V
-	updated chan struct{}
-	waiter  net.TaskWaiter // client task parked in await (step mode)
+	waiter  net.TaskWaiter // client task parked in await
 }
 
 // Option configures a Register.
@@ -184,43 +183,30 @@ func (r *Register[V]) Stop() {
 
 // run is the single reader of the register's message stream: it serves the
 // replica role (answering get/set requests) and routes acknowledgements to
-// in-flight operations of the local process. In step mode it is a scheduler
-// task: it drains the mailbox synchronously on each granted step and parks,
-// woken by the dispatcher's pushes (Watch), by crash, and by Stop.
+// in-flight operations of the local process. It is a scheduler task: it
+// drains the mailbox synchronously on each granted step and parks, woken by
+// the dispatcher's pushes (Watch), by crash, and by Stop.
 func (r *Register[V]) run(task *net.Task) {
 	defer close(r.done)
-	if task != nil {
-		in := r.ep.Instance(r.instance)
-		in.Watch(task)
-		for {
-			for {
-				msg, ok := in.TryRecv()
-				if !ok {
-					break
-				}
-				r.handle(msg)
-			}
-			select {
-			case <-r.stop:
-				return
-			default:
-			}
-			if r.ep.Context().Err() != nil {
-				return
-			}
-			task.Await(nil)
-		}
-	}
-	inbox := r.ep.Subscribe(r.instance)
+	in := r.ep.Instance(r.instance)
+	in.Watch(task)
 	for {
+		for {
+			msg, ok := in.TryRecv()
+			if !ok {
+				break
+			}
+			r.handle(msg)
+		}
 		select {
 		case <-r.stop:
 			return
-		case <-r.ep.Context().Done():
-			return
-		case msg := <-inbox:
-			r.handle(msg)
+		default:
 		}
+		if r.ep.Context().Err() != nil {
+			return
+		}
+		task.Await(nil)
 	}
 }
 
@@ -252,7 +238,6 @@ func (r *Register[V]) handle(msg net.Message) {
 				p.bestTs = ack.Ts
 				p.bestVal = ack.Val
 			}
-			notify(p.updated)
 			p.waiter.Wake()
 		}
 		r.mu.Unlock()
@@ -262,17 +247,9 @@ func (r *Register[V]) handle(msg net.Message) {
 		r.mu.Lock()
 		if p, ok := r.pend[ack.Op]; ok {
 			p.acked.Add(msg.From)
-			notify(p.updated)
 			p.waiter.Wake()
 		}
 		r.mu.Unlock()
-	}
-}
-
-func notify(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
 	}
 }
 
@@ -283,9 +260,8 @@ func (r *Register[V]) newPending() (int64, *pending[V]) {
 	r.opSeq++
 	id := r.opSeq
 	p := &pending[V]{
-		acked:   model.NewProcessSet(),
-		bestTs:  Timestamp{Seq: -1, Writer: -1},
-		updated: make(chan struct{}, 1),
+		acked:  model.NewProcessSet(),
+		bestTs: Timestamp{Seq: -1, Writer: -1},
 	}
 	r.pend[id] = p
 	return id, p
@@ -313,40 +289,26 @@ func (r *Register[V]) await(ctx context.Context, p *pending[V]) (model.ProcessSe
 		if r.guard.Satisfied(acked) {
 			return acked, nil
 		}
-		if task != nil {
-			// Step mode: park between acknowledgement arrivals; the replica
-			// task's handler wakes us through the pending's waiter.
-			if err := ctx.Err(); err != nil {
-				return model.NewProcessSet(), err
-			}
-			if err := r.ep.Context().Err(); err != nil {
-				return model.NewProcessSet(), err
-			}
-			select {
-			case <-r.stop:
-				return model.NewProcessSet(), context.Canceled
-			default:
-			}
-			if ticker.TryFire() {
-				r.ep.Clock().Tick()
-				continue
-			}
-			task.Await(ctx)
-			continue
+		// Park between acknowledgement arrivals; the replica task's handler
+		// wakes us through the pending's waiter.
+		if err := ctx.Err(); err != nil {
+			return model.NewProcessSet(), err
+		}
+		if err := r.ep.Context().Err(); err != nil {
+			return model.NewProcessSet(), err
 		}
 		select {
-		case <-ctx.Done():
-			return model.NewProcessSet(), ctx.Err()
-		case <-r.ep.Context().Done():
-			return model.NewProcessSet(), r.ep.Context().Err()
 		case <-r.stop:
 			return model.NewProcessSet(), context.Canceled
-		case <-p.updated:
-		case <-ticker.C:
+		default:
+		}
+		if ticker.TryFire() {
 			// Nop step: keeps the logical clock (and with it Σ's suspicion
 			// horizon) moving while acknowledgements are outstanding.
 			r.ep.Clock().Tick()
+			continue
 		}
+		task.Await(ctx)
 	}
 }
 

@@ -94,27 +94,37 @@ func TestJournalRingSuffix(t *testing.T) {
 // cmd/replay does with the on-disk file.
 func TestReplayRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	res := New(5, WithSeed(122), WithCrash(0, 5*time.Millisecond), WithJournal(JournalAll)).Run(ctx, Consensus{})
-	if res.Journal == nil {
-		t.Fatalf("no journal: verdict %v", res.Verdict)
-	}
-	data, err := res.Journal.Encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	j, err := journal.Decode(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	rr, err := Replay(ctx, Consensus{}, j)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if !rr.OK() || rr.Matched != len(j.Records) {
-		t.Fatalf("replay diverged: %+v (matched %d of %d)", rr.Divergence, rr.Matched, len(j.Records))
-	}
-	if rr.Result.TraceFingerprint != j.Meta.TraceFingerprint {
-		t.Fatalf("replayed fingerprint %s differs from journal's %s", rr.Result.TraceFingerprint, j.Meta.TraceFingerprint)
+	for _, tc := range []struct {
+		name  string
+		s     *Scenario
+		proto Protocol
+	}{
+		{"consensus", New(5, WithSeed(122), WithCrash(0, 5*time.Millisecond), WithJournal(JournalAll)), Consensus{}},
+		{"extract/sigma", New(5, WithSeed(7), WithCrash(4, time.Millisecond), WithJournal(JournalAll)), SigmaExtraction{}},
+		{"extract/sigma-majority", New(4, WithSeed(112), WithJournal(JournalAll)), SigmaExtraction{Majority: true}},
+	} {
+		res := tc.s.Run(ctx, tc.proto)
+		if res.Journal == nil {
+			t.Fatalf("%s: no journal: verdict %v", tc.name, res.Verdict)
+		}
+		data, err := res.Journal.Encode()
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		j, err := journal.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		rr, err := Replay(ctx, tc.proto, j)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", tc.name, err)
+		}
+		if !rr.OK() || rr.Matched != len(j.Records) {
+			t.Fatalf("%s: replay diverged: %+v (matched %d of %d)", tc.name, rr.Divergence, rr.Matched, len(j.Records))
+		}
+		if rr.Result.TraceFingerprint != j.Meta.TraceFingerprint {
+			t.Fatalf("%s: replayed fingerprint %s differs from journal's %s", tc.name, rr.Result.TraceFingerprint, j.Meta.TraceFingerprint)
+		}
 	}
 }
 
@@ -166,19 +176,6 @@ func TestReplayRefusesProtocolMismatch(t *testing.T) {
 	}
 	if _, err := Replay(ctx, Consensus{}, res.Journal); err == nil || !strings.Contains(err.Error(), "journal records protocol") {
 		t.Fatalf("protocol mismatch not refused: %v", err)
-	}
-}
-
-// TestJournalFreeRunningRefused: the ablation has no step trace; asking it
-// to journal (or to check a replay) fails the run with a verdict naming the
-// conflict rather than producing an empty journal.
-func TestJournalFreeRunningRefused(t *testing.T) {
-	res := New(4, WithSeed(125), WithFreeRunning(), WithJournal(JournalAll)).Run(context.Background(), Consensus{})
-	if res.Verdict.OK || res.Journal != nil {
-		t.Fatalf("free-running journaled run: verdict %v, journal %v", res.Verdict, res.Journal)
-	}
-	if msg := strings.Join(res.Verdict.Violations, "; "); !strings.Contains(msg, "free-running") {
-		t.Fatalf("refusal does not name the ablation: %v", res.Verdict)
 	}
 }
 

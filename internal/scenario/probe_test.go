@@ -22,7 +22,7 @@ func probed(s *Scenario) *Scenario {
 func encodeProbes(t *testing.T, res Result, name string) []byte {
 	t.Helper()
 	if res.Probes == nil {
-		t.Fatalf("%s: probed step-mode run carries no probes (summary %+v)", name, res.TraceSummary)
+		t.Fatalf("%s: probed run carries no probes (summary %+v)", name, res.TraceSummary)
 	}
 	data, err := res.Probes.Encode()
 	if err != nil {
@@ -185,19 +185,6 @@ func TestProbesJournalOffline(t *testing.T) {
 	}
 	if string(offline) != string(live) {
 		t.Fatalf("offline refold differs from live capture\noffline: %s\nlive:    %s", offline, live)
-	}
-}
-
-// TestProbesFreeRunningRefusal: the free-running ablation has no record
-// stream to fold, so asking it for probes fails the run with a reason
-// instead of returning silently empty analytics.
-func TestProbesFreeRunningRefusal(t *testing.T) {
-	res := New(4, WithSeed(111), WithFreeRunning(), WithProbes()).Run(context.Background(), Consensus{})
-	if res.Verdict.OK {
-		t.Fatal("free-running probed run passed; want a refusal verdict")
-	}
-	if res.Probes != nil {
-		t.Fatal("refused run still carries probes")
 	}
 }
 

@@ -6,15 +6,14 @@ import (
 	"time"
 
 	"weakestfd/internal/model"
-	"weakestfd/internal/net"
 )
 
 // traceFamily lists one representative point per protocol family. Unlike
 // determinismFamily (which pins the outcome fingerprint and therefore needs
 // schedule-independent winners), the trace contract pins the entire grant and
-// delivery schedule, so any seeded step-mode configuration qualifies — the
-// assertion is byte-equality of Result.TraceFingerprint across repeated runs,
-// the tentpole guarantee of the step scheduler.
+// delivery schedule, so any seeded configuration qualifies — the assertion is
+// byte-equality of Result.TraceFingerprint across repeated runs, the tentpole
+// guarantee of the step scheduler.
 func traceFamily() []struct {
 	name  string
 	s     *Scenario
@@ -32,6 +31,8 @@ func traceFamily() []struct {
 		{"nbacqc", New(4, WithSeed(105)), NBACQC{}},
 		{"multiconsensus", New(4, WithSeed(106)), MultiConsensus{Rounds: 2}},
 		{"registers", New(3, WithSeed(107)), Registers{Values: []int{7, 8, 9}}},
+		{"extract/sigma", New(5, WithSeed(7), WithCrash(4, time.Millisecond)), SigmaExtraction{}},
+		{"extract/sigma-majority", New(4, WithSeed(112)), SigmaExtraction{Majority: true}},
 	}
 }
 
@@ -52,7 +53,7 @@ func TestTraceDeterministic(t *testing.T) {
 			t.Fatalf("%s: verdict %v", tc.name, want.Verdict)
 		}
 		if want.TraceFingerprint == "" {
-			t.Fatalf("%s: step-mode run produced no trace fingerprint", tc.name)
+			t.Fatalf("%s: run produced no trace fingerprint", tc.name)
 		}
 		if want.TraceSummary.Events == 0 || want.TraceSummary.Grants == 0 {
 			t.Fatalf("%s: implausible trace counters %+v", tc.name, want.TraceSummary)
@@ -77,10 +78,9 @@ func TestTraceDeterministic(t *testing.T) {
 // TestTraceDeterministicCrashAtDecisionMoment injects a crash at the exact
 // virtual instant a crash-free run of the same seed finishes deciding — the
 // tightest race between a crash event and the decision deliveries it competes
-// with. Under the free-running dispatcher this race was resolved by goroutine
-// scheduling; under the step scheduler the crash is an ordinary
-// (time, seq)-ordered event against a deterministic grant schedule, so the
-// full trace must replay byte-identically, whichever way the tie resolves.
+// with. The crash is an ordinary (time, seq)-ordered event against a
+// deterministic grant schedule, so the full trace must replay
+// byte-identically, whichever way the tie resolves.
 func TestTraceDeterministicCrashAtDecisionMoment(t *testing.T) {
 	ctx := context.Background()
 	base := New(5, WithSeed(108), WithDelays(time.Millisecond, 5*time.Millisecond))
@@ -111,29 +111,6 @@ func TestTraceDeterministicCrashAtDecisionMoment(t *testing.T) {
 		if got.Fingerprint() != want.Fingerprint() {
 			t.Fatalf("%s: outcome fingerprint diverged", tc.name)
 		}
-	}
-}
-
-// TestFreeRunningAblation pins the two sides of the determinism contract: the
-// free-running ablation keeps the outcome fingerprint of the step-mode run
-// (outcome determinism never depended on the scheduler for this family) but
-// forfeits the trace — empty fingerprint, zero counters.
-func TestFreeRunningAblation(t *testing.T) {
-	ctx := context.Background()
-	step := New(5, WithSeed(109)).Run(ctx, Consensus{})
-	free := New(5, WithSeed(109), WithFreeRunning()).Run(ctx, Consensus{})
-	if !step.Verdict.OK || !free.Verdict.OK {
-		t.Fatalf("verdicts: step %v, free-running %v", step.Verdict, free.Verdict)
-	}
-	if step.TraceFingerprint == "" {
-		t.Fatal("step-mode run produced no trace fingerprint")
-	}
-	if free.TraceFingerprint != "" || free.TraceSummary != (net.TraceStats{}) {
-		t.Fatalf("free-running run reported a trace: %q %+v", free.TraceFingerprint, free.TraceSummary)
-	}
-	if free.Fingerprint() != step.Fingerprint() {
-		t.Fatalf("outcome fingerprint differs across modes\nstep: %s\nfree: %s",
-			step.Fingerprint(), free.Fingerprint())
 	}
 }
 
@@ -178,11 +155,13 @@ func TestMinimizeTrace(t *testing.T) {
 	}
 }
 
-// TestMinimizeTraceRequiresStepMode: the ablation has no trace to hold fixed,
-// so trace-mode minimisation must refuse it rather than accept everything.
-func TestMinimizeTraceRequiresStepMode(t *testing.T) {
-	cfg := New(4, WithSeed(111), WithFreeRunning()).Config()
+// TestMinimizeTraceRefusesTaintedReference: a reference run cut by the
+// wall-clock backstop (total message loss: consensus never decides) has no
+// trace to hold fixed, so trace-mode minimisation must refuse it rather than
+// accept everything.
+func TestMinimizeTraceRefusesTaintedReference(t *testing.T) {
+	cfg := New(3, WithSeed(111), WithDropRate(1), WithSafetyOnly(), WithTimeout(200*time.Millisecond)).Config()
 	if _, err := MinimizeTrace(context.Background(), cfg, Consensus{}); err == nil {
-		t.Fatal("MinimizeTrace accepted a free-running configuration")
+		t.Fatal("MinimizeTrace accepted a tainted reference run")
 	}
 }
