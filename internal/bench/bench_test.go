@@ -397,29 +397,6 @@ func TestBindSampleZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSendDeliver measures the raw delivery path: one send through the
-// event queue into a drained mailbox per iteration. With the discrete-event
-// scheduler this must not allocate a goroutine (or anything else beyond
-// amortised ring/heap growth) per message.
-func BenchmarkSendDeliver(b *testing.B) {
-	nw := net.NewNetwork(2, net.WithSeed(1))
-	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("bench")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < b.N; i++ {
-			<-inbox
-		}
-	}()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw.Endpoint(0).Send(1, "bench", "m", nil)
-	}
-	<-done
-}
-
 // ---- committed benchmark snapshot ----
 
 type benchResult struct {
@@ -545,24 +522,6 @@ func TestEmitBenchJSON(t *testing.T) {
 	if bind.AllocsPerOp() != 0 {
 		t.Errorf("generic Bind query path allocates %d allocs/op, want 0", bind.AllocsPerOp())
 	}
-	add("SendDeliver/virtual", func(b *testing.B) {
-		nw := net.NewNetwork(2, net.WithSeed(1))
-		defer nw.Close()
-		inbox := nw.Endpoint(1).Subscribe("bench")
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < b.N; i++ {
-				<-inbox
-			}
-		}()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			nw.Endpoint(0).Send(1, "bench", "m", nil)
-		}
-		<-done
-	})
 
 	out := struct {
 		GeneratedBy     string        `json:"generated_by"`

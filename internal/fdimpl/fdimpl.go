@@ -64,10 +64,9 @@ const sigmaInstance = "fdimpl.sigma"
 //
 // The probe ticker and the first probe are issued synchronously, before
 // Start returns, so the first deadline and the probe's send time are fixed by
-// the caller's step, not by when the loop task is first granted. The loop
-// consumes its instance exclusively through Endpoint.TryRecv — do not
-// Subscribe to it elsewhere. Start a whole ensemble under Network.Freeze/Thaw
-// for a simultaneous boot.
+// the caller's step, not by when the loop task is first granted. The loop is
+// the only reader of its instance — do not TryRecv from it elsewhere. Start a
+// whole ensemble under Network.Freeze/Thaw for a simultaneous boot.
 func StartMajoritySigma(ep *net.Endpoint, interval time.Duration) *MajoritySigma {
 	s := &MajoritySigma{
 		ep:       ep,
@@ -196,9 +195,9 @@ const omegaInstance = "fdimpl.omega"
 // StartHeartbeatOmega starts heartbeating at ep's process. timeout should be
 // several times the heartbeat interval plus the maximum expected message
 // delay, all in virtual time. Setup (ticker, first heartbeat) happens
-// synchronously, before Start returns; the loop consumes its instance
-// exclusively through Endpoint.TryRecv — do not Subscribe to it elsewhere.
-// Start a whole ensemble under Network.Freeze/Thaw for a simultaneous boot.
+// synchronously, before Start returns; the loop is the only reader of its
+// instance — do not TryRecv from it elsewhere. Start a whole ensemble under
+// Network.Freeze/Thaw for a simultaneous boot.
 func StartHeartbeatOmega(ep *net.Endpoint, interval, timeout time.Duration) *HeartbeatOmega {
 	o := &HeartbeatOmega{
 		ep:       ep,
@@ -314,10 +313,9 @@ type HeartbeatFS struct {
 const fsInstance = "fdimpl.fs"
 
 // StartHeartbeatFS starts heartbeating at ep's process. Setup (ticker, first
-// heartbeat) happens synchronously, before Start returns; the loop consumes
-// its instance exclusively through Endpoint.TryRecv — do not Subscribe to it
-// elsewhere. Start a whole ensemble under Network.Freeze/Thaw for a
-// simultaneous boot.
+// heartbeat) happens synchronously, before Start returns; the loop is the
+// only reader of its instance — do not TryRecv from it elsewhere. Start a
+// whole ensemble under Network.Freeze/Thaw for a simultaneous boot.
 func StartHeartbeatFS(ep *net.Endpoint, interval, timeout time.Duration) *HeartbeatFS {
 	f := &HeartbeatFS{
 		ep:       ep,

@@ -25,18 +25,15 @@ const (
 // (at, seq): at is the virtual-nanosecond delivery time, seq the enqueue
 // sequence number that breaks ties FIFO. A message event carries the mailbox
 // it resolves to, interned at enqueue time, so the dispatcher delivers
-// without any per-message map lookup. A timer event carries the core and the
-// lease generation it was scheduled under. A crash event reuses msg.To as the
-// crashing process.
+// without any per-message map lookup. A timer event carries its timer. A crash
+// event reuses msg.To as the crashing process.
 type event struct {
 	at     int64
 	seq    uint64
 	kind   eventKind
-	tgen   uint64
-	tid    uint64 // run-local timer lease id (see eventQueue.leases)
-	sentAt int64  // message events: the enqueue-time base (at - sentAt is the drawn delay)
+	sentAt int64 // message events: the enqueue-time base (at - sentAt is the drawn delay)
 	msg    Message
-	tm     *timerCore
+	tm     *Timer
 	box    *mailbox
 }
 
@@ -70,7 +67,7 @@ type eventQueue struct {
 	mu      sync.Mutex
 	heap    []event // min-heap by (at, seq); hand-rolled to avoid interface boxing
 	seq     uint64
-	leases  uint64 // timer lease ids handed out by this queue (run-local)
+	leases  uint64 // timer ids handed out by this queue (run-local)
 	rng     splitmix64
 	dropRng splitmix64 // separate stream so drop decisions never shift delay draws
 	vnow    int64      // virtual now (ns); written under mu by the dispatcher
@@ -81,11 +78,9 @@ type eventQueue struct {
 	held   bool // dispatch paused by Network.Freeze
 	closed bool
 
-	vnowAtomic  atomic.Int64  // mirror of vnow for lock-free reads
-	outstanding atomic.Int64  // timer fires handed out but not yet consumed
-	notify      chan struct{} // poked on push
-	consumed    chan struct{} // poked when an outstanding fire is consumed
-	quit        chan struct{} // closed on close()
+	vnowAtomic atomic.Int64  // mirror of vnow for lock-free reads
+	notify     chan struct{} // poked on push
+	quit       chan struct{} // closed on close()
 }
 
 func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate float64) *eventQueue {
@@ -96,7 +91,6 @@ func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate
 		minDelay: int64(minDelay),
 		maxDelay: int64(maxDelay),
 		notify:   make(chan struct{}, 1),
-		consumed: make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 	}
 	if dropRate > 0 {
@@ -263,24 +257,22 @@ func (q *eventQueue) pushCrash(p model.ProcessID, at int64) {
 	q.poke(q.notify)
 }
 
-// scheduleTimer enqueues a fire of timer core tc's lease gen at the absolute
-// virtual time at. tid is the lease's run-local id: unlike gen — which counts
-// leases of a globally pooled core and therefore depends on process history —
-// tid is drawn from this queue's own counter, so it is reproducible across
-// runs and safe to hash into the trace digest.
-func (q *eventQueue) scheduleTimer(tc *timerCore, at int64, gen, tid uint64) {
+// scheduleTimer enqueues a fire of t at the absolute virtual time at.
+func (q *eventQueue) scheduleTimer(t *Timer, at int64) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		return
 	}
 	q.seq++
-	q.heapPush(event{at: at, seq: q.seq, kind: evTimer, tm: tc, tgen: gen, tid: tid})
+	q.heapPush(event{at: at, seq: q.seq, kind: evTimer, tm: t})
 	q.mu.Unlock()
 	q.poke(q.notify)
 }
 
-// nextLease hands out a run-local timer lease id.
+// nextLease hands out a run-local timer id: drawn from this queue's own
+// counter, it is reproducible across runs and safe to hash into the trace
+// digest.
 func (q *eventQueue) nextLease() uint64 {
 	q.mu.Lock()
 	q.leases++
@@ -294,13 +286,6 @@ func (q *eventQueue) poke(ch chan struct{}) {
 	case ch <- struct{}{}:
 	default:
 	}
-}
-
-// fireDone records that a previously handed-out timer fire has been consumed
-// (or abandoned), allowing the dispatcher to advance virtual time again.
-func (q *eventQueue) fireDone() {
-	q.outstanding.Add(-1)
-	q.poke(q.consumed)
 }
 
 // gapYields is how many scheduler yields the dispatcher grants runnable
@@ -323,18 +308,14 @@ const (
 // event with the virtual clock advanced to its timestamp. Because the network
 // is provably quiescent whenever the ready queue is empty, registered tasks
 // need no pause before the clock jumps to a timer deadline: there is no
-// runnable task to outrun. Two waits remain, both for goroutines the
-// quiescence proof cannot see. The outstanding-fire wait covers channel-fed
-// timer consumers (Timer.C readers outside the task discipline, e.g.
-// raw-network tests): the clock does not move past a fire its consumer has
-// not yet taken; task-bound timers never touch the outstanding counter. The
-// bounded yield covers goroutines that have not yet reached AdoptTask: on
+// runnable task to outrun. One pause remains, for goroutines the quiescence
+// proof cannot see — those that have not yet reached AdoptTask: on
 // GOMAXPROCS=1 the grant handshake's channel handoffs keep reinstalling
 // dispatcher/task as the scheduler's next-run goroutine, which can starve a
 // runnable-but-unadopted caller for a whole preemption timeslice (~10ms wall)
 // while virtual time gallops through its poll ticks — so before jumping the
 // clock the dispatcher yields a few times to let such callers run and
-// register. Message events need neither pause: a message popping at now+delay
+// register. Message events need no pause: a message popping at now+delay
 // cannot leapfrog anything a running goroutine would still schedule, because
 // later sends are stamped from the later clock. Adoption order by racing
 // plain goroutines is wall-clock nondeterministic either way (such callers
@@ -370,26 +351,13 @@ func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 			}
 			continue
 		}
-		head := q.heap[0]
-		if head.at > q.vnow && head.kind != evMessage {
-			if q.outstanding.Load() > 0 {
-				q.mu.Unlock()
-				select {
-				case <-q.consumed:
-				case <-q.notify:
-				case <-q.quit:
-					return event{}, stepClosed
-				}
-				continue
-			}
-			if yields < gapYields {
-				yields++
-				q.mu.Unlock()
-				runtime.Gosched()
-				continue
-			}
-		}
 		ev := q.heap[0]
+		if ev.at > q.vnow && ev.kind != evMessage && yields < gapYields {
+			yields++
+			q.mu.Unlock()
+			runtime.Gosched()
+			continue
+		}
 		q.heapPopHead()
 		if ev.at > q.vnow {
 			q.vnow = ev.at

@@ -17,20 +17,16 @@ func deliveryOrder(t *testing.T, seed int64, k int) []int {
 	t.Helper()
 	nw := NewNetwork(2, WithSeed(seed))
 	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("order")
+	inbox := record(nw.Endpoint(1), "order")
 	nw.Freeze()
 	for i := 0; i < k; i++ {
 		nw.Endpoint(0).Send(1, "order", "n", i)
 	}
 	nw.Thaw()
-	got := make([]int, 0, k)
-	for i := 0; i < k; i++ {
-		select {
-		case msg := <-inbox:
-			got = append(got, msg.Payload.(int))
-		case <-time.After(5 * time.Second):
-			t.Fatalf("received only %d/%d messages", len(got), k)
-		}
+	waitQuiesced(t, nw)
+	got := inbox.payloads()
+	if len(got) != k {
+		t.Fatalf("received only %d/%d messages", len(got), k)
 	}
 	return got
 }
@@ -94,11 +90,10 @@ func TestVirtualDeliveryOrderIsDeterministic(t *testing.T) {
 
 // The delivery path must not spawn a goroutine per message: after thousands
 // of in-flight sends the goroutine count stays within a small constant of the
-// baseline (dispatcher + one forwarder per mailbox).
+// baseline (the dispatcher).
 func TestNoGoroutinePerMessage(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(0, 100*time.Microsecond))
 	defer nw.Close()
-	nw.Endpoint(1).Subscribe("flood") // create the mailbox and its forwarder
 	baseline := runtime.NumGoroutine()
 	const k = 5000
 	for i := 0; i < k; i++ {
@@ -113,7 +108,6 @@ func TestNoGoroutinePerMessage(t *testing.T) {
 // msgs.sent == msgs.delivered + msgs.dropped holds after Close.
 func TestCloseBalancesMessageAccounting(t *testing.T) {
 	nw := NewNetwork(2)
-	nw.Endpoint(1).Subscribe("bal")
 	nw.Freeze() // hold dispatch so the sends are still in the heap at Close
 	const k = 25
 	for i := 0; i < k; i++ {
@@ -148,22 +142,18 @@ func TestCrashWithoutLogDoesNotPanic(t *testing.T) {
 // The mailbox ring must wrap, grow, and preserve FIFO across both, with
 // consumed slots released.
 func TestMailboxRingWrapsAndGrows(t *testing.T) {
-	m := new(mailbox)
-	m.init()
-	defer m.stop()
-	out := m.subscribe()
+	m := new(mailbox) // the zero mailbox is ready to use
 	next := 0
 	read := func(k int) {
 		for i := 0; i < k; i++ {
-			select {
-			case msg := <-out:
-				if msg.Payload.(int) != next {
-					t.Fatalf("out of order: got %v want %d", msg.Payload, next)
-				}
-				next++
-			case <-time.After(2 * time.Second):
-				t.Fatalf("mailbox stalled at %d", next)
+			msg, ok := m.tryPop()
+			if !ok {
+				t.Fatalf("mailbox empty at %d", next)
 			}
+			if msg.Payload.(int) != next {
+				t.Fatalf("out of order: got %v want %d", msg.Payload, next)
+			}
+			next++
 		}
 	}
 	n := 0
@@ -179,6 +169,9 @@ func TestMailboxRingWrapsAndGrows(t *testing.T) {
 	read(30)
 	push(100) // forces another doubling after wrap
 	read(114)
+	if _, ok := m.tryPop(); ok {
+		t.Fatalf("drained mailbox still pops")
+	}
 }
 
 // Events pushed with equal virtual timestamps (zero delay) must come out in
@@ -186,19 +179,19 @@ func TestMailboxRingWrapsAndGrows(t *testing.T) {
 func TestZeroDelayPreservesSendOrder(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(0, 0))
 	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("fifo")
+	inbox := record(nw.Endpoint(1), "fifo")
 	const k = 200
 	for i := 0; i < k; i++ {
 		nw.Endpoint(0).Send(1, "fifo", "n", i)
 	}
-	for i := 0; i < k; i++ {
-		select {
-		case msg := <-inbox:
-			if msg.Payload.(int) != i {
-				t.Fatalf("position %d: got %v", i, msg.Payload)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("stalled at %d", i)
+	waitQuiesced(t, nw)
+	got := inbox.payloads()
+	if len(got) != k {
+		t.Fatalf("received %d/%d messages", len(got), k)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("position %d: got %v", i, v)
 		}
 	}
 }

@@ -10,25 +10,6 @@ import (
 	"weakestfd/internal/model"
 )
 
-// waitQuiesced blocks until every sent message is accounted for as delivered
-// or dropped — the finite workloads of these tests have all landed once the
-// books balance.
-func waitQuiesced(t *testing.T, nw *Network) {
-	t.Helper()
-	m := nw.Metrics()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sent, done := m.Get("msgs.sent"), m.Get("msgs.delivered")+m.Get("msgs.dropped")
-		if sent == done {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("network never quiesced: sent=%d accounted=%d", sent, done)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // ---- batched vs serial broadcast: white-box schedule equality ----
 
 // serialBroadcast is the reference the batched fast path is checked against:
@@ -100,27 +81,6 @@ func TestBatchedBroadcastMatchesSerialSchedule(t *testing.T) {
 
 // ---- handler-mode delivery ----
 
-type recordingHandler struct {
-	mu   sync.Mutex
-	msgs []Message
-	inst Instance // non-zero: reply to every "ping" with a "pong"
-}
-
-func (h *recordingHandler) HandleMessage(msg Message) {
-	h.mu.Lock()
-	h.msgs = append(h.msgs, msg)
-	h.mu.Unlock()
-	if h.inst != (Instance{}) && msg.Type == "ping" {
-		h.inst.SendAux(msg.From, "pong", msg.Aux, 0, nil)
-	}
-}
-
-func (h *recordingHandler) snapshot() []Message {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]Message(nil), h.msgs...)
-}
-
 // Handler mode delivers synchronously in schedule order, bypassing the ring,
 // and a handler may send (sends only enqueue, so the dispatcher never
 // deadlocks on its own delivery).
@@ -131,23 +91,21 @@ func TestHandlerModeDeliversInOrderAndMaySend(t *testing.T) {
 	h := &recordingHandler{inst: server}
 	server.Handle(h)
 	client := nw.Endpoint(0).Instance("rpc")
-	replies := client.Subscribe()
+	replies := record(nw.Endpoint(0), "rpc")
 
 	const k = 50
 	for i := 0; i < k; i++ {
 		client.SendAux(1, "ping", int64(i), 0, nil)
 	}
+	// A handler's sends are counted before its own delivery is, so the books
+	// balance only once every pong has landed too.
+	waitQuiesced(t, nw)
 	seen := make(map[int64]bool, k)
-	for i := 0; i < k; i++ {
-		select {
-		case msg := <-replies:
-			if msg.Type != "pong" {
-				t.Fatalf("unexpected reply type %q", msg.Type)
-			}
-			seen[msg.Aux] = true
-		case <-time.After(5 * time.Second):
-			t.Fatalf("got %d/%d replies", i, k)
+	for _, msg := range replies.snapshot() {
+		if msg.Type != "pong" {
+			t.Fatalf("unexpected reply type %q", msg.Type)
 		}
+		seen[msg.Aux] = true
 	}
 	if len(seen) != k {
 		t.Fatalf("distinct replies = %d, want %d", len(seen), k)
@@ -163,8 +121,7 @@ func TestHandlerNilRestoresBuffering(t *testing.T) {
 	nw := NewNetwork(2, WithSeed(4))
 	defer nw.Close()
 	inst := nw.Endpoint(1).Instance("hb")
-	h := &recordingHandler{}
-	inst.Handle(h)
+	h := record(nw.Endpoint(1), "hb")
 	nw.Endpoint(0).Instance("hb").Send(1, "a", nil)
 	waitQuiesced(t, nw)
 	if got := len(h.snapshot()); got != 1 {
@@ -274,95 +231,5 @@ func TestLargeFanInRingGrowthKeepsPerSenderFIFO(t *testing.T) {
 	}
 	if want := (n - 1) * per; total != want {
 		t.Fatalf("received %d/%d messages", total, want)
-	}
-}
-
-// Subscribe after a flood must surface everything already buffered: the
-// subscription forwarder starts from the ring's current contents, not from
-// the next push.
-func TestSubscribeAfterFloodDeliversBacklog(t *testing.T) {
-	nw := NewNetwork(2, WithSeed(7))
-	defer nw.Close()
-	const k = 500
-	for i := 0; i < k; i++ {
-		nw.Endpoint(0).Send(1, "late", "m", i)
-	}
-	waitQuiesced(t, nw)
-	inbox := nw.Endpoint(1).Subscribe("late")
-	seen := 0
-	for seen < k {
-		select {
-		case <-inbox:
-			seen++
-		case <-time.After(5 * time.Second):
-			t.Fatalf("subscriber saw %d/%d backlogged messages", seen, k)
-		}
-	}
-}
-
-// ---- pooled timer cores ----
-
-// A stopped timer's core returns to the pool and is leased again with a
-// bumped generation; the recycled lease must fire for its new owner and stay
-// deaf to anything scheduled under the old one.
-func TestTimerCoreReuseAcrossLeases(t *testing.T) {
-	nw := NewNetwork(1, WithSeed(8))
-	defer nw.Close()
-
-	first := nw.NewTimer(time.Millisecond)
-	core, gen := first.core, first.gen
-	select {
-	case <-first.C:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first lease never fired")
-	}
-	// One-shot timers end their lease after firing; the feeder re-pools the
-	// core asynchronously, so poll briefly for the recycle.
-	deadline := time.Now().Add(5 * time.Second)
-	var second *Timer
-	for {
-		second = nw.NewTimer(time.Millisecond)
-		if second.core == core {
-			break
-		}
-		second.Stop()
-		if time.Now().After(deadline) {
-			t.Skip("pool did not hand the same core back (other tests compete for the global pool)")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if second.gen <= gen {
-		t.Fatalf("recycled lease generation %d not past %d", second.gen, gen)
-	}
-	select {
-	case <-second.C:
-	case <-time.After(5 * time.Second):
-		t.Fatal("recycled lease never fired")
-	}
-}
-
-// Stopping a lease must not leak a fire into the next lease of the same
-// core: the generation guard plus the endLease drain keep a heavy
-// create/stop churn silent.
-func TestStoppedLeasesNeverCrossTalk(t *testing.T) {
-	nw := NewNetwork(1, WithSeed(9))
-	defer nw.Close()
-	for i := 0; i < 200; i++ {
-		tm := nw.NewTimer(time.Microsecond)
-		tm.Stop()
-		select {
-		case at, ok := <-tm.C:
-			if ok {
-				t.Fatalf("iteration %d: stopped lease fired at %v", i, at)
-			}
-		default:
-		}
-	}
-	// After the churn a fresh lease still works.
-	tm := nw.NewTimer(time.Millisecond)
-	select {
-	case <-tm.C:
-	case <-time.After(5 * time.Second):
-		t.Fatal("fresh lease after churn never fired")
 	}
 }

@@ -33,6 +33,7 @@ package net
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,9 +214,6 @@ func (nw *Network) intern(name string) *instState {
 			name:  name,
 			sent:  nw.metrics.Counter("msgs.sent." + name),
 			boxes: make([]mailbox, nw.n),
-		}
-		for i := range st.boxes {
-			st.boxes[i].init()
 		}
 		if nw.closed.Load() {
 			for i := range st.boxes {
@@ -403,7 +401,7 @@ func (nw *Network) deliver(ev *event) {
 			nw.cDelivered.Inc()
 		}
 	case evTimer:
-		ev.tm.fired(ev.at, ev.tgen)
+		ev.tm.fired(ev.at)
 	case evCrash:
 		nw.Crash(ev.msg.To)
 	}
@@ -436,8 +434,8 @@ func (c *processCtx) cancel() {
 }
 
 // Endpoint is a process's connection to the network. A protocol participant
-// running at process p sends through it and subscribes to per-instance
-// message streams.
+// running at process p sends through it and reads its per-instance message
+// streams.
 type Endpoint struct {
 	id      model.ProcessID
 	net     *Network
@@ -447,7 +445,7 @@ type Endpoint struct {
 	mu       sync.Mutex
 	timers   []*Timer
 	tasks    []*Task   // tasks owned by this process, woken on crash
-	timerArr [4]*Timer // inline backing for timers: typical processes hold at most a few concurrent leases
+	timerArr [4]*Timer // inline backing for timers: typical processes hold at most a few live timers
 }
 
 // ID returns the process identifier of this endpoint.
@@ -490,23 +488,15 @@ func (ep *Endpoint) Broadcast(instance, typ string, payload any) {
 	ep.net.broadcast(ep.net.intern(instance), ep.id, typ, 0, 0, payload)
 }
 
-// Subscribe returns the channel of messages addressed to this process for the
-// given protocol instance. Messages that arrive before the first Subscribe
-// call are buffered, so subscribing after communication has started does not
-// lose messages. Each instance has a single stream; concurrent readers drain
-// it cooperatively. Do not mix Subscribe and TryRecv on one instance: the
-// channel's forwarder goroutine would race TryRecv for messages.
-func (ep *Endpoint) Subscribe(instance string) <-chan Message {
-	return ep.Instance(instance).Subscribe()
-}
-
 // TryRecv pops the next buffered message for the given instance without
-// blocking, straight from the mailbox ring. Unlike Subscribe there is no
-// forwarder goroutine between the dispatcher and the caller, so after the
-// network delivers a message it is visible here immediately — which is what
-// lets timeout-driven loops (internal/fdimpl) drain their traffic
-// synchronously before acting on a tick. Do not mix with Subscribe on the
-// same instance.
+// blocking, straight from the mailbox ring. Messages delivered before the
+// first TryRecv are buffered, so a reader that starts after communication has
+// begun loses nothing. Nothing stands between the dispatcher and the caller:
+// once the network delivers a message it is visible here immediately — which
+// is what lets timeout-driven loops (internal/fdimpl) drain their traffic
+// synchronously before acting on a tick. Each instance has a single stream;
+// concurrent readers drain it cooperatively. A task that must wait for
+// traffic pairs TryRecv with Instance.Watch.
 func (ep *Endpoint) TryRecv(instance string) (Message, bool) {
 	return ep.Instance(instance).TryRecv()
 }
@@ -546,27 +536,10 @@ func (in Instance) BroadcastAux(typ string, aux, aux2 int64, payload any) {
 	in.ep.net.broadcast(in.st, in.ep.id, typ, aux, aux2, payload)
 }
 
-// Subscribe returns the channel facade over this process's mailbox; see
-// Endpoint.Subscribe.
-func (in Instance) Subscribe() <-chan Message {
-	return in.box().subscribe()
-}
-
 // TryRecv pops the next buffered message without blocking; see
 // Endpoint.TryRecv.
 func (in Instance) TryRecv() (Message, bool) {
 	return in.box().tryPop()
-}
-
-// Recv blocks until a message for this process is buffered and pops it. It
-// returns ok=false when the mailbox has stopped (network close) or the wait
-// was interrupted by Wake — callers must then re-check their own stop
-// conditions and may simply call Recv again. Unlike Subscribe there is no
-// forwarder goroutine or channel between the dispatcher and the caller: the
-// dispatcher's push wakes the receiver directly, one handoff per message. Do
-// not mix with Subscribe on the same instance.
-func (in Instance) Recv() (Message, bool) {
-	return in.box().recv()
 }
 
 // Handler is a synchronous message consumer registered with Instance.Handle.
@@ -587,36 +560,19 @@ type Handler interface {
 // participant is nothing at all.
 //
 // The handler must not block (it stalls delivery for the whole network if it
-// does) and must not call Recv/TryRecv/Subscribe on this instance; sending —
-// including broadcasts — is fine, the events are enqueued for later
-// dispatch. Messages already buffered before Handle are not replayed;
-// register the handler before traffic starts. Passing nil restores buffered
-// delivery.
+// does); sending — including broadcasts — is fine, the events are enqueued
+// for later dispatch. While a handler is registered nothing reaches the ring,
+// so TryRecv on this instance only sees what was buffered before; those
+// messages are not replayed to the handler, so register it before traffic
+// starts. Passing nil restores buffered delivery.
 func (in Instance) Handle(h Handler) {
 	in.box().setHandler(h)
-}
-
-// Wake interrupts this process's pending and future Recv calls on the
-// instance, making them return ok=false so the receiving loop can observe a
-// stop condition. One Wake releases all current waiters.
-func (in Instance) Wake() {
-	in.box().wake()
-}
-
-// WakeAll interrupts the pending Recv calls of every process on this
-// instance, so a group-level shutdown can release all receiving loops at
-// once. Loops whose own stop condition has not been signalled simply observe
-// a spurious wake and block again.
-func (in Instance) WakeAll() {
-	for i := range in.st.boxes {
-		in.st.boxes[i].wake()
-	}
 }
 
 func (in Instance) box() *mailbox { return &in.st.boxes[int(in.ep.id)] }
 
 // adoptTimer ties a timer's lifetime to the process: crash or network close
-// stops it, so an exiting protocol loop cannot freeze virtual time. Dead
+// stops it, so a dead process's ticker stops refilling the event heap. Dead
 // timers (stopped, or one-shots that fired) are compacted away on each adopt
 // so per-operation timers do not accumulate for the network's lifetime.
 func (ep *Endpoint) adoptTimer(t *Timer) {
@@ -626,20 +582,11 @@ func (ep *Endpoint) adoptTimer(t *Timer) {
 		if ep.timers == nil {
 			// First adoption (or first after a stopTimers sweep, which only
 			// happens once the process is dead): borrow the inline array so
-			// the common ≤4-lease case allocates no list. stopTimers hands
+			// the common ≤4-timer case allocates no list. stopTimers hands
 			// the backing away, but never to a process that can adopt again.
 			ep.timers = ep.timerArr[:0]
 		}
-		live := ep.timers[:0]
-		for _, old := range ep.timers {
-			if !old.Stopped() {
-				live = append(live, old)
-			}
-		}
-		for i := len(live); i < len(ep.timers); i++ {
-			ep.timers[i] = nil
-		}
-		ep.timers = append(live, t)
+		ep.timers = append(slices.DeleteFunc(ep.timers, (*Timer).Stopped), t)
 	}
 	ep.mu.Unlock()
 	if dead {
@@ -658,60 +605,19 @@ func (ep *Endpoint) stopTimers() {
 }
 
 // mailbox is an unbounded FIFO queue: push never blocks the dispatcher, and
-// consumers take messages either directly (tryPop, recv) or through a lazily
-// created channel facade (subscribe). Internally it is a ring buffer with
-// condition-variable wakeup; consumed slots are cleared and the backing array
-// is reused, unlike the old q = q[1:] slice pump, which pinned every
-// delivered payload until the slice reallocated.
-//
-// The push fast path is lock-light: when no reader is blocked (the common
-// case for TryRecv-driven consumers, and for reactive consumers that are
-// busy processing) push is a mutex-protected ring write with no
-// condition-variable signal at all — waiters are counted, and the signal is
-// issued only when someone is actually waiting.
+// the consumer is either a registered Handler (called synchronously from
+// push) or a reader calling tryPop, optionally with a watcher task that push
+// wakes. Internally it is a ring buffer under one mutex; consumed slots are
+// cleared and the backing array is reused. Mailboxes live in the instState's
+// contiguous array, and the zero mailbox is ready to use.
 type mailbox struct {
 	mu      sync.Mutex
-	cond    sync.Cond
 	buf     []Message
 	head    int
 	count   int
-	waiters int
-	wakes   uint64
 	closed  bool
 	handler Handler
 	watcher *Task // task woken per push; see Instance.Watch
-
-	out     chan Message
-	quit    chan struct{}
-	subOnce sync.Once
-}
-
-// init prepares a zero mailbox in place (mailboxes live in the instState's
-// contiguous array). The subscriber channel and its forwarder are created
-// lazily on first subscribe, so TryRecv/Recv-only consumers never pay for
-// them.
-func (m *mailbox) init() {
-	m.cond.L = &m.mu
-}
-
-// subscribe returns the channel facade, creating it and starting the
-// forwarder on first use so that TryRecv-only consumers never compete with
-// it.
-func (m *mailbox) subscribe() <-chan Message {
-	m.subOnce.Do(func() {
-		m.mu.Lock()
-		m.out = make(chan Message)
-		m.quit = make(chan struct{}, 1)
-		if m.closed {
-			m.quit <- struct{}{}
-		}
-		m.mu.Unlock()
-		go m.forward()
-	})
-	m.mu.Lock()
-	out := m.out
-	m.mu.Unlock()
-	return out
 }
 
 func (m *mailbox) push(msg Message) {
@@ -733,12 +639,8 @@ func (m *mailbox) push(msg Message) {
 	}
 	m.buf[(m.head+m.count)%len(m.buf)] = msg
 	m.count++
-	awaken := m.waiters > 0
 	watcher := m.watcher
 	m.mu.Unlock()
-	if awaken {
-		m.cond.Signal()
-	}
 	watcher.Wake()
 }
 
@@ -755,50 +657,10 @@ func (m *mailbox) grow() {
 	m.buf, m.head = buf, 0
 }
 
-// pop blocks until a message is queued or the mailbox stops.
-func (m *mailbox) pop() (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.count == 0 && !m.closed {
-		m.waiters++
-		m.cond.Wait()
-		m.waiters--
-	}
-	if m.closed {
-		return Message{}, false
-	}
-	return m.popLocked(), true
-}
-
-// recv blocks like pop but is additionally released by wake, returning
-// ok=false without popping so the caller can re-check its stop conditions.
-func (m *mailbox) recv() (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	entered := m.wakes
-	for m.count == 0 && !m.closed && m.wakes == entered {
-		m.waiters++
-		m.cond.Wait()
-		m.waiters--
-	}
-	if m.closed || m.count == 0 {
-		return Message{}, false
-	}
-	return m.popLocked(), true
-}
-
-// wake releases all blocked recv calls; see Instance.Wake.
 func (m *mailbox) setHandler(h Handler) {
 	m.mu.Lock()
 	m.handler = h
 	m.mu.Unlock()
-}
-
-func (m *mailbox) wake() {
-	m.mu.Lock()
-	m.wakes++
-	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 // tryPop pops the next message if one is queued, without blocking.
@@ -819,36 +681,10 @@ func (m *mailbox) popLocked() Message {
 	return msg
 }
 
-// forward is the mailbox's only goroutine (started on first subscribe): it
-// moves messages from the ring to the subscriber channel.
-func (m *mailbox) forward() {
-	for {
-		msg, ok := m.pop()
-		if !ok {
-			return
-		}
-		select {
-		case m.out <- msg:
-		case <-m.quit:
-			return
-		}
-	}
-}
-
+// stop marks the mailbox closed: later pushes are discarded and tryPop
+// reports nothing.
 func (m *mailbox) stop() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
 	m.closed = true
-	quit := m.quit
 	m.mu.Unlock()
-	m.cond.Broadcast()
-	if quit != nil {
-		select {
-		case quit <- struct{}{}:
-		default:
-		}
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"weakestfd/internal/model"
 	"weakestfd/internal/trace"
@@ -25,19 +24,20 @@ func TestSendAndReceive(t *testing.T) {
 	defer nw.Close()
 
 	ep0, ep1 := nw.Endpoint(0), nw.Endpoint(1)
-	inbox := ep1.Subscribe("test")
+	inbox := record(ep1, "test")
 	ep0.Send(1, "test", "hello", 99)
+	waitQuiesced(t, nw)
 
-	select {
-	case msg := <-inbox:
-		if msg.From != 0 || msg.To != 1 || msg.Type != "hello" || msg.Payload.(int) != 99 {
-			t.Fatalf("message = %+v", msg)
-		}
-		if msg.String() != "p0->p1 test/hello" {
-			t.Fatalf("String = %q", msg.String())
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("message not delivered")
+	got := inbox.snapshot()
+	if len(got) != 1 {
+		t.Fatalf("delivered %d messages, want 1", len(got))
+	}
+	msg := got[0]
+	if msg.From != 0 || msg.To != 1 || msg.Type != "hello" || msg.Payload.(int) != 99 {
+		t.Fatalf("message = %+v", msg)
+	}
+	if msg.String() != "p0->p1 test/hello" {
+		t.Fatalf("String = %q", msg.String())
 	}
 }
 
@@ -45,37 +45,35 @@ func TestBroadcastReachesAllIncludingSelf(t *testing.T) {
 	nw := NewNetwork(4, WithSeed(7))
 	defer nw.Close()
 
-	inboxes := make([]<-chan Message, 4)
-	for i := 0; i < 4; i++ {
-		inboxes[i] = nw.Endpoint(model.ProcessID(i)).Subscribe("bc")
+	inboxes := make([]*recordingHandler, 4)
+	for i := range inboxes {
+		inboxes[i] = record(nw.Endpoint(model.ProcessID(i)), "bc")
 	}
 	nw.Endpoint(2).Broadcast("bc", "ping", nil)
+	waitQuiesced(t, nw)
 
 	for i, in := range inboxes {
-		select {
-		case msg := <-in:
-			if msg.From != 2 || msg.Type != "ping" {
-				t.Fatalf("process %d got %+v", i, msg)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("process %d never received broadcast", i)
+		got := in.snapshot()
+		if len(got) != 1 || got[0].From != 2 || got[0].Type != "ping" {
+			t.Fatalf("process %d got %+v", i, got)
 		}
 	}
 }
 
-func TestSubscribeAfterDeliveryDoesNotLoseMessages(t *testing.T) {
+// Messages delivered before the first TryRecv are buffered: a reader that
+// starts after communication has begun loses nothing.
+func TestMessagesDeliveredBeforeFirstTryRecvAreBuffered(t *testing.T) {
 	nw := NewNetwork(2, WithSeed(3), WithDelays(0, 0))
 	defer nw.Close()
 
 	nw.Endpoint(0).Send(1, "late", "m", 1)
-	time.Sleep(20 * time.Millisecond) // let delivery happen before anyone subscribes
-	select {
-	case msg := <-nw.Endpoint(1).Subscribe("late"):
-		if msg.Payload.(int) != 1 {
-			t.Fatalf("payload = %v", msg.Payload)
-		}
-	case <-time.After(2 * time.Second):
+	waitQuiesced(t, nw) // delivered before anyone reads
+	msg, ok := nw.Endpoint(1).TryRecv("late")
+	if !ok {
 		t.Fatalf("buffered message lost")
+	}
+	if msg.Payload.(int) != 1 {
+		t.Fatalf("payload = %v", msg.Payload)
 	}
 }
 
@@ -83,19 +81,16 @@ func TestInstancesAreIsolated(t *testing.T) {
 	nw := NewNetwork(2, WithSeed(5), WithDelays(0, 0))
 	defer nw.Close()
 
-	a := nw.Endpoint(1).Subscribe("a")
-	b := nw.Endpoint(1).Subscribe("b")
+	a := record(nw.Endpoint(1), "a")
+	b := record(nw.Endpoint(1), "b")
 	nw.Endpoint(0).Send(1, "a", "x", nil)
+	waitQuiesced(t, nw)
 
-	select {
-	case <-a:
-	case <-time.After(2 * time.Second):
-		t.Fatalf("instance a message missing")
+	if got := a.snapshot(); len(got) != 1 {
+		t.Fatalf("instance a saw %d messages, want 1", len(got))
 	}
-	select {
-	case msg := <-b:
-		t.Fatalf("instance b received foreign message %v", msg)
-	case <-time.After(50 * time.Millisecond):
+	if got := b.snapshot(); len(got) != 0 {
+		t.Fatalf("instance b received foreign message %v", got[0])
 	}
 }
 
@@ -104,8 +99,8 @@ func TestCrashStopsDeliveryAndSending(t *testing.T) {
 	defer nw.Close()
 
 	victim := nw.Endpoint(1)
-	inbox := victim.Subscribe("x")
-	other := nw.Endpoint(2).Subscribe("x")
+	inbox := record(victim, "x")
+	other := record(nw.Endpoint(2), "x")
 
 	nw.Crash(1)
 	if !nw.Crashed(1) || !victim.Crashed() {
@@ -113,24 +108,25 @@ func TestCrashStopsDeliveryAndSending(t *testing.T) {
 	}
 	select {
 	case <-victim.Context().Done():
-	case <-time.After(time.Second):
+	default:
 		t.Fatalf("context not cancelled on crash")
 	}
 
 	// Messages to the crashed process are dropped.
 	nw.Endpoint(0).Send(1, "x", "m", nil)
-	select {
-	case msg := <-inbox:
-		t.Fatalf("crashed process received %v", msg)
-	case <-time.After(50 * time.Millisecond):
+	waitQuiesced(t, nw)
+	if got := inbox.snapshot(); len(got) != 0 {
+		t.Fatalf("crashed process received %v", got[0])
 	}
 
-	// Messages from the crashed process are dropped.
+	// Messages from the crashed process are dropped at the send, never
+	// enqueued.
 	victim.Send(2, "x", "m", nil)
-	select {
-	case msg := <-other:
-		t.Fatalf("message from crashed process delivered: %v", msg)
-	case <-time.After(50 * time.Millisecond):
+	if got := other.snapshot(); len(got) != 0 {
+		t.Fatalf("message from crashed process delivered: %v", got[0])
+	}
+	if d := nw.Metrics().Get("msgs.dropped"); d != 2 {
+		t.Fatalf("msgs.dropped = %d, want 2", d)
 	}
 
 	// The crash is recorded in the failure pattern.
@@ -157,37 +153,26 @@ func TestCrashIsIdempotent(t *testing.T) {
 }
 
 func TestFIFOPerMailboxWithZeroDelay(t *testing.T) {
-	// With zero injected delay a single sender's messages to one instance are
-	// enqueued in order by the (serial) test goroutine and must come out in
-	// FIFO order.
+	// With zero injected delay a single sender's messages to one instance
+	// must come out in FIFO order, also when each is delivered before the
+	// next is sent (one dispatch cycle per message rather than one burst).
 	nw := NewNetwork(2, WithDelays(0, 0))
 	defer nw.Close()
 
-	inbox := nw.Endpoint(1).Subscribe("fifo")
 	const k = 50
-	done := make(chan struct{})
-	var got []int
-	go func() {
-		defer close(done)
-		for i := 0; i < k; i++ {
-			msg := <-inbox
-			got = append(got, msg.Payload.(int))
+	read := goTask(nw, nw.Endpoint(1), func(task *Task) {
+		for i, msg := range recvN(task, "fifo", k) {
+			if msg.Payload.(int) != i {
+				t.Errorf("out-of-order delivery at %d: got %v", i, msg.Payload)
+				return
+			}
 		}
-	}()
+	})
 	for i := 0; i < k; i++ {
 		nw.Endpoint(0).Send(1, "fifo", "n", i)
-		time.Sleep(200 * time.Microsecond)
+		waitQuiesced(t, nw)
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("only received %d/%d messages", len(got), k)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out-of-order delivery at %d: %v", i, got[:i+1])
-		}
-	}
+	waitTask(t, read)
 }
 
 func TestMetricsCountsSends(t *testing.T) {
@@ -196,10 +181,7 @@ func TestMetricsCountsSends(t *testing.T) {
 	defer nw.Close()
 
 	nw.Endpoint(0).Broadcast("m", "t", nil)
-	deadline := time.Now().Add(2 * time.Second)
-	for m.Get("msgs.delivered") < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitQuiesced(t, nw)
 	if m.Get("msgs.sent") != 3 {
 		t.Fatalf("msgs.sent = %d", m.Get("msgs.sent"))
 	}
@@ -213,13 +195,14 @@ func TestMetricsCountsSends(t *testing.T) {
 
 func TestCloseDropsSubsequentSends(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(0, 0))
-	inbox := nw.Endpoint(1).Subscribe("x")
+	inbox := record(nw.Endpoint(1), "x")
 	nw.Close()
 	nw.Endpoint(0).Send(1, "x", "m", nil)
-	select {
-	case msg := <-inbox:
-		t.Fatalf("message delivered after Close: %v", msg)
-	case <-time.After(50 * time.Millisecond):
+	if got := inbox.snapshot(); len(got) != 0 {
+		t.Fatalf("message delivered after Close: %v", got[0])
+	}
+	if d := nw.Metrics().Get("msgs.dropped"); d != 1 {
+		t.Fatalf("msgs.dropped = %d, want 1", d)
 	}
 	nw.Close() // second Close must be a no-op
 }
@@ -229,32 +212,26 @@ func TestManyConcurrentSendersStress(t *testing.T) {
 	defer nw.Close()
 
 	const perSender = 40
-	var wg sync.WaitGroup
-	received := make(chan int, 5*5*perSender)
+	var senders sync.WaitGroup
+	var readers []<-chan struct{}
 	for i := 0; i < 5; i++ {
-		inbox := nw.Endpoint(model.ProcessID(i)).Subscribe("stress")
-		go func() {
-			for msg := range inbox {
-				received <- msg.Payload.(int)
+		ep := nw.Endpoint(model.ProcessID(i))
+		readers = append(readers, goTask(nw, ep, func(task *Task) {
+			if got := recvN(task, "stress", 5*perSender); len(got) != 5*perSender {
+				t.Errorf("%v received %d/%d messages", ep.ID(), len(got), 5*perSender)
 			}
-		}()
-		wg.Add(1)
+		}))
+		senders.Add(1)
 		go func(id int) {
-			defer wg.Done()
+			defer senders.Done()
 			for j := 0; j < perSender; j++ {
-				nw.Endpoint(model.ProcessID(id)).Broadcast("stress", "n", id*1000+j)
+				ep.Broadcast("stress", "n", id*1000+j)
 			}
 		}(i)
 	}
-	wg.Wait()
-	want := 5 * 5 * perSender
-	deadline := time.After(10 * time.Second)
-	for i := 0; i < want; i++ {
-		select {
-		case <-received:
-		case <-deadline:
-			t.Fatalf("received %d/%d messages", i, want)
-		}
+	senders.Wait()
+	for _, done := range readers {
+		waitTask(t, done)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -188,6 +189,13 @@ func (t *Task) exit() {
 	t.s.yieldCh <- struct{}{}
 }
 
+// done reports whether the task has exited.
+func (t *Task) done() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.state == taskDone
+}
+
 // taskCtxKey carries a Task through a context so protocol entry points
 // (Propose, Vote, Read, Write, ...) reach their caller's task without
 // signature changes.
@@ -303,7 +311,7 @@ const (
 // Fields beyond Op are populated per record type:
 //
 //   - TraceOpEvent: Kind, At, Seq, then per kind — message: From, To,
-//     Instance, Type; timer: Tid (the run-local lease id); crash: To.
+//     Instance, Type; timer: Tid (the run-local timer id); crash: To.
 //   - TraceOpGrant, TraceOpExit: Task (the granted/exiting task's id).
 //
 // SentAt, Proc and Group are observational extras for streaming analyzers
@@ -603,11 +611,7 @@ func (s *stepper) recordEvent(ev *event) {
 		r.SentAt = ev.sentAt
 	case evTimer:
 		s.stats.Timers++
-		// The run-local lease id, not ev.tgen: gen counts leases of a
-		// globally pooled timer core, so it depends on what earlier networks
-		// in the process did with that core — hashing it would make the
-		// fingerprint process-history-dependent.
-		r.Tid = ev.tid
+		r.Tid = ev.tm.id
 	case evCrash:
 		s.stats.Crashes++
 		r.To = uint64(ev.msg.To)
@@ -686,9 +690,12 @@ func (nw *Network) TraceResult() (string, TraceStats) {
 // registerTask records t on its endpoint so a crash (or close) can wake it:
 // the woken task observes Context().Err() != nil on its next granted step and
 // unwinds deterministically — crashes at decision moments replay exactly.
+// Exited tasks are compacted away on each registration (order-preserving, as
+// adoptTimer does for dead timers), so per-operation adopted tasks do not
+// accumulate for the network's lifetime.
 func (ep *Endpoint) registerTask(t *Task) {
 	ep.mu.Lock()
-	ep.tasks = append(ep.tasks, t)
+	ep.tasks = append(slices.DeleteFunc(ep.tasks, (*Task).done), t)
 	ep.mu.Unlock()
 }
 
@@ -705,7 +712,7 @@ func (ep *Endpoint) wakeTasks() {
 
 // Watch registers t to be woken whenever the dispatcher pushes a message into
 // this process's mailbox for the instance — the Watch + TryRecv-drain + Await
-// idiom (a Subscribe forwarder's goroutine is invisible to the scheduler):
+// idiom, the one way a task waits for traffic:
 //
 //	in.Watch(t)
 //	for {
@@ -714,7 +721,8 @@ func (ep *Endpoint) wakeTasks() {
 //		t.Await(ctx)
 //	}
 //
-// Watch(nil) clears the watcher. Do not mix with Subscribe on one instance.
+// Watch(nil) clears the watcher. A mailbox has one watcher: a second Watch
+// replaces the first.
 func (in Instance) Watch(t *Task) {
 	b := in.box()
 	b.mu.Lock()

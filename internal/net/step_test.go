@@ -141,3 +141,22 @@ func TestWakeCreditNotLost(t *testing.T) {
 		t.Fatal("clean self-waking run lost its trace")
 	}
 }
+
+// Exited tasks leave their endpoint's wake list: a long-lived network that
+// adopts one task per operation does not accumulate them.
+func TestExitedTasksDoNotAccumulate(t *testing.T) {
+	nw := NewNetwork(1)
+	defer nw.Close()
+	ep := nw.Endpoint(0)
+	for i := 0; i < 1000; i++ {
+		if err := ep.Sleep(context.Background(), time.Microsecond); err != nil {
+			t.Fatalf("sleep %d: %v", i, err)
+		}
+	}
+	ep.mu.Lock()
+	n := len(ep.tasks)
+	ep.mu.Unlock()
+	if n > 2 {
+		t.Fatalf("endpoint holds %d tasks after 1000 finished sleeps", n)
+	}
+}

@@ -122,16 +122,19 @@ func (q *PsiQC) Propose(ctx context.Context, v Value) (Decision, error) {
 
 	// Line 1: wait until Ψ leaves ⊥. Each iteration is a "nop" step of the
 	// paper's Figure 2, and like every step it advances the global logical
-	// clock (the runtime otherwise only ticks on message activity).
+	// clock (the runtime otherwise only ticks on message activity). A crashed
+	// process takes no step, so the crash check comes before the sample: a
+	// process that is already down when Ψ has switched must not fall through
+	// to a decision.
 	for {
+		if err := q.ep.Context().Err(); err != nil {
+			return Decision{}, fmt.Errorf("qc propose: %w", err)
+		}
 		val := q.psi.Sample()
 		if val.Phase != model.PsiBottom {
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			return Decision{}, fmt.Errorf("qc propose: %w", err)
-		}
-		if err := q.ep.Context().Err(); err != nil {
 			return Decision{}, fmt.Errorf("qc propose: %w", err)
 		}
 		if ticker.TryFire() {

@@ -119,6 +119,29 @@ func TestPsiQCQuitsAfterFailure(t *testing.T) {
 	}
 }
 
+// A crashed process takes no step: proposing after Ψ has already switched, it
+// must fail rather than sample Ψ and decide.
+func TestCrashedProcessNeverDecides(t *testing.T) {
+	const n = 4
+	nw := net.NewNetwork(n, net.WithSeed(2))
+	defer nw.Close()
+	psi := &fd.OraclePsi{Pattern: nw.Pattern(), Clock: nw.Clock(), SwitchAfter: 10, Policy: fd.PreferFSOnFailure}
+	group := NewPsiGroup(nw, "late", psi)
+	defer group.Stop()
+	nw.Crash(3)
+
+	// The survivors decide first, so Ψ has left ⊥ before p3 ever samples it.
+	survivors := map[model.ProcessID]Value{0: 0, 1: 1, 2: 0}
+	if got := runQC(t, nw, group[:3], survivors, nil); len(got.Decisions) != 3 {
+		t.Fatalf("expected 3 survivor decisions, got %d", len(got.Decisions))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	if d, err := group[3].Propose(ctx, 1); err == nil {
+		t.Fatalf("crashed process decided %v", d)
+	}
+}
+
 // Experiment E6: even after a failure, Ψ may keep behaving like (Ω, Σ)
 // (quitting is an option, never an obligation); QC then decides a proposed
 // value.
