@@ -16,7 +16,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
+	"regexp"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -406,6 +409,33 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
+// queueBenchLine matches one `go test -bench -benchmem` result line.
+var queueBenchLine = regexp.MustCompile(`(?m)^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(\d+) B/op\s+(\d+) allocs/op`)
+
+// queueLayerBenchmarks runs the event-queue layer benchmarks. They drive the
+// queue's unexported operations, so they live in internal/net's own test
+// package; this runs them there and reads the standard result lines.
+func queueLayerBenchmarks(t *testing.T) []benchResult {
+	out, err := exec.Command("go", "test", "weakestfd/internal/net", "-run", "^$",
+		"-bench", "^Benchmark(QueuePushPop|QueueBroadcast|TickerRearm)$", "-benchmem").CombinedOutput()
+	if err != nil {
+		t.Fatalf("internal/net queue benchmarks: %v\n%s", err, out)
+	}
+	var results []benchResult
+	for _, m := range queueBenchLine.FindAllSubmatch(out, -1) {
+		r := benchResult{Name: string(m[1])}
+		r.NsPerOp, _ = strconv.ParseFloat(string(m[2]), 64)
+		r.BytesPerOp, _ = strconv.ParseInt(string(m[3]), 10, 64)
+		r.AllocsPerOp, _ = strconv.ParseInt(string(m[4]), 10, 64)
+		results = append(results, r)
+		t.Logf("%s: %v ns/op %d B/op %d allocs/op", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+	}
+	if len(results) != 5 {
+		t.Fatalf("parsed %d queue benchmark results, want 5:\n%s", len(results), out)
+	}
+	return results
+}
+
 // TestEmitBenchJSON regenerates BENCH_net.json at the repo root so the perf
 // trajectory has committed data points. Gated behind BENCH_JSON=1 because it
 // runs the full benchmark matrix.
@@ -522,6 +552,7 @@ func TestEmitBenchJSON(t *testing.T) {
 	if bind.AllocsPerOp() != 0 {
 		t.Errorf("generic Bind query path allocates %d allocs/op, want 0", bind.AllocsPerOp())
 	}
+	results = append(results, queueLayerBenchmarks(t)...)
 
 	out := struct {
 		GeneratedBy     string        `json:"generated_by"`

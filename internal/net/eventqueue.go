@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"weakestfd/internal/model"
 )
@@ -21,12 +22,14 @@ const (
 	evCrash
 )
 
-// event is one pending delivery in the scheduler's priority queue, ordered by
-// (at, seq): at is the virtual-nanosecond delivery time, seq the enqueue
-// sequence number that breaks ties FIFO. A message event carries the mailbox
-// it resolves to, interned at enqueue time, so the dispatcher delivers
-// without any per-message map lookup. A timer event carries its timer. A crash
-// event reuses msg.To as the crashing process.
+// event is one delivery as the dispatcher sees it, materialised by popStep
+// from the popped heap key and what the key names: at is the
+// virtual-nanosecond delivery time, seq the enqueue sequence number. A
+// message event carries the envelope and the mailbox it resolves to, interned
+// at enqueue time, so the dispatcher delivers without any per-message map
+// lookup. A timer event carries its timer. A crash event reuses msg.To as the
+// crashing process. Events exist one at a time, on the dispatcher's stack;
+// what waits in the queue is a heapKey.
 type event struct {
 	at     int64
 	seq    uint64
@@ -35,6 +38,86 @@ type event struct {
 	msg    Message
 	tm     *Timer
 	box    *mailbox
+}
+
+// heapKey is what the priority queue orders and sifts: the unique (at, seq)
+// pair plus two 32-bit words naming what the event carries. It is 24 bytes
+// and pointer-free, so a sift level moves three words the collector never
+// scans, and the n² keys of a 200-process decide wave stay under 1 MB.
+//
+// ref is the message-body slot of a message key and the timer-table slot of
+// a timer key. kp packs the event kind into the top keyKindBits bits and a
+// process index into the rest: the recipient of a message, the process a
+// crash event kills.
+type heapKey struct {
+	at  int64
+	seq uint64
+	ref uint32
+	kp  uint32
+}
+
+const (
+	keyKindBits = 2
+	keyProcBits = 32 - keyKindBits
+	// maxProcesses is the largest process count whose ids fit a key's
+	// process field.
+	maxProcesses = 1 << keyProcBits
+)
+
+func makeKey(at int64, seq uint64, kind eventKind, ref uint32, proc int) heapKey {
+	return heapKey{at: at, seq: seq, ref: ref, kp: uint32(kind)<<keyProcBits | uint32(proc)}
+}
+
+func (k *heapKey) kind() eventKind { return eventKind(k.kp >> keyProcBits) }
+func (k *heapKey) proc() int       { return int(k.kp & (maxProcesses - 1)) }
+
+// less orders keys by (at, seq). seq is unique per queue, so the order is
+// total and a pure function of the keys: no layout of the heap array or of
+// the slabs can change which event pops next.
+func (k *heapKey) less(o *heapKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+// msgBody is what a queued message key names: the envelope, stored once
+// however many recipients share it. A unicast owns its body (refs 1) and
+// delivers to boxes[msg.To]. A broadcast's surviving recipients share one:
+// msg.SentAt holds the first recipient's logical send time, and recipient i's
+// To, SentAt = first+i and mailbox &boxes[i] are recomputed from the key's
+// process index at pop.
+type msgBody struct {
+	msg    Message
+	sentAt int64     // enqueue-time virtual clock (at - sentAt is the drawn delay)
+	boxes  []mailbox // the instance's mailboxes, indexed by recipient
+	refs   uint32    // queued keys still naming this slot
+	bcast  bool
+}
+
+// slab is a recycled array of T addressed by 32-bit slot numbers, so heap
+// keys can name a value without holding a pointer. A released slot is zeroed
+// (dropping whatever it referenced) and reused before the array grows.
+type slab[T any] struct {
+	slots []T
+	free  []uint32
+}
+
+func (s *slab[T]) put(v T) uint32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slots[i] = v
+		return i
+	}
+	s.slots = append(s.slots, v)
+	return uint32(len(s.slots) - 1)
+}
+
+func (s *slab[T]) release(i uint32) {
+	var zero T
+	s.slots[i] = zero
+	s.free = append(s.free, i)
 }
 
 // splitmix64 is the cheap, statistically solid PRNG used to draw message
@@ -51,7 +134,8 @@ func (s *splitmix64) next() uint64 {
 }
 
 // eventQueue is the discrete-event core of the network: a min-heap of
-// (at, seq, event) drained by a single dispatcher goroutine.
+// (at, seq) keys drained by a single dispatcher goroutine, beside the two
+// slabs holding what the keys name — message bodies and timers.
 //
 // The queue never waits in wall-clock time: popping an event advances the
 // virtual clock to the event's timestamp, so a 200µs injected delay reorders
@@ -65,7 +149,9 @@ func (s *splitmix64) next() uint64 {
 // virtual clock forward.
 type eventQueue struct {
 	mu      sync.Mutex
-	heap    []event // min-heap by (at, seq); hand-rolled to avoid interface boxing
+	heap    []heapKey     // min-heap by (at, seq); hand-rolled to avoid interface boxing
+	bodies  slab[msgBody] // envelopes of the queued message keys
+	timers  slab[*Timer]  // timers of the queued timer keys: one slot per key, so bounded by live timers
 	seq     uint64
 	leases  uint64 // timer ids handed out by this queue (run-local)
 	rng     splitmix64
@@ -85,7 +171,7 @@ type eventQueue struct {
 
 func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate float64) *eventQueue {
 	q := &eventQueue{
-		heap:     make([]event, 0, eventHeapCap(n)),
+		heap:     make([]heapKey, 0, eventHeapCap(n)),
 		rng:      splitmix64{x: uint64(seed)},
 		dropRng:  splitmix64{x: uint64(seed) ^ 0xd1b54a32d192ed03},
 		minDelay: int64(minDelay),
@@ -99,26 +185,22 @@ func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate
 	return q
 }
 
-// eventHeapCap sizes the event heap's initial backing array. The queue's
+// eventHeapCap sizes the key heap's initial backing array. The queue's
 // high-water mark is set by broadcast storms — every participant reacting to
-// one round of traffic with a broadcast of its own enqueues O(n²) events
-// before the dispatcher drains them — so growing the heap from zero by
-// append-doubling re-copies ~2× the peak on every fresh network. That churn,
-// not the events themselves, dominated bytes/op of the consensus benchmarks
-// (events are value types inside this one array; there is no per-event
-// allocation to pool away). Pre-sizing to n² removes it; the clamp keeps tiny
-// test networks cheap and bounds the up-front cost at large n, where one
-// further doubling round is acceptable.
+// one round of traffic with a broadcast of its own enqueues O(n²) keys before
+// the dispatcher drains them — so growing the heap from zero by
+// append-doubling re-copies ~2× the peak on every fresh network. Pre-sizing
+// to n² removes that: at 24 bytes a key, the 40 000 keys of an n=200 decide
+// wave are 960 kB and never regrow. The clamp is a byte budget, so it moves
+// with the key layout: it keeps tiny test networks cheap and bounds the
+// up-front cost past n≈209, where append growth takes over.
 func eventHeapCap(n int) int {
-	const minCap, maxCap = 64, 32768
-	c := n * n
-	if c < minCap {
-		return minCap
-	}
-	if c > maxCap {
+	const minCap, maxBytes = 64, 1 << 20
+	const maxCap = maxBytes / int(unsafe.Sizeof(heapKey{}))
+	if n >= maxCap { // also keeps n*n from overflowing
 		return maxCap
 	}
-	return c
+	return min(max(n*n, minCap), maxCap)
 }
 
 // dropThresholdFor converts a drop probability into the uint64 comparison
@@ -151,14 +233,14 @@ func (q *eventQueue) drawDelay() int64 {
 	return q.minDelay + int64(q.rng.next()%span)
 }
 
-// pushMessage enqueues a delivery of msg into box at now+delay. It reports
-// false if the queue is already closed or the lossy-link knob dropped the
-// message. The delay is drawn under the queue lock, so enqueue order
+// pushMessage enqueues a delivery of msg into boxes[msg.To] at now+delay. It
+// reports false if the queue is already closed or the lossy-link knob dropped
+// the message. The delay is drawn under the queue lock, so enqueue order
 // determines RNG consumption order; during a Freeze the virtual clock is
 // necessarily still, so a frozen batch shares one base time and its delivery
 // order is exactly the (delay, seq) sort. Drop decisions consume a dedicated
 // RNG stream, so the delay sequence of the surviving messages is unchanged.
-func (q *eventQueue) pushMessage(msg Message, box *mailbox) bool {
+func (q *eventQueue) pushMessage(msg Message, boxes []mailbox) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -171,7 +253,8 @@ func (q *eventQueue) pushMessage(msg Message, box *mailbox) bool {
 	base := q.vnow
 	at := base + q.drawDelay()
 	q.seq++
-	q.heapPush(event{at: at, seq: q.seq, kind: evMessage, sentAt: base, msg: msg, box: box})
+	ref := q.bodies.put(msgBody{msg: msg, sentAt: base, boxes: boxes, refs: 1})
+	q.heapPush(makeKey(at, q.seq, evMessage, ref, int(msg.To)))
 	q.mu.Unlock()
 	q.poke(q.notify)
 	return true
@@ -179,7 +262,8 @@ func (q *eventQueue) pushMessage(msg Message, box *mailbox) bool {
 
 // pushBroadcast enqueues one delivery of tmpl per process under a single lock
 // acquisition: recipient i gets tmpl with To=i, SentAt=tmpl.SentAt+i, and its
-// mailbox resolved from boxes[i]. It returns the number of deliveries
+// mailbox resolved from boxes[i]. The envelope is stored once, in a body slot
+// the surviving recipients' keys share. It returns the number of deliveries
 // enqueued (the rest were dropped by the lossy-link knob) and ok=false if the
 // queue was already closed.
 //
@@ -189,10 +273,10 @@ func (q *eventQueue) pushMessage(msg Message, box *mailbox) bool {
 // recipient order 0..n-1. A broadcast therefore consumes the seeded streams
 // identically to the n-call serial loop it replaces, and the resulting
 // (deliveryTime, seq) schedule is byte-identical; only the number of lock
-// acquisitions and heap operations changes. The batch is appended and the
-// heap re-established in one pass: a full bottom-up heapify when the run is
-// large relative to the heap (container/heap's Init strategy, O(len) beats
-// n× sift-up's O(n·log len)), per-element sift-up otherwise.
+// acquisitions, heap operations and stored envelopes changes. The batch is
+// appended and the heap re-established in one pass: a full bottom-up heapify
+// when the run is large relative to the heap (container/heap's Init strategy,
+// O(len) beats n× sift-up's O(n·log len)), per-element sift-up otherwise.
 func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int, ok bool) {
 	q.mu.Lock()
 	if q.closed {
@@ -201,20 +285,21 @@ func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int,
 	}
 	base := q.vnow
 	start := len(q.heap)
+	ref := q.bodies.put(msgBody{msg: tmpl, sentAt: base, boxes: boxes, bcast: true})
 	for i := range boxes {
 		if q.dropThreshold > 0 && q.dropRng.next() < q.dropThreshold {
 			continue
 		}
 		at := base + q.drawDelay()
 		q.seq++
-		m := tmpl
-		m.To = model.ProcessID(i)
-		m.SentAt = tmpl.SentAt + model.Time(i)
-		q.heap = append(q.heap, event{at: at, seq: q.seq, kind: evMessage, sentAt: base, msg: m, box: &boxes[i]})
+		q.heap = append(q.heap, makeKey(at, q.seq, evMessage, ref, i))
 	}
 	enqueued = len(q.heap) - start
 	if enqueued > 0 {
+		q.bodies.slots[ref].refs = uint32(enqueued)
 		q.restoreAppended(start)
+	} else {
+		q.bodies.release(ref)
 	}
 	q.mu.Unlock()
 	if enqueued > 0 {
@@ -223,7 +308,7 @@ func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int,
 	return enqueued, true
 }
 
-// restoreAppended re-establishes the heap invariant after a run of events was
+// restoreAppended re-establishes the heap invariant after a run of keys was
 // appended at index start. For a small run each element sifts up; for a run
 // comparable to the heap size a full bottom-up heapify is cheaper (O(len)
 // versus O(run·log len)). Caller holds q.mu.
@@ -232,7 +317,7 @@ func (q *eventQueue) restoreAppended(start int) {
 	run := n - start
 	if run*bits.Len(uint(n)) > n {
 		for i := n/2 - 1; i >= 0; i-- {
-			q.siftDown(i, n)
+			q.siftDown(i)
 		}
 		return
 	}
@@ -252,22 +337,28 @@ func (q *eventQueue) pushCrash(p model.ProcessID, at int64) {
 		return
 	}
 	q.seq++
-	q.heapPush(event{at: at, seq: q.seq, kind: evCrash, msg: Message{To: p}})
+	q.heapPush(makeKey(at, q.seq, evCrash, 0, int(p)))
 	q.mu.Unlock()
 	q.poke(q.notify)
 }
 
 // scheduleTimer enqueues a fire of t at the absolute virtual time at.
 func (q *eventQueue) scheduleTimer(t *Timer, at int64) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.seq++
-	q.heapPush(event{at: at, seq: q.seq, kind: evTimer, tm: t})
-	q.mu.Unlock()
+	q.rearmTimer(t, at)
 	q.poke(q.notify)
+}
+
+// rearmTimer is scheduleTimer for the dispatcher goroutine itself (a ticker
+// re-arming inside Timer.fired): the dispatcher is by construction not
+// waiting on q.notify, so the push skips the poke — one channel operation
+// saved per tick. Every other pusher must poke.
+func (q *eventQueue) rearmTimer(t *Timer, at int64) {
+	q.mu.Lock()
+	if !q.closed {
+		q.seq++
+		q.heapPush(makeKey(at, q.seq, evTimer, q.timers.put(t), 0))
+	}
+	q.mu.Unlock()
 }
 
 // nextLease hands out a run-local timer id: drawn from this queue's own
@@ -305,12 +396,12 @@ const (
 // popStep blocks until there is work and hands the dispatcher exactly one
 // unit of it — a pending task grant (which always takes priority, so a
 // delivery's wake cascade settles before the next event) or a single popped
-// event with the virtual clock advanced to its timestamp. Because the network
-// is provably quiescent whenever the ready queue is empty, registered tasks
-// need no pause before the clock jumps to a timer deadline: there is no
-// runnable task to outrun. One pause remains, for goroutines the quiescence
-// proof cannot see — those that have not yet reached AdoptTask: on
-// GOMAXPROCS=1 the grant handshake's channel handoffs keep reinstalling
+// event, materialised into *ev, with the virtual clock advanced to its
+// timestamp. Because the network is provably quiescent whenever the ready
+// queue is empty, registered tasks need no pause before the clock jumps to a
+// timer deadline: there is no runnable task to outrun. One pause remains, for
+// goroutines the quiescence proof cannot see — those that have not yet
+// reached AdoptTask: on GOMAXPROCS=1 the grant handshake's channel handoffs keep reinstalling
 // dispatcher/task as the scheduler's next-run goroutine, which can starve a
 // runnable-but-unadopted caller for a whole preemption timeslice (~10ms wall)
 // while virtual time gallops through its poll ticks — so before jumping the
@@ -321,50 +412,76 @@ const (
 // plain goroutines is wall-clock nondeterministic either way (such callers
 // are never part of a trace group), so the yield costs nothing from the trace
 // contract. popStep must only be called by the single dispatcher goroutine.
-func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
+func (q *eventQueue) popStep(s *stepper, ev *event) stepResult {
 	yields := 0
 	for {
 		q.mu.Lock()
 		if q.closed {
 			q.mu.Unlock()
-			return event{}, stepClosed
+			return stepClosed
 		}
 		if q.held {
 			q.mu.Unlock()
 			select {
 			case <-q.notify:
 			case <-q.quit:
-				return event{}, stepClosed
+				return stepClosed
 			}
 			continue
 		}
 		if s.readyPending() {
 			q.mu.Unlock()
-			return event{}, stepGrant
+			return stepGrant
 		}
 		if len(q.heap) == 0 {
 			q.mu.Unlock()
 			select {
 			case <-q.notify:
 			case <-q.quit:
-				return event{}, stepClosed
+				return stepClosed
 			}
 			continue
 		}
-		ev := q.heap[0]
-		if ev.at > q.vnow && ev.kind != evMessage && yields < gapYields {
+		head := &q.heap[0]
+		if head.at > q.vnow && head.kind() != evMessage && yields < gapYields {
 			yields++
 			q.mu.Unlock()
 			runtime.Gosched()
 			continue
 		}
-		q.heapPopHead()
+		q.materialise(q.heapPopHead(), ev)
 		if ev.at > q.vnow {
 			q.vnow = ev.at
 			q.vnowAtomic.Store(ev.at)
 		}
 		q.mu.Unlock()
-		return ev, stepEvent
+		return stepEvent
+	}
+}
+
+// materialise turns a popped key into the event the dispatcher delivers,
+// overwriting *ev, and gives up the key's hold on its slot: a message body is
+// freed when its last recipient pops, a timer slot at once (a ticker's re-arm
+// takes a fresh one). Caller holds q.mu.
+func (q *eventQueue) materialise(k heapKey, ev *event) {
+	*ev = event{at: k.at, seq: k.seq, kind: k.kind()}
+	switch ev.kind {
+	case evMessage:
+		b := &q.bodies.slots[k.ref]
+		i := k.proc()
+		ev.sentAt, ev.msg, ev.box = b.sentAt, b.msg, &b.boxes[i]
+		if b.bcast {
+			ev.msg.To = model.ProcessID(i)
+			ev.msg.SentAt += model.Time(i)
+		}
+		if b.refs--; b.refs == 0 {
+			q.bodies.release(k.ref)
+		}
+	case evTimer:
+		ev.tm = q.timers.slots[k.ref]
+		q.timers.release(k.ref)
+	case evCrash:
+		ev.msg.To = model.ProcessID(k.proc())
 	}
 }
 
@@ -379,7 +496,8 @@ func (q *eventQueue) setHeld(held bool) {
 }
 
 // close shuts the queue down and returns the number of message events it
-// discarded, so the caller can keep sent == delivered + dropped balanced.
+// discarded, so the caller can keep sent == delivered + dropped balanced. The
+// slabs go with the heap, so no queued payload or timer outlives the queue.
 func (q *eventQueue) close() int {
 	q.mu.Lock()
 	if q.closed {
@@ -388,68 +506,74 @@ func (q *eventQueue) close() int {
 	}
 	q.closed = true
 	dropped := 0
-	for _, ev := range q.heap {
-		if ev.kind == evMessage {
+	for i := range q.heap {
+		if q.heap[i].kind() == evMessage {
 			dropped++
 		}
 	}
 	q.heap = nil
+	q.bodies = slab[msgBody]{}
+	q.timers = slab[*Timer]{}
 	q.mu.Unlock()
 	close(q.quit)
 	return dropped
 }
 
-// --- min-heap on []event, ordered by (at, seq) ---
+// --- min-heap on []heapKey, ordered by (at, seq) ---
 //
-// Hand-rolled instead of container/heap so events stay values in the backing
+// Hand-rolled instead of container/heap so keys stay values in the backing
 // slice: no interface boxing, hence no per-message allocation on the delivery
-// path.
+// path. Sifts move a hole instead of swapping: the travelling key is held in
+// a local and each level costs one 24-byte copy.
 
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventQueue) heapPush(ev event) {
-	q.heap = append(q.heap, ev)
+func (q *eventQueue) heapPush(k heapKey) {
+	q.heap = append(q.heap, k)
 	q.siftUp(len(q.heap) - 1)
 }
 
 func (q *eventQueue) siftUp(i int) {
+	h := q.heap
+	k := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(q.heap[i], q.heap[parent]) {
+		if !k.less(&h[parent]) {
 			break
 		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
 }
 
-func (q *eventQueue) siftDown(i, n int) {
+func (q *eventQueue) siftDown(i int) {
+	h := q.heap
+	n := len(h)
+	k := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && eventLess(q.heap[l], q.heap[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && eventLess(q.heap[r], q.heap[smallest]) {
-			smallest = r
+		if r := c + 1; r < n && h[r].less(&h[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !h[c].less(&k) {
+			break
 		}
-		q.heap[i], q.heap[smallest] = q.heap[smallest], q.heap[i]
-		i = smallest
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = k
 }
 
-func (q *eventQueue) heapPopHead() {
+// heapPopHead removes and returns the minimum key.
+func (q *eventQueue) heapPopHead() heapKey {
+	head := q.heap[0]
 	n := len(q.heap) - 1
 	q.heap[0] = q.heap[n]
-	q.heap[n] = event{} // release payload reference
 	q.heap = q.heap[:n]
-	q.siftDown(0, n)
+	if n > 0 {
+		q.siftDown(0)
+	}
+	return head
 }

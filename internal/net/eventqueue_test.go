@@ -5,8 +5,11 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"weakestfd/internal/model"
 )
 
 // deliveryOrder sends k messages as one frozen batch from p0 to p1 on a
@@ -105,22 +108,57 @@ func TestNoGoroutinePerMessage(t *testing.T) {
 }
 
 // Closing a network with messages still queued must account for them:
-// msgs.sent == msgs.delivered + msgs.dropped holds after Close.
+// msgs.sent == msgs.delivered + msgs.dropped holds after Close — also when
+// the close lands in the middle of a broadcast, whose queued recipients share
+// one body slot with the ones already delivered — and the queue lets go of
+// every envelope it still held.
 func TestCloseBalancesMessageAccounting(t *testing.T) {
-	nw := NewNetwork(2)
+	const n, k = 4, 25
+	nw := NewNetwork(n)
 	nw.Freeze() // hold dispatch so the sends are still in the heap at Close
-	const k = 25
 	for i := 0; i < k; i++ {
 		nw.Endpoint(0).Send(1, "bal", "m", i)
 	}
+	// The broadcast's handler stops the dispatcher inside its second
+	// delivery until the test has frozen the queue again.
+	h := &pausingHandler{pauseAt: 2, reached: make(chan struct{}), release: make(chan struct{})}
+	for p := 0; p < n; p++ {
+		nw.Endpoint(model.ProcessID(p)).Instance("half").Handle(h)
+	}
+	nw.Endpoint(0).Broadcast("half", "b", new(int))
+	nw.Thaw()
+	<-h.reached
+	nw.Freeze()
+	close(h.release)
 	nw.Close()
+	if got := h.seen.Load(); got != 2 {
+		t.Fatalf("broadcast reached %d recipients before Close, want 2", got)
+	}
 	m := nw.Metrics()
 	sent, delivered, dropped := m.Get("msgs.sent"), m.Get("msgs.delivered"), m.Get("msgs.dropped")
-	if sent != k {
-		t.Fatalf("msgs.sent = %d, want %d", sent, k)
+	if sent != k+n {
+		t.Fatalf("msgs.sent = %d, want %d", sent, k+n)
 	}
-	if sent != delivered+dropped {
+	if sent != delivered+dropped || delivered < 2 || dropped < n-2 {
 		t.Fatalf("accounting unbalanced: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
+	}
+	if nw.q.heap != nil || nw.q.bodies.slots != nil || nw.q.timers.slots != nil {
+		t.Fatalf("closed queue still holds %d keys, %d bodies, %d timers", len(nw.q.heap), len(nw.q.bodies.slots), len(nw.q.timers.slots))
+	}
+}
+
+// pausingHandler counts deliveries and parks the dispatcher inside delivery
+// number pauseAt until release is closed.
+type pausingHandler struct {
+	pauseAt          int64
+	seen             atomic.Int64
+	reached, release chan struct{}
+}
+
+func (h *pausingHandler) HandleMessage(Message) {
+	if h.seen.Add(1) == h.pauseAt {
+		close(h.reached)
+		<-h.release
 	}
 }
 

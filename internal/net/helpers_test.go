@@ -129,3 +129,20 @@ func recvN(task *Task, instance string, k int) []Message {
 	}
 	return got
 }
+
+// White-box queue access, for tests that drive an eventQueue no dispatcher
+// drains.
+
+// popEvent pops the next event. The caller knows the queue is non-empty, so
+// popStep cannot block.
+func popEvent(t testing.TB, q *eventQueue, s *stepper) event {
+	t.Helper()
+	var ev event
+	if res := q.popStep(s, &ev); res != stepEvent {
+		t.Fatalf("popStep = %v on a non-empty open queue, want stepEvent", res)
+	}
+	return ev
+}
+
+// live is the number of slab slots in use.
+func (s *slab[T]) live() int { return len(s.slots) - len(s.free) }

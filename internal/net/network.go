@@ -148,6 +148,9 @@ func NewNetwork(n int, opts ...Option) *Network {
 	if n <= 0 {
 		panic(fmt.Sprintf("net: invalid process count %d", n))
 	}
+	if n > maxProcesses {
+		panic(fmt.Sprintf("net: process count %d exceeds the %d the event queue's keys can address", n, maxProcesses))
+	}
 	nw := &Network{
 		n:        n,
 		clock:    NewClock(),
@@ -332,7 +335,7 @@ func (nw *Network) sendTo(st *instState, from, to model.ProcessID, typ string, a
 	nw.cSent.Inc()
 	st.sent.Inc()
 	msg := Message{From: from, To: to, Instance: st.name, Type: typ, Payload: payload, Aux: aux, Aux2: aux2, SentAt: sentAt}
-	if !nw.q.pushMessage(msg, &st.boxes[int(to)]) {
+	if !nw.q.pushMessage(msg, st.boxes) {
 		nw.cDropped.Inc()
 	}
 }
@@ -371,9 +374,9 @@ func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, au
 func (nw *Network) dispatch() {
 	defer nw.wg.Done()
 	s := nw.stepper
+	var ev event
 	for {
-		ev, mode := nw.q.popStep(s)
-		switch mode {
+		switch nw.q.popStep(s, &ev) {
 		case stepClosed:
 			return
 		case stepGrant:

@@ -2,6 +2,7 @@ package net
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -235,13 +236,19 @@ func TestManyConcurrentSendersStress(t *testing.T) {
 	}
 }
 
+// A process count of zero, or one the event queue's keys cannot address, is
+// refused with a message naming it — not truncated.
 func TestInvalidConstruction(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("NewNetwork(0) did not panic")
-		}
-	}()
-	NewNetwork(0)
+	for _, n := range []int{0, maxProcesses + 1} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "process count") {
+					t.Errorf("NewNetwork(%d) panicked with %q, want a process-count message", n, msg)
+				}
+			}()
+			NewNetwork(n)
+		}()
+	}
 }
 
 func TestSendOutOfRangePanics(t *testing.T) {

@@ -88,7 +88,7 @@ func (t *Timer) fired(at int64) {
 		return
 	}
 	if t.period > 0 {
-		t.q.scheduleTimer(t, at+t.period)
+		t.q.rearmTimer(t, at+t.period)
 	} else {
 		t.stopped = true
 	}
