@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -409,29 +410,30 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// queueBenchLine matches one `go test -bench -benchmem` result line.
-var queueBenchLine = regexp.MustCompile(`(?m)^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(\d+) B/op\s+(\d+) allocs/op`)
+// layerBenchLine matches one `go test -bench -benchmem` result line.
+var layerBenchLine = regexp.MustCompile(`(?m)^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(\d+) B/op\s+(\d+) allocs/op`)
 
-// queueLayerBenchmarks runs the event-queue layer benchmarks. They drive the
-// queue's unexported operations, so they live in internal/net's own test
-// package; this runs them there and reads the standard result lines.
-func queueLayerBenchmarks(t *testing.T) []benchResult {
-	out, err := exec.Command("go", "test", "weakestfd/internal/net", "-run", "^$",
-		"-bench", "^Benchmark(QueuePushPop|QueueBroadcast|TickerRearm)$", "-benchmem").CombinedOutput()
+// layerBenchmarks runs the benchmarks of package pkg matching pattern and
+// reads back their standard result lines, want of them, named
+// <package>/<benchmark>. The layer benchmarks drive unexported operations
+// (the event queue, the journal record codec), so they live in their
+// packages' own tests and run there.
+func layerBenchmarks(t *testing.T, pkg, pattern string, want int) []benchResult {
+	out, err := exec.Command("go", "test", pkg, "-run", "^$", "-bench", pattern, "-benchmem").CombinedOutput()
 	if err != nil {
-		t.Fatalf("internal/net queue benchmarks: %v\n%s", err, out)
+		t.Fatalf("%s benchmarks: %v\n%s", pkg, err, out)
 	}
 	var results []benchResult
-	for _, m := range queueBenchLine.FindAllSubmatch(out, -1) {
-		r := benchResult{Name: string(m[1])}
+	for _, m := range layerBenchLine.FindAllSubmatch(out, -1) {
+		r := benchResult{Name: path.Base(pkg) + "/" + string(m[1])}
 		r.NsPerOp, _ = strconv.ParseFloat(string(m[2]), 64)
 		r.BytesPerOp, _ = strconv.ParseInt(string(m[3]), 10, 64)
 		r.AllocsPerOp, _ = strconv.ParseInt(string(m[4]), 10, 64)
 		results = append(results, r)
 		t.Logf("%s: %v ns/op %d B/op %d allocs/op", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
-	if len(results) != 5 {
-		t.Fatalf("parsed %d queue benchmark results, want 5:\n%s", len(results), out)
+	if len(results) != want {
+		t.Fatalf("parsed %d %s benchmark results, want %d:\n%s", len(results), pkg, want, out)
 	}
 	return results
 }
@@ -552,7 +554,8 @@ func TestEmitBenchJSON(t *testing.T) {
 	if bind.AllocsPerOp() != 0 {
 		t.Errorf("generic Bind query path allocates %d allocs/op, want 0", bind.AllocsPerOp())
 	}
-	results = append(results, queueLayerBenchmarks(t)...)
+	results = append(results, layerBenchmarks(t, "weakestfd/internal/net", "^Benchmark(QueuePushPop|QueueBroadcast|TickerRearm)$", 5)...)
+	results = append(results, layerBenchmarks(t, "weakestfd/internal/journal", "^Benchmark(Encode|Decode|Verify)$", 3)...)
 
 	out := struct {
 		GeneratedBy     string        `json:"generated_by"`

@@ -205,3 +205,40 @@ func TestRetiredConfigFieldsStillLoad(t *testing.T) {
 		t.Fatalf("journal with retired fields did not replay: %v %+v", err, rr.Divergence)
 	}
 }
+
+// TestFixturesReplay re-executes every committed fixture journal
+// (internal/journal/testdata, one per protocol family) and requires a
+// record-for-record match ending on the journal's own trace fingerprint.
+// The fixtures were recorded by cmd/replay -record with its default -rounds
+// and -coordinator, which the journal meta does not store.
+func TestFixturesReplay(t *testing.T) {
+	const rounds, coordinator = 8, 0
+	paths, err := filepath.Glob("../journal/testdata/*.journal")
+	if err != nil || len(paths) < 8 {
+		t.Fatalf("want the 8 fixture journals, got %v (%v)", paths, err)
+	}
+	ctx := context.Background()
+	for _, path := range paths {
+		j, err := journal.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfg scenario.Config
+		if err := json.Unmarshal(j.Meta.Config, &cfg); err != nil {
+			t.Fatalf("%s: config: %v", path, err)
+		}
+		proto, err := BuildProtocol(j.Meta.Protocol, cfg.N, rounds, coordinator)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		rr, err := scenario.Replay(ctx, proto, j)
+		switch {
+		case err != nil:
+			t.Errorf("%s: replay: %v", path, err)
+		case !rr.OK() || rr.Matched != len(j.Records):
+			t.Errorf("%s: diverged after %d of %d records: %v", path, rr.Matched, len(j.Records), rr.Divergence)
+		case rr.Result.TraceFingerprint != j.Meta.TraceFingerprint:
+			t.Errorf("%s: replayed fingerprint %s, journal's %s", path, rr.Result.TraceFingerprint, j.Meta.TraceFingerprint)
+		}
+	}
+}

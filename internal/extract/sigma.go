@@ -1,23 +1,19 @@
-// Package extract implements the "necessity" constructions of the paper: the
-// transformation algorithms that emulate a weakest failure detector out of
+// Package extract implements a "necessity" construction of the paper: a
+// transformation algorithm that emulates a weakest failure detector out of
 // any algorithm solving the corresponding problem.
 //
-//   - SigmaExtractor (Figure 1): given an implementation of atomic registers
-//     (one register per process, written by its owner), emulate the quorum
-//     detector Σ. This is the necessity half of Theorem 1.
-//   - PsiExtractor (Figure 3): given a QC algorithm A using a failure
-//     detector D, emulate Ψ — initially ⊥, then either an FS behaviour
-//     (only after a real failure) or an (Ω, Σ) behaviour agreed on by all
-//     processes. This is the necessity half of Theorem 6. The Ω component of
-//     the (Ω, Σ) regime uses a documented executable approximation of the
-//     Chandra–Hadzilacos–Toueg limit-forest argument; see the PsiExtractor
-//     documentation and DESIGN.md, substitution 5.
+// SigmaExtractor (Figure 1): given an implementation of atomic registers (one
+// register per process, written by its owner), emulate the quorum detector Σ.
+// This is the necessity half of Theorem 1. The scenario protocols
+// extract/sigma and extract/sigma-majority run it and check its output
+// against the Σ specification.
 //
-// Both extractors run against the concrete implementations in this module
-// (the Σ-register of internal/register, the step-model QC automaton of
-// internal/sim), standing in for the paper's universally quantified
-// "any algorithm A" — no executable artifact can quantify over all
-// algorithms; see DESIGN.md, substitution 3.
+// The extractor runs against the concrete register implementations of
+// internal/register, standing in for the paper's universally quantified
+// "any algorithm A": no executable artifact can quantify over all algorithms.
+//
+// The other necessity construction, Figure 3's extraction of Ψ from any QC
+// algorithm (the necessity half of Theorem 6), is not implemented.
 package extract
 
 import (

@@ -33,12 +33,17 @@
 // A journal is JSON-lines: line 1 is the Meta object (schema_version first),
 // each subsequent line one Record. Loaders reject future schema versions, the
 // same policy as cliutil reports, and version 1 (see Version). Encoding is
-// canonical — encoding/json over fixed structs — so load → re-encode is
-// byte-identity, which the round-trip tests pin.
+// canonical: the meta line is encoding/json over the Meta struct, and each
+// record line is printed by a hand-written codec (codec.go) as the exact
+// bytes encoding/json would give the Record struct — fixed key order, zero
+// fields omitted — without reflection. Decode accepts exactly what Encode
+// writes: a record line that is valid JSON for the same record but not in
+// that form (keys reordered, whitespace, an explicit zero) is refused with
+// its line number. So load → re-encode is byte-identity, which the
+// round-trip tests and the committed testdata journals pin.
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -134,38 +139,32 @@ type Record struct {
 	Group bool   `json:"group,omitempty"`
 }
 
-// opNames / kindNames map the net-level record bytes to journal strings.
-var opNames = map[byte]string{
-	net.TraceOpEvent: "E",
-	net.TraceOpGrant: "G",
-	net.TraceOpExit:  "X",
-}
-
-var kindNames = map[byte]string{
-	net.TraceKindMessage: "message",
-	net.TraceKindTimer:   "timer",
-	net.TraceKindCrash:   "crash",
-}
-
 // FromNet converts a live trace record to journal form.
 func FromNet(tr net.TraceRecord) Record {
-	r := Record{Op: opNames[tr.Op]}
+	var r Record
 	switch tr.Op {
 	case net.TraceOpEvent:
-		r.Kind = kindNames[tr.Kind]
+		r.Op = "E"
 		r.At = tr.At
 		r.Seq = tr.Seq
 		switch tr.Kind {
 		case net.TraceKindMessage:
+			r.Kind = "message"
 			r.From, r.To = tr.From, tr.To
 			r.Instance, r.Type = tr.Instance, tr.Type
 			r.Sent = tr.SentAt
 		case net.TraceKindTimer:
+			r.Kind = "timer"
 			r.Tid = tr.Tid
 		case net.TraceKindCrash:
+			r.Kind = "crash"
 			r.To = tr.To
 		}
 	case net.TraceOpGrant, net.TraceOpExit:
+		r.Op = "G"
+		if tr.Op == net.TraceOpExit {
+			r.Op = "X"
+		}
 		r.Task = tr.Task
 		r.Proc = tr.Proc
 		r.Group = tr.Group
@@ -231,8 +230,7 @@ func (r Record) String() string {
 	case "X":
 		return fmt.Sprintf("X task=%d proc=%d group=%t", r.Task, r.Proc, r.Group)
 	}
-	b, _ := json.Marshal(r)
-	return string(b)
+	return string(appendRecord(nil, &r))
 }
 
 // Journal is one run's captured record stream plus its header.
@@ -246,33 +244,57 @@ type Journal struct {
 // byte-for-byte (the round-trip tests pin this), so journals can be
 // compared, hashed and diffed as files.
 func (j *Journal) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var meta bytes.Buffer
+	enc := json.NewEncoder(&meta)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(j.Meta); err != nil {
 		return nil, fmt.Errorf("journal: encode meta: %w", err)
 	}
+	out := make([]byte, 0, meta.Len()+recordsSize(j.Records))
+	out = append(out, meta.Bytes()...)
 	for i := range j.Records {
-		if err := enc.Encode(j.Records[i]); err != nil {
-			return nil, fmt.Errorf("journal: encode record %d: %w", j.Meta.FirstIndex+i, err)
-		}
+		out = appendRecord(out, &j.Records[i])
+		out = append(out, '\n')
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
-// Decode parses a journal, rejecting schema versions this build cannot read
-// faithfully: future ones, and version 1.
-func Decode(data []byte) (*Journal, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("journal: read meta line: %w", err)
+// recordsSize estimates the encoded size of recs, with an eighth to spare,
+// so Encode allocates its output once instead of regrowing it through the
+// stream. It samples 16 runs of 16 consecutive records spread over the
+// stream: runs, so that a stream repeating a short pattern of record shapes
+// is not sampled at one phase of it.
+func recordsSize(recs []Record) int {
+	var scratch [256]byte
+	sampled, size := 0, 0
+	for run := 0; run < 16; run++ {
+		start := run * len(recs) / 16
+		for i := start; i < min(start+16, len(recs)); i++ {
+			size += len(appendRecord(scratch[:0], &recs[i])) + 1
+			sampled++
 		}
+	}
+	if sampled == 0 {
+		return 0
+	}
+	return size * len(recs) / sampled * 9 / 8
+}
+
+// shortestRecordLine is the shortest line a record encodes to, newline
+// included; it bounds how many records a byte count can hold.
+const shortestRecordLine = len(`{"op":""}` + "\n")
+
+// Decode parses a journal, rejecting schema versions this build cannot read
+// faithfully: future ones, and version 1. Record lines must be exactly as
+// Encode writes them (see parseRecord); blank lines are skipped. Errors name
+// the 1-based line of the input, the meta line being line 1.
+func Decode(data []byte) (*Journal, error) {
+	if len(data) == 0 {
 		return nil, fmt.Errorf("journal: empty input")
 	}
+	head, rest, _ := bytes.Cut(data, []byte{'\n'})
 	j := &Journal{}
-	if err := json.Unmarshal(sc.Bytes(), &j.Meta); err != nil {
+	if err := json.Unmarshal(head, &j.Meta); err != nil {
 		return nil, fmt.Errorf("journal: parse meta line: %w", err)
 	}
 	if j.Meta.SchemaVersion > Version {
@@ -281,18 +303,21 @@ func Decode(data []byte) (*Journal, error) {
 	if j.Meta.SchemaVersion < 2 {
 		return nil, fmt.Errorf("journal: schema_version %d predates the record fields replay and probes need (sent/proc/group landed in 2); re-record the run", j.Meta.SchemaVersion)
 	}
-	for line := 1; sc.Scan(); line++ {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
+	// One slot per line, but never more than the bytes could hold records:
+	// a run of blank lines must not size a huge slice.
+	lines := bytes.Count(rest, []byte{'\n'}) + 1
+	j.Records = make([]Record, 0, min(lines, len(rest)/shortestRecordLine+1))
+	strs := interner{}
+	for line := 2; len(rest) > 0; line++ {
+		var text []byte
+		text, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		if len(bytes.TrimSpace(text)) == 0 {
 			continue
 		}
-		var r Record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			return nil, fmt.Errorf("journal: parse record line %d: %w", line, err)
+		j.Records = append(j.Records, Record{})
+		if err := parseRecord(text, &j.Records[len(j.Records)-1], strs); err != nil {
+			return nil, fmt.Errorf("journal: line %d: %w", line, err)
 		}
-		j.Records = append(j.Records, r)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal: read: %w", err)
 	}
 	return j, nil
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,17 +15,25 @@ import (
 	"weakestfd/internal/net"
 )
 
+// Message records draw inst and type from a fixed vocabulary, as a
+// protocol's do: a handful of names repeated across the whole stream.
+var (
+	sampleInsts = []string{"cons.scn", "reg.xscn.r0", "nbac.scn.inner"}
+	sampleTypes = []string{"prepare", "promise", "accept", "decide", "get.ack"}
+)
+
 // sampleStream synthesizes a plausible trace stream covering every record
-// shape: message, timer and crash events plus grants and exits.
+// shape and field: message, timer and crash events plus grants and exits,
+// including group exits.
 func sampleStream(n int) []net.TraceRecord {
 	var out []net.TraceRecord
 	for i := 0; out == nil || len(out) < n; i++ {
 		out = append(out,
-			net.TraceRecord{Op: net.TraceOpEvent, Kind: net.TraceKindMessage, At: int64(10 * i), Seq: uint64(3 * i), From: uint64(i % 4), To: uint64((i + 1) % 4), Instance: "scn", Type: fmt.Sprintf("m%d", i)},
-			net.TraceRecord{Op: net.TraceOpGrant, Task: uint64(i % 5)},
+			net.TraceRecord{Op: net.TraceOpEvent, Kind: net.TraceKindMessage, At: int64(10 * i), Seq: uint64(3 * i), From: uint64(i % 4), To: uint64((i + 1) % 4), Instance: sampleInsts[i%len(sampleInsts)], Type: sampleTypes[i%len(sampleTypes)], SentAt: int64(10*i - i%7)},
+			net.TraceRecord{Op: net.TraceOpGrant, Task: uint64(i % 5), Proc: uint64(i % 4)},
 			net.TraceRecord{Op: net.TraceOpEvent, Kind: net.TraceKindTimer, At: int64(10*i + 5), Seq: uint64(3*i + 1), Tid: uint64(i)},
 			net.TraceRecord{Op: net.TraceOpEvent, Kind: net.TraceKindCrash, At: int64(10*i + 7), Seq: uint64(3*i + 2), To: uint64(i % 4)},
-			net.TraceRecord{Op: net.TraceOpExit, Task: uint64(i % 5)},
+			net.TraceRecord{Op: net.TraceOpExit, Task: uint64(i % 5), Proc: uint64(i % 4), Group: i%3 == 2},
 		)
 	}
 	return out[:n]
@@ -31,7 +41,7 @@ func sampleStream(n int) []net.TraceRecord {
 
 // capture runs a stream through a recorder and assembles the journal, with
 // the fingerprint computed the way the live digest computes it.
-func capture(t *testing.T, stream []net.TraceRecord, max int) *Journal {
+func capture(t testing.TB, stream []net.TraceRecord, max int) *Journal {
 	t.Helper()
 	rec := NewRecorder(max)
 	h := sha256.New()
@@ -260,5 +270,104 @@ func TestIsPrefix(t *testing.T) {
 	suffix := capture(t, stream, 8)
 	if IsPrefix(long, suffix) || IsPrefix(suffix, short) {
 		t.Fatal("a ring suffix participated in the prefix relation")
+	}
+}
+
+// TestFixtures holds the codec to journals written by the encoding/json
+// codec it replaced, one per protocol family (testdata/*.journal): each
+// decodes and re-encodes to the identical bytes, verifies against its
+// fingerprint, and refolds to the probes captured live. cliutil's
+// TestFixturesReplay re-executes the same files.
+func TestFixtures(t *testing.T) {
+	paths, err := filepath.Glob("testdata/*.journal")
+	if err != nil || len(paths) < 8 {
+		t.Fatalf("want the 8 fixture journals, got %v (%v)", paths, err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		again, err := j.Encode()
+		if err != nil {
+			t.Fatalf("%s: encode: %v", path, err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Errorf("%s: decode → encode is not byte-identity", path)
+		}
+		if err := j.Verify(); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		stream, err := j.RecomputeProbes()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		offline, _ := json.Marshal(stream)
+		live, _ := json.Marshal(j.Meta.Probes.Stream)
+		if !bytes.Equal(offline, live) {
+			t.Errorf("%s: offline probe fold differs from the live capture:\n%s\n%s", path, offline, live)
+		}
+	}
+}
+
+// nonCanonicalLines are record lines that encoding/json would read (or
+// nearly) but Encode never writes. Decode refuses each with its line number.
+var nonCanonicalLines = map[string]string{
+	"reordered key":        `{"op":"G","proc":1,"task":2}`,
+	"unknown key":          `{"op":"G","task":2,"bogus":1}`,
+	"case-folded key":      `{"op":"G","Task":2}`,
+	"duplicate key":        `{"op":"G","task":2,"task":2}`,
+	"space after colon":    `{"op":"G","task": 2}`,
+	"space before brace":   `{"op":"G","task":2 }`,
+	"explicit zero at":     `{"op":"E","kind":"timer","at":0,"seq":1,"tid":1}`,
+	"explicit empty kind":  `{"op":"E","kind":"","at":5,"seq":1}`,
+	"explicit false group": `{"op":"X","task":2,"group":false}`,
+	"leading zero seq":     `{"op":"E","kind":"timer","at":5,"seq":07,"tid":1}`,
+	"negative zero":        `{"op":"E","kind":"timer","at":-0,"seq":1}`,
+	"plus sign":            `{"op":"G","task":+1}`,
+	"negative uint":        `{"op":"G","task":-1}`,
+	"fraction":             `{"op":"G","task":1.0}`,
+	"exponent":             `{"op":"G","task":1e3}`,
+	"uint overflow":        `{"op":"G","task":18446744073709551616}`,
+	"int overflow":         `{"op":"E","kind":"timer","at":9223372036854775808,"seq":1}`,
+	"needless escape":      `{"op":"\u0047","task":2}`,
+	"escaped slash":        `{"op":"E","kind":"message","at":5,"seq":1,"inst":"a\/b","type":"t"}`,
+	"string for number":    `{"op":"G","task":"2"}`,
+	"missing op":           `{"task":2}`,
+	"trailing junk":        `{"op":"G","task":2}x`,
+	"trailing space":       `{"op":"G","task":2} `,
+	"carriage return":      "{\"op\":\"G\",\"task\":2}\r",
+	"truncated":            `{"op":"G","task":2`,
+	"truncated string":     `{"op":"G`,
+	"not an object":        `["G",2]`,
+}
+
+// TestDecodeRefusesNonCanonicalLines: each non-canonical record line, put in
+// place of line 3 of an intact journal, makes Decode fail naming line 3,
+// while blank lines anywhere among the records are still skipped.
+func TestDecodeRefusesNonCanonicalLines(t *testing.T) {
+	data, err := capture(t, sampleStream(6), KeepAll).Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	lines := strings.Split(string(data), "\n")
+	for name, bad := range nonCanonicalLines {
+		mutated := append([]string(nil), lines...)
+		mutated[2] = bad
+		_, err := Decode([]byte(strings.Join(mutated, "\n")))
+		if err == nil || !strings.Contains(err.Error(), "line 3:") {
+			t.Errorf("%s: %s: want an error naming line 3, got %v", name, bad, err)
+		}
+	}
+	blanks := append([]string(nil), lines[:3]...)
+	blanks = append(blanks, "", "  ")
+	blanks = append(blanks, lines[3:]...)
+	j, err := Decode([]byte(strings.Join(blanks, "\n")))
+	if err != nil || len(j.Records) != 6 {
+		t.Fatalf("blank lines not skipped: %v", err)
 	}
 }

@@ -10,7 +10,7 @@
 // (Ω, Σ)-based consensus of internal/consensus on its proposal.
 //
 // The converse construction — extracting Ψ from an arbitrary QC algorithm
-// (Figure 3) — lives in internal/extract. The reduction between QC and NBAC
+// (Figure 3) — is not implemented. The reduction between QC and NBAC
 // (Figures 4 and 5) lives in internal/nbac.
 package qc
 

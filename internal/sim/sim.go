@@ -10,7 +10,8 @@
 //   - The necessity construction of Figure 3 (extracting Ψ from any QC
 //     algorithm) simulates runs of the given algorithm that are compatible
 //     with sampled failure-detector values; that simulation needs exactly
-//     this step-level machinery (internal/extract builds on it).
+//     this step-level machinery. The construction itself is not implemented
+//     yet; this kernel is its intended substrate.
 //   - It doubles as a lightweight model checker: the step-model algorithms in
 //     automata.go are exercised over thousands of seeded random schedules and
 //     crash patterns, checking agreement/validity over many more interleavings
