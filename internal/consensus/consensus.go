@@ -19,6 +19,7 @@ package consensus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -27,7 +28,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
 	"weakestfd/internal/quorum"
-	"weakestfd/internal/trace"
 )
 
 // Value is a proposed or decided value. Values must be comparable with ==
@@ -67,7 +67,6 @@ type BallotConsensus struct {
 	inst    net.Instance
 	omega   fd.Omega
 	guard   quorum.Guard
-	metrics *trace.Metrics
 	poll    time.Duration
 	backoff time.Duration
 
@@ -120,17 +119,13 @@ type attempt struct {
 type Option func(*options)
 
 type options struct {
-	metrics *trace.Metrics
 	poll    time.Duration
 	backoff time.Duration
 }
 
-// WithMetrics attaches a metrics sink (ballots attempted, decisions, ...).
-func WithMetrics(m *trace.Metrics) Option { return func(o *options) { o.metrics = m } }
-
 // WithPollInterval sets how often blocked waits re-evaluate their condition
 // (leadership, quorum coverage). The interval is virtual time on the
-// network's scheduler (Endpoint.NewTicker), so a poll costs no wall-clock
+// network's scheduler (Endpoint.NewPoll), so a poll costs no wall-clock
 // time and each poll step advances the logical clock like any other "nop"
 // step of the paper's model. Default 1ms.
 func WithPollInterval(d time.Duration) Option { return func(o *options) { o.poll = d } }
@@ -140,15 +135,11 @@ func WithPollInterval(d time.Duration) Option { return func(o *options) { o.poll
 // contending leader finish, free in wall-clock terms. Default 2ms.
 func WithBackoff(d time.Duration) Option { return func(o *options) { o.backoff = d } }
 
-// resolveOptions folds the option list into one shared options struct; the
-// default metrics sink is created only when the caller supplied none.
+// resolveOptions folds the option list into one options struct.
 func resolveOptions(opts []Option) *options {
 	o := &options{poll: time.Millisecond, backoff: 2 * time.Millisecond}
 	for _, fn := range opts {
 		fn(o)
-	}
-	if o.metrics == nil {
-		o.metrics = trace.NewMetrics()
 	}
 	return o
 }
@@ -172,7 +163,6 @@ func (c *BallotConsensus) init(ep *net.Endpoint, inst net.Instance, omega fd.Ome
 	c.inst = inst
 	c.omega = omega
 	c.guard = guard
-	c.metrics = o.metrics
 	c.poll = o.poll
 	c.backoff = o.backoff
 	c.promised = -1
@@ -181,9 +171,6 @@ func (c *BallotConsensus) init(ep *net.Endpoint, inst net.Instance, omega fd.Ome
 	c.stop = stop
 	inst.Handle(c)
 }
-
-// Metrics returns the participant's metrics sink.
-func (c *BallotConsensus) Metrics() *trace.Metrics { return c.metrics }
 
 // Stop shuts down the participant: its delivery handler discards everything
 // after the stop signal, and pending Propose calls return. For a participant
@@ -205,74 +192,64 @@ func (c *BallotConsensus) Decision() (Value, bool) {
 // the process crashes. All waiting rides the network's virtual clock, so a
 // blocked Propose costs no wall-clock time.
 func (c *BallotConsensus) Propose(ctx context.Context, v Value) (Value, error) {
-	c.metrics.Inc("propose")
 	// Submit to the step scheduler: if the caller brought no task, the calling
 	// goroutine is adopted for the span of this Propose, so raw-network
 	// callers (benchmarks, package tests) take steps under the same
 	// deterministic discipline as scenario runners.
 	ctx, release := net.AdoptTask(ctx, c.ep, "consensus.propose")
 	defer release()
-	task := net.TaskFrom(ctx)
-	c.waiter.Set(task)
+	c.waiter.Set(net.TaskFrom(ctx))
 	defer c.waiter.Clear()
-	// One poll ticker serves the whole call: the non-leader wait below and
-	// the leader's quorum waits inside awaitAttempt consume the same lease,
-	// so a Propose costs one timer lease however many ballots it leads. The
-	// ticker is stopped around Sleep (which leases its own timer) and at
-	// every exit. The stops are spelled out instead of deferred: a defer
-	// closure over the ticker variable is a heap allocation on every Propose.
-	ticker := c.ep.NewTicker(c.poll)
-	ticker.Bind(task)
-	for {
-		if val, ok := c.Decision(); ok {
-			ticker.Stop()
-			return val, nil
+	// One poll serves the whole call: the non-leader wait below and the
+	// leader's quorum waits inside awaitAttempt share its ticker lease, so a
+	// Propose costs one lease however many ballots it leads. The lease is
+	// released around the backoff Sleep (which leases its own timer) and
+	// taken again after it. Wakes arrive from the acceptor handler (via
+	// waiter), the ticker, and a crash of this process.
+	poll := c.ep.NewPoll(ctx, c.poll)
+	var decision Value
+	err := poll.Until(ctx, func(tick bool) (bool, error) {
+		if tick && c.stopped() {
+			return false, errStopped
 		}
-		if c.omega.Sample() == c.ep.ID() {
-			if val, ok, err := c.lead(ctx, v, ticker); err != nil {
-				ticker.Stop()
-				return nil, err
-			} else if ok {
-				ticker.Stop()
-				return val, nil
+		for {
+			if val, ok := c.Decision(); ok {
+				decision = val
+				return true, nil
+			}
+			if c.omega.Sample() != c.ep.ID() {
+				return false, nil
+			}
+			if val, ok, err := c.lead(ctx, v, &poll); err != nil || ok {
+				decision = val
+				return true, err
 			}
 			// Failed ballot: back off so a contending (old) leader can finish.
-			ticker.Stop()
+			poll.Stop()
 			if err := c.ep.Sleep(ctx, c.backoff); err != nil {
-				return nil, fmt.Errorf("consensus propose: %w", err)
+				return false, err
 			}
-			ticker = c.ep.NewTicker(c.poll)
-			ticker.Bind(task)
-			continue
+			poll = c.ep.NewPoll(ctx, c.poll)
 		}
-		// Condition rechecks around a scheduler park. Wakes arrive from the
-		// acceptor handler (via waiter), the bound ticker, and a crash of this
-		// process.
-		if err := c.ep.Context().Err(); err != nil {
-			ticker.Stop()
-			return nil, fmt.Errorf("consensus propose: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
-			ticker.Stop()
-			return nil, fmt.Errorf("consensus propose: %w", err)
-		}
-		if ticker.TryFire() {
-			// A "nop" step while waiting: advance the logical clock so
-			// time-based detector behaviour (suspicion delays, leadership
-			// changes) makes progress even without message traffic. The stop
-			// signal is re-checked here rather than woken on; the latency cost
-			// is one poll tick, and group Stop leaves the network (and so the
-			// ticker) running.
-			c.ep.Clock().Tick()
-			select {
-			case <-c.stop.ch:
-				ticker.Stop()
-				return nil, fmt.Errorf("consensus propose: participant stopped")
-			default:
-			}
-			continue
-		}
-		task.Await(ctx)
+	})
+	poll.Stop()
+	if err != nil {
+		return nil, fmt.Errorf("consensus propose: %w", err)
+	}
+	return decision, nil
+}
+
+// errStopped is the error of a wait whose participant was stopped. Stop is
+// re-checked on each poll tick rather than woken on: the latency cost is one
+// tick, and a group Stop leaves the network (and so the ticker) running.
+var errStopped = errors.New("participant stopped")
+
+func (c *BallotConsensus) stopped() bool {
+	select {
+	case <-c.stop.ch:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -286,14 +263,13 @@ func (c *BallotConsensus) Run(ctx context.Context, input any) (any, error) {
 // lead runs one ballot as the proposer. It returns (value, true, nil) when a
 // decision was reached, (nil, false, nil) when the ballot was preempted, and
 // an error when the context was cancelled.
-func (c *BallotConsensus) lead(ctx context.Context, proposal Value, ticker *net.Timer) (Value, bool, error) {
-	c.metrics.Inc("ballots")
+func (c *BallotConsensus) lead(ctx context.Context, proposal Value, poll *net.Poll) (Value, bool, error) {
 	ballot := c.nextBallot()
 
 	// Phase 1: prepare.
 	att := c.newAttempt(ballot, msgPrepare)
 	c.inst.BroadcastAux(msgPrepare, int64(ballot), 0, nil)
-	ok, err := c.awaitAttempt(ctx, att, ticker)
+	ok, err := c.awaitAttempt(ctx, att, poll)
 	if err != nil || !ok {
 		c.clearAttempt()
 		return nil, false, err
@@ -312,7 +288,7 @@ func (c *BallotConsensus) lead(ctx context.Context, proposal Value, ticker *net.
 	att2 := c.newAttempt(ballot, msgAccept)
 	att2.valueSent = value
 	c.inst.BroadcastAux(msgAccept, int64(ballot), 0, value)
-	ok, err = c.awaitAttempt(ctx, att2, ticker)
+	ok, err = c.awaitAttempt(ctx, att2, poll)
 	c.clearAttempt()
 	if err != nil || !ok {
 		return nil, false, err
@@ -369,54 +345,28 @@ func (c *BallotConsensus) clearAttempt() {
 }
 
 // awaitAttempt waits until the attempt's acknowledgement set satisfies the
-// quorum guard (true), the attempt is rejected by a higher ballot (false), or
-// the context is cancelled.
-func (c *BallotConsensus) awaitAttempt(ctx context.Context, att *attempt, ticker *net.Timer) (bool, error) {
-	task := net.TaskFrom(ctx)
-	for {
+// quorum guard (true), the attempt is rejected by a higher ballot or another
+// proposer's decision arrives (false), or the wait fails. Poll ticks keep Σ
+// re-evaluation (whose output can shrink as suspicion delays expire) and the
+// logical clock moving while acknowledgements are outstanding.
+func (c *BallotConsensus) awaitAttempt(ctx context.Context, att *attempt, poll *net.Poll) (bool, error) {
+	var satisfied bool
+	err := poll.Until(ctx, func(tick bool) (bool, error) {
+		if tick && c.stopped() {
+			return false, errStopped
+		}
 		// The guard is consulted under the participant's mutex with the live
 		// acknowledgement set: guards only read the set (quorum.Guard's
-		// contract), so the clone the old code took per poll iteration was
-		// pure garbage.
+		// contract), so no clone is taken per recheck.
 		c.mu.Lock()
-		rejected := att.rejected
-		decided := c.decided
-		satisfied := !rejected && !decided && c.guard.Satisfied(att.acked)
-		c.mu.Unlock()
-		if decided {
-			// Someone already decided; the proposer can stop immediately.
-			return false, nil
-		}
-		if rejected {
-			c.metrics.Inc("ballots.preempted")
-			return false, nil
-		}
-		if satisfied {
-			return true, nil
-		}
-		// Park; acknowledgement arrivals (handler-side waiter wakes), ticker
-		// fires and crashes all grant us a recheck step.
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, err)
-		}
-		if err := c.ep.Context().Err(); err != nil {
-			return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, err)
-		}
-		if ticker.TryFire() {
-			// Nop step: keeps Σ re-evaluation (whose output can shrink as
-			// suspicion delays expire) and the logical clock moving while
-			// acknowledgements are outstanding. Stop is re-checked on the
-			// tick instead of woken on, as in Propose.
-			c.ep.Clock().Tick()
-			select {
-			case <-c.stop.ch:
-				return false, fmt.Errorf("consensus ballot %d: participant stopped", att.ballot)
-			default:
-			}
-			continue
-		}
-		task.Await(ctx)
+		defer c.mu.Unlock()
+		satisfied = !att.rejected && !c.decided && c.guard.Satisfied(att.acked)
+		return satisfied || att.rejected || c.decided, nil
+	})
+	if err != nil {
+		return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, err)
 	}
+	return satisfied, nil
 }
 
 // learn records the decision and wakes up waiting Propose calls.
@@ -428,7 +378,6 @@ func (c *BallotConsensus) learn(v Value) {
 	}
 	c.decided = true
 	c.decision = v
-	c.metrics.Inc("decided")
 	c.waiter.Wake()
 }
 
@@ -440,12 +389,9 @@ func (c *BallotConsensus) learn(v Value) {
 // signal; everything it does (mutex-guarded state updates, task wakes, sends
 // and broadcasts, which merely enqueue) is non-blocking, as Handle requires.
 func (c *BallotConsensus) HandleMessage(msg net.Message) {
-	select {
-	case <-c.stop.ch:
-		return
-	default:
+	if !c.stopped() {
+		c.handle(msg)
 	}
-	c.handle(msg)
 }
 
 func (c *BallotConsensus) handle(msg net.Message) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,8 +225,38 @@ func TestBallotConsensusSingleProposer(t *testing.T) {
 	if d, ok := group[0].Decision(); !ok || d != "hello" {
 		t.Fatalf("Decision() = %v, %v", d, ok)
 	}
-	if group[0].Metrics().Get("decided") == 0 {
-		t.Fatalf("decided counter not incremented")
+}
+
+// countingOmega names p0 the leader at every process and counts its samples.
+type countingOmega struct{ samples atomic.Int64 }
+
+func (o *countingOmega) At(model.ProcessID) model.ProcessID {
+	o.samples.Add(1)
+	return 0
+}
+
+// A crashed process takes no step: Propose on an already-crashed Ω-leader
+// returns the crash without sampling Ω or broadcasting a prepare.
+func TestProposeOnCrashedLeaderTakesNoStep(t *testing.T) {
+	nw := net.NewNetwork(3, net.WithSeed(12))
+	defer nw.Close()
+	omega := &countingOmega{}
+	_, sigma := oracles(nw)
+	group := NewOmegaSigmaGroup(nw, "crashed", omega, sigma)
+	defer group.Stop()
+
+	nw.Crash(0)
+	dropped := nw.Metrics().Get("msgs.dropped")
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	if _, err := group[0].Propose(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("propose on crashed leader returned %v, want context.Canceled", err)
+	}
+	if n := omega.samples.Load(); n != 0 {
+		t.Fatalf("crashed proposer sampled Ω %d times, want 0", n)
+	}
+	if d := nw.Metrics().Get("msgs.dropped") - dropped; d != 0 {
+		t.Fatalf("crashed proposer attempted %d sends, want 0", d)
 	}
 }
 

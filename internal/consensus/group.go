@@ -23,10 +23,9 @@ func (g Group) Stop() {
 
 // newGroup allocates the shared machinery and one contiguous slab of
 // participants, wiring each through init with the guard returned by guardAt.
-// Sharing one options struct (and hence one Metrics unless the caller supplied
-// their own) and one stop channel across the group keeps the per-participant
-// setup cost to the struct, its decided channel and the handler registration;
-// the Ω bindings come as one slab whose elements are boxed by pointer, which
+// Sharing one options struct and one stop channel across the group keeps the
+// per-participant setup cost to the struct and the handler registration; the
+// Ω bindings come as one slab whose elements are boxed by pointer, which
 // allocates nothing per participant.
 func newGroup(nw *net.Network, instance string, omega fd.OmegaSource, guardAt func(i int) quorum.Guard, opts []Option) Group {
 	n := nw.N()
@@ -83,16 +82,16 @@ func (g *RegisterGroup) Stop() {
 // NewRegisterConsensusGroup builds the paper's register route for Corollary 2
 // over every process: n single-writer round registers plus one decision
 // register, all implemented from Σ, plus Ω for leadership.
-func NewRegisterConsensusGroup(nw *net.Network, instance string, omega fd.OmegaSource, sigma fd.SigmaSource, regOpts ...register.Option) *RegisterGroup {
+func NewRegisterConsensusGroup(nw *net.Network, instance string, omega fd.OmegaSource, sigma fd.SigmaSource) *RegisterGroup {
 	n := nw.N()
 	g := &RegisterGroup{
 		Participants: make([]*RegisterConsensus, n),
 		regGroups:    make([]register.Group[RoundState], n),
 	}
 	for owner := 0; owner < n; owner++ {
-		g.regGroups[owner] = register.NewSigmaGroup[RoundState](nw, fmt.Sprintf("%s.r%d", instance, owner), sigma, regOpts...)
+		g.regGroups[owner] = register.NewSigmaGroup[RoundState](nw, fmt.Sprintf("%s.r%d", instance, owner), sigma)
 	}
-	g.decGroup = register.NewSigmaGroup[DecisionState](nw, instance+".dec", sigma, regOpts...)
+	g.decGroup = register.NewSigmaGroup[DecisionState](nw, instance+".dec", sigma)
 
 	for i := 0; i < n; i++ {
 		p := model.ProcessID(i)

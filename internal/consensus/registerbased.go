@@ -9,7 +9,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
 	"weakestfd/internal/register"
-	"weakestfd/internal/trace"
 )
 
 // RegisterConsensus solves consensus from Ω and atomic registers — the route
@@ -40,8 +39,6 @@ type RegisterConsensus struct {
 	omega   fd.Omega
 	regs    []*register.Register[RoundState]
 	dec     *register.Register[DecisionState]
-	metrics *trace.Metrics
-	poll    time.Duration
 	maxSeen Ballot
 }
 
@@ -65,25 +62,15 @@ type DecisionState struct {
 // endpoint; the participant's poll pauses ride its virtual clock. If EP is
 // nil it is derived from the process's decision-register replica.
 type RegisterConsensusConfig struct {
-	ID      model.ProcessID
-	EP      *net.Endpoint
-	Omega   fd.Omega
-	Regs    []*register.Register[RoundState]
-	Dec     *register.Register[DecisionState]
-	Metrics *trace.Metrics
-	Poll    time.Duration
+	ID    model.ProcessID
+	EP    *net.Endpoint
+	Omega fd.Omega
+	Regs  []*register.Register[RoundState]
+	Dec   *register.Register[DecisionState]
 }
 
 // NewRegisterConsensus builds the participant from its configuration.
 func NewRegisterConsensus(cfg RegisterConsensusConfig) *RegisterConsensus {
-	m := cfg.Metrics
-	if m == nil {
-		m = trace.NewMetrics()
-	}
-	poll := cfg.Poll
-	if poll == 0 {
-		poll = time.Millisecond
-	}
 	ep := cfg.EP
 	if ep == nil && cfg.Dec != nil {
 		ep = cfg.Dec.Endpoint()
@@ -98,18 +85,12 @@ func NewRegisterConsensus(cfg RegisterConsensusConfig) *RegisterConsensus {
 		omega:   cfg.Omega,
 		regs:    cfg.Regs,
 		dec:     cfg.Dec,
-		metrics: m,
-		poll:    poll,
 		maxSeen: -1,
 	}
 }
 
-// Metrics returns the participant's metrics sink.
-func (c *RegisterConsensus) Metrics() *trace.Metrics { return c.metrics }
-
 // Propose runs the protocol with proposal v and returns the decided value.
 func (c *RegisterConsensus) Propose(ctx context.Context, v Value) (Value, error) {
-	c.metrics.Inc("propose")
 	// Adopt the caller. Every wait below — register Read/Write round-trips
 	// and the poll Sleep — finds the task in the ctx.
 	ctx, release := net.AdoptTask(ctx, c.ep, "consensus.register")
@@ -142,10 +123,10 @@ func (c *RegisterConsensus) Propose(ctx context.Context, v Value) (Value, error)
 	}
 }
 
-// pause is one poll step of virtual time; like every "nop" step it advances
-// the logical clock so detector behaviour keeps making progress.
+// pause is one poll step, 1ms of virtual time; like every "nop" step it
+// advances the logical clock so detector behaviour keeps making progress.
 func (c *RegisterConsensus) pause(ctx context.Context) error {
-	if err := c.ep.Sleep(ctx, c.poll); err != nil {
+	if err := c.ep.Sleep(ctx, time.Millisecond); err != nil {
 		return err
 	}
 	c.ep.Clock().Tick()
@@ -162,7 +143,6 @@ func (c *RegisterConsensus) Run(ctx context.Context, input any) (any, error) {
 // lead runs one ballot; it returns (true, v) on decision and (false, nil) if
 // the ballot was preempted by a higher one.
 func (c *RegisterConsensus) lead(ctx context.Context, proposal Value) (bool, Value, error) {
-	c.metrics.Inc("ballots")
 	b := c.nextBallot()
 	own := c.regs[int(c.id)]
 
@@ -184,7 +164,6 @@ func (c *RegisterConsensus) lead(ctx context.Context, proposal Value) (bool, Val
 	for _, st := range states {
 		if st.MBal > b {
 			c.observe(st.MBal)
-			c.metrics.Inc("ballots.preempted")
 			return false, nil, nil
 		}
 		if st.Has && st.Bal > bestBal {
@@ -204,7 +183,6 @@ func (c *RegisterConsensus) lead(ctx context.Context, proposal Value) (bool, Val
 	for _, st := range states {
 		if st.MBal > b {
 			c.observe(st.MBal)
-			c.metrics.Inc("ballots.preempted")
 			return false, nil, nil
 		}
 	}
@@ -213,7 +191,6 @@ func (c *RegisterConsensus) lead(ctx context.Context, proposal Value) (bool, Val
 	if err := c.dec.Write(ctx, DecisionState{Decided: true, Val: value}); err != nil {
 		return false, nil, fmt.Errorf("register consensus: decision write: %w", err)
 	}
-	c.metrics.Inc("decided")
 	return true, value, nil
 }
 

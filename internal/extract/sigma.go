@@ -26,7 +26,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
 	"weakestfd/internal/register"
-	"weakestfd/internal/trace"
 )
 
 // RegContents is the value the Figure 1 transformation stores in each
@@ -48,7 +47,6 @@ type SigmaExtractor struct {
 	pingInst string
 	pongInst string
 	interval time.Duration
-	metrics  *trace.Metrics
 	hist     *model.History
 
 	mu     sync.Mutex
@@ -81,8 +79,6 @@ type SigmaExtractorConfig struct {
 	// only the most recent samples, so the perpetual Σ clauses would be
 	// checked over a sliding window only.
 	History *model.History
-	// Metrics, if non-nil, counts iterations and pings.
-	Metrics *trace.Metrics
 }
 
 // StartSigmaExtractor starts the transformation at one process. Every process
@@ -93,10 +89,6 @@ func StartSigmaExtractor(cfg SigmaExtractorConfig) *SigmaExtractor {
 	if interval == 0 {
 		interval = time.Millisecond
 	}
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = trace.NewMetrics()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &SigmaExtractor{
 		ep:       cfg.Endpoint,
@@ -104,7 +96,6 @@ func StartSigmaExtractor(cfg SigmaExtractorConfig) *SigmaExtractor {
 		pingInst: "xsigma." + cfg.Instance + ".ping",
 		pongInst: "xsigma." + cfg.Instance + ".pong",
 		interval: interval,
-		metrics:  metrics,
 		hist:     cfg.History,
 		output:   model.AllProcesses(cfg.Endpoint.N()),
 		ctx:      ctx,
@@ -134,9 +125,6 @@ func (e *SigmaExtractor) Rounds() int {
 	defer e.mu.Unlock()
 	return e.rounds
 }
-
-// Metrics returns the extractor's metrics sink.
-func (e *SigmaExtractor) Metrics() *trace.Metrics { return e.metrics }
 
 // Stop terminates the extractor's background tasks.
 func (e *SigmaExtractor) Stop() {
@@ -203,7 +191,6 @@ func (e *SigmaExtractor) run(task *net.Task) {
 		if err != nil {
 			return
 		}
-		e.metrics.Inc("writes")
 		// Line 9: Ei := Ei ∪ {Pi(k)}.
 		sets = append(sets, participants)
 		// Line 10: Fi := Pi(k−1).
@@ -234,7 +221,6 @@ func (e *SigmaExtractor) run(task *net.Task) {
 		if e.hist != nil {
 			e.hist.Record(e.ep.ID(), e.ep.Clock().Now(), trusted.Clone())
 		}
-		e.metrics.Inc("rounds")
 
 		prev = participants
 
@@ -251,7 +237,6 @@ func (e *SigmaExtractor) run(task *net.Task) {
 func (e *SigmaExtractor) selectFrom(ctx context.Context, x model.ProcessSet, token int64, pongs net.Instance) (model.ProcessID, bool) {
 	for _, q := range x.Slice() {
 		e.ep.Send(q, e.pingInst, "ping", pingMsg{Token: token})
-		e.metrics.Inc("pings")
 	}
 	task := net.TaskFrom(ctx)
 	for {

@@ -26,7 +26,7 @@ func (g *Group) Stop() { g.qcGroup.Stop() }
 // Corollary 10: a Ψ-based QC participant (Figure 2) wrapped by the Figure 4
 // transformation with an FS module. This is the sufficiency construction for
 // "(Ψ, FS) solves NBAC in any environment".
-func NewPsiFSGroup(nw *net.Network, instance string, psi fd.PsiSource, fs fd.FSSource, opts ...Option) *Group {
+func NewPsiFSGroup(nw *net.Network, instance string, psi fd.PsiSource, fs fd.FSSource) *Group {
 	qcGroup := qc.NewPsiGroup(nw, instance, psi)
 	g := &Group{
 		Participants: make([]*QCNBAC, nw.N()),
@@ -35,17 +35,17 @@ func NewPsiFSGroup(nw *net.Network, instance string, psi fd.PsiSource, fs fd.FSS
 	for i := 0; i < nw.N(); i++ {
 		ep := nw.Endpoint(model.ProcessID(i))
 		boundFS := fd.BindTo(ep.ID(), fs, nw.Clock())
-		g.Participants[i] = NewQCNBAC(ep, instance, boundFS, qcGroup[i], opts...)
+		g.Participants[i] = NewQCNBAC(ep, instance, boundFS, qcGroup[i])
 	}
 	return g
 }
 
 // NewTwoPCGroup builds the blocking two-phase-commit baseline for every
 // process, with the given coordinator.
-func NewTwoPCGroup(nw *net.Network, instance string, coordinator model.ProcessID, opts ...Option) []*TwoPC {
+func NewTwoPCGroup(nw *net.Network, instance string, coordinator model.ProcessID) []*TwoPC {
 	out := make([]*TwoPC, nw.N())
 	for i := 0; i < nw.N(); i++ {
-		out[i] = NewTwoPC(nw.Endpoint(model.ProcessID(i)), instance, coordinator, opts...)
+		out[i] = NewTwoPC(nw.Endpoint(model.ProcessID(i)), instance, coordinator)
 	}
 	return out
 }
@@ -64,15 +64,15 @@ func (g *QCGroupFromNBAC) Stop() { g.nbacGroup.Stop() }
 // NewQCFromNBACGroup stacks Figure 5 on top of the (Ψ, FS)-based NBAC of
 // NewPsiFSGroup: QC → NBAC → QC, the round trip used by the equivalence
 // tests.
-func NewQCFromNBACGroup(nw *net.Network, instance string, psi fd.PsiSource, fs fd.FSSource, opts ...Option) *QCGroupFromNBAC {
-	nbacGroup := NewPsiFSGroup(nw, instance+".inner", psi, fs, opts...)
+func NewQCFromNBACGroup(nw *net.Network, instance string, psi fd.PsiSource, fs fd.FSSource) *QCGroupFromNBAC {
+	nbacGroup := NewPsiFSGroup(nw, instance+".inner", psi, fs)
 	g := &QCGroupFromNBAC{
 		Participants: make([]*NBACQC, nw.N()),
 		nbacGroup:    nbacGroup,
 	}
 	for i := 0; i < nw.N(); i++ {
 		ep := nw.Endpoint(model.ProcessID(i))
-		g.Participants[i] = NewNBACQC(ep, instance, nbacGroup.Participants[i], opts...)
+		g.Participants[i] = NewNBACQC(ep, instance, nbacGroup.Participants[i])
 	}
 	return g
 }
@@ -104,7 +104,7 @@ func (g *FSEmulationGroup) StopAll() {
 // Successive NBAC instances are created lazily and shared across processes.
 // ctx bounds the whole emulation: cancelling it stops every emulator without
 // requiring a StopAll call.
-func NewFSEmulationGroup(ctx context.Context, nw *net.Network, instance string, psi fd.PsiSource, fs fd.FSSource, interval time.Duration, opts ...Option) *FSEmulationGroup {
+func NewFSEmulationGroup(ctx context.Context, nw *net.Network, instance string, psi fd.PsiSource, fs fd.FSSource, interval time.Duration) *FSEmulationGroup {
 	g := &FSEmulationGroup{instances: make(map[int]*Group)}
 
 	factory := func(p int) func(k int) Protocol {
@@ -113,7 +113,7 @@ func NewFSEmulationGroup(ctx context.Context, nw *net.Network, instance string, 
 			defer g.mu.Unlock()
 			grp, ok := g.instances[k]
 			if !ok {
-				grp = NewPsiFSGroup(nw, fmt.Sprintf("%s.%d", instance, k), psi, fs, opts...)
+				grp = NewPsiFSGroup(nw, fmt.Sprintf("%s.%d", instance, k), psi, fs)
 				g.instances[k] = grp
 			}
 			return grp.Participants[p]

@@ -26,7 +26,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
 	"weakestfd/internal/qc"
-	"weakestfd/internal/trace"
 )
 
 // Vote is a process's NBAC vote.
@@ -74,51 +73,14 @@ type QCNBAC struct {
 	instance string
 	fs       fd.FS
 	qc       qc.QC
-	poll     time.Duration
-	metrics  *trace.Metrics
-}
-
-// Option configures the NBAC participants in this package.
-type Option func(*options)
-
-type options struct {
-	poll    time.Duration
-	metrics *trace.Metrics
-}
-
-// WithPollInterval sets how often blocked waits re-sample the failure
-// detector. The interval is virtual time on the network's scheduler, so a
-// blocked wait costs no wall-clock time. Default 1ms.
-func WithPollInterval(d time.Duration) Option { return func(o *options) { o.poll = d } }
-
-// WithMetrics attaches a metrics sink.
-func WithMetrics(m *trace.Metrics) Option { return func(o *options) { o.metrics = m } }
-
-func buildOptions(opts []Option) options {
-	o := options{poll: time.Millisecond, metrics: trace.NewMetrics()}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
 }
 
 // NewQCNBAC creates the Figure 4 participant for the process behind ep: votes
 // are exchanged under the given instance name, failures are observed through
 // fs, and the agreement step delegates to the supplied QC instance.
-func NewQCNBAC(ep *net.Endpoint, instance string, fs fd.FS, quittable qc.QC, opts ...Option) *QCNBAC {
-	o := buildOptions(opts)
-	return &QCNBAC{
-		ep:       ep,
-		instance: "nbac." + instance,
-		fs:       fs,
-		qc:       quittable,
-		poll:     o.poll,
-		metrics:  o.metrics,
-	}
+func NewQCNBAC(ep *net.Endpoint, instance string, fs fd.FS, quittable qc.QC) *QCNBAC {
+	return &QCNBAC{ep: ep, instance: "nbac." + instance, fs: fs, qc: quittable}
 }
-
-// Metrics returns the participant's metrics sink.
-func (a *QCNBAC) Metrics() *trace.Metrics { return a.metrics }
 
 type voteMsg struct {
 	Vote Vote
@@ -126,56 +88,47 @@ type voteMsg struct {
 
 // Vote runs Figure 4 with vote v and returns Commit or Abort.
 func (a *QCNBAC) Vote(ctx context.Context, v Vote) (Outcome, error) {
-	a.metrics.Inc("vote")
 	// Adopt the caller so the vote wait and the embedded QC step run as
 	// scheduler tasks (a no-op when the ctx already carries a task,
 	// e.g. when the FS emulation drives successive instances from one task).
 	ctx, release := net.AdoptTask(ctx, a.ep, "nbac.vote")
 	defer release()
-	task := net.TaskFrom(ctx)
 
 	// Line 1: send the vote to all.
 	a.ep.Broadcast(a.instance, "vote", voteMsg{Vote: v})
 
-	// Line 2: wait until either every process's vote arrived or FS is red.
+	// Line 2: wait until either every process's vote arrived or FS is red,
+	// re-sampling FS every 1ms of virtual time. Each poll tick is a "nop"
+	// step that advances the logical clock, so time-based detector behaviour
+	// (e.g. detection delays) makes progress even without message traffic.
 	votes := make(map[model.ProcessID]Vote, a.ep.N())
-	ticker := a.ep.NewTicker(a.poll)
-	ticker.Bind(task)
-	defer ticker.Stop()
 	sawRed := false
 	in := a.ep.Instance(a.instance)
-	in.Watch(task)
+	in.Watch(net.TaskFrom(ctx))
 	defer in.Watch(nil)
-	for len(votes) < a.ep.N() {
-		if a.fs.Sample() == model.Red {
-			sawRed = true
-			break
-		}
-		if msg, ok := in.TryRecv(); ok {
+	poll := a.ep.NewPoll(ctx, time.Millisecond)
+	err := poll.Until(ctx, func(bool) (bool, error) {
+		for len(votes) < a.ep.N() {
+			if a.fs.Sample() == model.Red {
+				sawRed = true
+				return true, nil
+			}
+			msg, ok := in.TryRecv()
+			if !ok {
+				return false, nil
+			}
 			if msg.Type == "vote" {
 				votes[msg.From] = msg.Payload.(voteMsg).Vote
 			}
-			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return Abort, fmt.Errorf("nbac vote: %w", err)
-		}
-		if err := a.ep.Context().Err(); err != nil {
-			return Abort, fmt.Errorf("nbac vote: %w", err)
-		}
-		if ticker.TryFire() {
-			// A "nop" step while waiting; advance the logical clock so
-			// time-based detector behaviour (e.g. detection delays) makes
-			// progress even without message traffic.
-			a.ep.Clock().Tick()
-		} else {
-			task.Await(ctx)
-		}
+		return true, nil
+	})
+	// Release the lease before blocking in the QC step, whose waits ride
+	// their own poll.
+	poll.Stop()
+	if err != nil {
+		return Abort, fmt.Errorf("nbac vote: %w", err)
 	}
-
-	// The vote wait is over; release the ticker before blocking in the QC
-	// step, whose waits ride their own timers.
-	ticker.Stop()
 
 	// Lines 3-6: propose 1 only if every vote arrived and all are Yes.
 	proposal := 0
@@ -200,10 +153,8 @@ func (a *QCNBAC) Vote(ctx context.Context, v Vote) (Outcome, error) {
 
 	// Lines 8-11: Commit only on a (non-Quit) decision of 1.
 	if !d.Quit && d.Value == 1 {
-		a.metrics.Inc("decided.commit")
 		return Commit, nil
 	}
-	a.metrics.Inc("decided.abort")
 	return Abort, nil
 }
 
@@ -236,26 +187,14 @@ type NBACQC struct {
 	ep       *net.Endpoint
 	instance string
 	nbac     Protocol
-	poll     time.Duration
-	metrics  *trace.Metrics
 }
 
 // NewNBACQC creates the Figure 5 participant for the process behind ep:
 // proposals are exchanged under the given instance name and the commit step
 // delegates to the supplied NBAC protocol.
-func NewNBACQC(ep *net.Endpoint, instance string, nbac Protocol, opts ...Option) *NBACQC {
-	o := buildOptions(opts)
-	return &NBACQC{
-		ep:       ep,
-		instance: "nbacqc." + instance,
-		nbac:     nbac,
-		poll:     o.poll,
-		metrics:  o.metrics,
-	}
+func NewNBACQC(ep *net.Endpoint, instance string, nbac Protocol) *NBACQC {
+	return &NBACQC{ep: ep, instance: "nbacqc." + instance, nbac: nbac}
 }
-
-// Metrics returns the participant's metrics sink.
-func (q *NBACQC) Metrics() *trace.Metrics { return q.metrics }
 
 type proposalMsg struct {
 	Value int
@@ -263,7 +202,6 @@ type proposalMsg struct {
 
 // Propose runs Figure 5 with proposal v (which must be an int).
 func (q *NBACQC) Propose(ctx context.Context, v qc.Value) (qc.Decision, error) {
-	q.metrics.Inc("propose")
 	value, ok := v.(int)
 	if !ok {
 		return qc.Decision{}, fmt.Errorf("nbac-based qc: proposal must be int, got %T", v)
@@ -284,7 +222,6 @@ func (q *NBACQC) Propose(ctx context.Context, v qc.Value) (qc.Decision, error) {
 	// Lines 3-4: Abort means a failure occurred (everyone voted Yes), so Quit
 	// is a legitimate QC decision.
 	if outcome == Abort {
-		q.metrics.Inc("decided.quit")
 		return qc.Decision{Quit: true}, nil
 	}
 
@@ -318,7 +255,6 @@ func (q *NBACQC) Propose(ctx context.Context, v qc.Value) (qc.Decision, error) {
 			first = false
 		}
 	}
-	q.metrics.Inc("decided.value")
 	return qc.Decision{Value: smallest}, nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
-	"weakestfd/internal/trace"
 )
 
 // TwoPC is the classical blocking two-phase commit: every participant sends
@@ -23,23 +22,13 @@ type TwoPC struct {
 	ep          *net.Endpoint
 	instance    string
 	coordinator model.ProcessID
-	metrics     *trace.Metrics
 }
 
 // NewTwoPC creates the participant for the process behind ep, with the given
 // fixed coordinator.
-func NewTwoPC(ep *net.Endpoint, instance string, coordinator model.ProcessID, opts ...Option) *TwoPC {
-	o := buildOptions(opts)
-	return &TwoPC{
-		ep:          ep,
-		instance:    "twopc." + instance,
-		coordinator: coordinator,
-		metrics:     o.metrics,
-	}
+func NewTwoPC(ep *net.Endpoint, instance string, coordinator model.ProcessID) *TwoPC {
+	return &TwoPC{ep: ep, instance: "twopc." + instance, coordinator: coordinator}
 }
-
-// Metrics returns the participant's metrics sink.
-func (t *TwoPC) Metrics() *trace.Metrics { return t.metrics }
 
 type twopcDecision struct {
 	Outcome Outcome
@@ -49,7 +38,6 @@ type twopcDecision struct {
 // if any process crashes at an inconvenient time — that is the point of the
 // baseline.
 func (t *TwoPC) Vote(ctx context.Context, v Vote) (Outcome, error) {
-	t.metrics.Inc("vote")
 	// Adopt the caller. Blocking forever on a crashed peer is the point of the
 	// baseline; a parked task that is never woken again simply stays quiescent
 	// until the run's deadline escapes it.

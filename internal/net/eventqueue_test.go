@@ -162,21 +162,6 @@ func (h *pausingHandler) HandleMessage(Message) {
 	}
 }
 
-// Crash on a network constructed without WithLog must not panic: the log
-// field is a nil *trace.Log, whose Append is a documented no-op. Regression
-// test for the nil-receiver path.
-func TestCrashWithoutLogDoesNotPanic(t *testing.T) {
-	nw := NewNetwork(2) // note: no WithLog
-	defer nw.Close()
-	nw.Crash(1)
-	if !nw.Crashed(1) {
-		t.Fatalf("crash not recorded")
-	}
-	if !nw.Pattern().Faulty().Contains(1) {
-		t.Fatalf("crash missing from failure pattern")
-	}
-}
-
 // The mailbox ring must wrap, grow, and preserve FIFO across both, with
 // consumed slots released.
 func TestMailboxRingWrapsAndGrows(t *testing.T) {

@@ -85,12 +85,6 @@ func WithMetrics(m *trace.Metrics) Option {
 	return func(n *Network) { n.metrics = m }
 }
 
-// WithLog attaches an event log; the network records crashes into it. Without
-// it the network's log is nil, which trace.Log accepts and discards.
-func WithLog(l *trace.Log) Option {
-	return func(n *Network) { n.log = l }
-}
-
 // WithTraceRecorder attaches rec to the step scheduler's trace stream: every
 // record the trace digest hashes (events, grants, exits — see TraceRecord) is
 // also passed to rec, in hash order, while a trace group is armed. The
@@ -109,7 +103,6 @@ type Network struct {
 	clock    *Clock
 	pattern  *model.FailurePattern
 	metrics  *trace.Metrics
-	log      *trace.Log
 	minDelay time.Duration
 	maxDelay time.Duration
 	seed     int64
@@ -238,9 +231,7 @@ func (nw *Network) Crash(p model.ProcessID) {
 	if ep.crashed.Swap(true) {
 		return
 	}
-	t := nw.clock.Tick()
-	nw.pattern.Crash(p, t)
-	nw.log.Append(t, p, "crash", "process crashed")
+	nw.pattern.Crash(p, nw.clock.Tick())
 	nw.cCrashes.Inc()
 	ep.ctx.cancel()
 	ep.stopTimers()

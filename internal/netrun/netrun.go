@@ -19,6 +19,11 @@ import (
 // process; internal/fd's bound modules can be adapted with a closure.
 type Detector func() any
 
+// lambdaPeriod is the virtual-time pause between λ steps when no message is
+// pending. The pause costs no wall-clock time: the loop parks on the
+// scheduler and wakes the moment no earlier event exists.
+const lambdaPeriod = 500 * time.Microsecond
+
 // Runner executes one process's side of a step-model algorithm over the
 // network.
 type Runner struct {
@@ -27,35 +32,23 @@ type Runner struct {
 	Automaton sim.Automaton
 	Detector  Detector
 	Input     any
-	// Poll is the virtual-time pause between steps when no message is pending
-	// (a λ step is taken on each poll). Default 500µs. The pause costs no
-	// wall-clock time: the λ ticker rides the network's event queue, so the
-	// loop parks on the scheduler and wakes the moment no earlier event
-	// exists, instead of sleep-polling.
-	Poll time.Duration
 }
 
 // Run executes steps until the automaton produces an output, the context is
 // cancelled, or the process crashes. Every process of the system must run a
 // Runner with the same Instance for messages to flow.
 func (r *Runner) Run(ctx context.Context) (any, error) {
-	poll := r.Poll
-	if poll == 0 {
-		poll = 500 * time.Microsecond
-	}
 	instance := "netrun." + r.Instance
 	ep := r.Endpoint
 	// Adopt the caller so the message/λ-step loop below runs as a scheduler
 	// task.
 	ctx, release := net.AdoptTask(ctx, ep, "netrun.run")
 	defer release()
-	task := net.TaskFrom(ctx)
 	stepCtx := sim.StepContext{Self: ep.ID(), N: ep.N()}
 	state := r.Automaton.InitialState(ep.ID(), ep.N(), r.Input)
 
-	ticker := ep.NewTicker(poll)
-	ticker.Bind(task)
-	defer ticker.Stop()
+	poll := ep.NewPoll(ctx, lambdaPeriod)
+	defer poll.Stop()
 
 	dispatch := func(msg *sim.Message) {
 		var fdVal any
@@ -70,35 +63,34 @@ func (r *Runner) Run(ctx context.Context) (any, error) {
 	}
 
 	in := ep.Instance(instance)
-	in.Watch(task)
+	in.Watch(net.TaskFrom(ctx))
 	defer in.Watch(nil)
-	for {
-		if v, ok := r.Automaton.Output(state); ok {
-			return v, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), err)
-		}
-		if err := ep.Context().Err(); err != nil {
-			return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), err)
+	var output any
+	err := poll.Until(ctx, func(tick bool) (bool, error) {
+		if tick {
+			// λ step: lets detector-driven transitions (leadership, quorum
+			// re-evaluation) make progress without message traffic.
+			dispatch(nil)
 		}
 		// Pending messages take priority over λ steps: a λ step models "no
-		// message available".
-		if msg, ok := in.TryRecv(); ok {
+		// message available", so the mailbox is drained before the next one.
+		for {
+			if v, ok := r.Automaton.Output(state); ok {
+				output = v
+				return true, nil
+			}
+			msg, ok := in.TryRecv()
+			if !ok {
+				return false, nil
+			}
 			m := msg.Payload.(sim.Message)
 			dispatch(&m)
-			continue
 		}
-		if ticker.TryFire() {
-			// λ step: lets detector-driven transitions (leadership, quorum
-			// re-evaluation) make progress without message traffic, and
-			// advances the logical clock like any step.
-			ep.Clock().Tick()
-			dispatch(nil)
-			continue
-		}
-		task.Await(ctx)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("netrun %s at %v: %w", r.Instance, ep.ID(), err)
 	}
+	return output, nil
 }
 
 // RunWith executes a copy of the runner with input as its per-run input — the
@@ -113,7 +105,7 @@ func (r *Runner) RunWith(ctx context.Context, input any) (any, error) {
 // RunAll runs the automaton at every process of the network concurrently and
 // returns the outputs of the processes that produced one (crashed processes
 // are omitted). inputs[i] is process i's input.
-func RunAll(ctx context.Context, nw *net.Network, instance string, a sim.Automaton, detectors []Detector, inputs []any, poll time.Duration) (map[model.ProcessID]any, error) {
+func RunAll(ctx context.Context, nw *net.Network, instance string, a sim.Automaton, detectors []Detector, inputs []any) (map[model.ProcessID]any, error) {
 	type result struct {
 		p   model.ProcessID
 		out any
@@ -130,7 +122,7 @@ func RunAll(ctx context.Context, nw *net.Network, instance string, a sim.Automat
 		if i < len(inputs) {
 			input = inputs[i]
 		}
-		r := &Runner{Endpoint: nw.Endpoint(p), Instance: instance, Automaton: a, Detector: det, Input: input, Poll: poll}
+		r := &Runner{Endpoint: nw.Endpoint(p), Instance: instance, Automaton: a, Detector: det, Input: input}
 		go func() {
 			out, err := r.Run(ctx)
 			ch <- result{p: p, out: out, err: err}

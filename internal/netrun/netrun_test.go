@@ -33,7 +33,7 @@ func TestRunAllConsensusAutomaton(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	outputs, err := RunAll(ctx, nw, "cons", sim.ConsensusAutomaton{}, omegaSigmaDetectors(nw), []any{10, 20, 30}, 0)
+	outputs, err := RunAll(ctx, nw, "cons", sim.ConsensusAutomaton{}, omegaSigmaDetectors(nw), []any{10, 20, 30})
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestRunAllConsensusAutomatonWithCrash(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	outputs, err := RunAll(ctx, nw, "crash", sim.ConsensusAutomaton{}, omegaSigmaDetectors(nw), []any{1, 2, 3, 4}, 0)
+	outputs, err := RunAll(ctx, nw, "crash", sim.ConsensusAutomaton{}, omegaSigmaDetectors(nw), []any{1, 2, 3, 4})
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestRunAllQCAutomatonQuits(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	outputs, err := RunAll(ctx, nw, "qc", sim.QCAutomaton{}, detectors, []any{0, 1, 0}, 0)
+	outputs, err := RunAll(ctx, nw, "qc", sim.QCAutomaton{}, detectors, []any{0, 1, 0})
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}

@@ -24,7 +24,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
 	"weakestfd/internal/quorum"
-	"weakestfd/internal/trace"
 )
 
 // Value is a proposed or decided (non-Quit) value; it must be comparable.
@@ -54,102 +53,47 @@ type QC interface {
 
 // PsiQC is the algorithm of Figure 2: quittable consensus from Ψ.
 type PsiQC struct {
-	ep      *net.Endpoint
-	psi     fd.Psi
-	cons    *consensus.BallotConsensus
-	poll    time.Duration
-	metrics *trace.Metrics
-}
-
-// Option configures a PsiQC participant.
-type Option func(*pqcOptions)
-
-type pqcOptions struct {
-	poll    time.Duration
-	metrics *trace.Metrics
-	consOps []consensus.Option
-}
-
-// WithPollInterval sets how often the ⊥-wait of line 1 of Figure 2 re-samples
-// Ψ. The interval is virtual time on the network's scheduler, so the wait
-// costs no wall-clock time. Default 1ms.
-func WithPollInterval(d time.Duration) Option { return func(o *pqcOptions) { o.poll = d } }
-
-// WithMetrics attaches a metrics sink.
-func WithMetrics(m *trace.Metrics) Option { return func(o *pqcOptions) { o.metrics = m } }
-
-// WithConsensusOptions forwards options to the embedded (Ω, Σ) consensus
-// participant.
-func WithConsensusOptions(opts ...consensus.Option) Option {
-	return func(o *pqcOptions) { o.consOps = opts }
+	ep   *net.Endpoint
+	psi  fd.Psi
+	cons *consensus.BallotConsensus
 }
 
 // NewPsiQC creates the participant for the process behind ep in the QC
 // instance named by instance, using psi as its local Ψ module. The embedded
 // consensus participant extracts its Ω and Σ from Ψ's (Ω, Σ) regime, exactly
 // as line 6 of Figure 2 prescribes.
-func NewPsiQC(ep *net.Endpoint, instance string, psi fd.Psi, opts ...Option) *PsiQC {
-	o := pqcOptions{poll: time.Millisecond, metrics: trace.NewMetrics()}
-	for _, fn := range opts {
-		fn(&o)
-	}
+func NewPsiQC(ep *net.Endpoint, instance string, psi fd.Psi) *PsiQC {
 	shared := psiOmegaSigma{self: ep.ID(), n: ep.N(), psi: psi}
-	cons := consensus.NewBallotConsensus(ep, "qc."+instance, psiOmega{shared}, quorum.SigmaGuard{Source: psiSigma{shared}}, o.consOps...)
-	return &PsiQC{
-		ep:      ep,
-		psi:     psi,
-		cons:    cons,
-		poll:    o.poll,
-		metrics: o.metrics,
-	}
+	cons := consensus.NewBallotConsensus(ep, "qc."+instance, psiOmega{shared}, quorum.SigmaGuard{Source: psiSigma{shared}})
+	return &PsiQC{ep: ep, psi: psi, cons: cons}
 }
-
-// Metrics returns the participant's metrics sink.
-func (q *PsiQC) Metrics() *trace.Metrics { return q.metrics }
 
 // Stop shuts down the embedded consensus participant.
 func (q *PsiQC) Stop() { q.cons.Stop() }
 
 // Propose runs Figure 2 with proposal v.
 func (q *PsiQC) Propose(ctx context.Context, v Value) (Decision, error) {
-	q.metrics.Inc("propose")
 	ctx, release := net.AdoptTask(ctx, q.ep, "qc.propose")
 	defer release()
-	task := net.TaskFrom(ctx)
-	ticker := q.ep.NewTicker(q.poll)
-	ticker.Bind(task)
-	defer ticker.Stop()
 
-	// Line 1: wait until Ψ leaves ⊥. Each iteration is a "nop" step of the
-	// paper's Figure 2, and like every step it advances the global logical
-	// clock (the runtime otherwise only ticks on message activity). A crashed
-	// process takes no step, so the crash check comes before the sample: a
-	// process that is already down when Ψ has switched must not fall through
-	// to a decision.
-	for {
-		if err := q.ep.Context().Err(); err != nil {
-			return Decision{}, fmt.Errorf("qc propose: %w", err)
-		}
-		val := q.psi.Sample()
-		if val.Phase != model.PsiBottom {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return Decision{}, fmt.Errorf("qc propose: %w", err)
-		}
-		if ticker.TryFire() {
-			q.ep.Clock().Tick()
-		} else {
-			task.Await(ctx)
-		}
+	// Line 1: wait until Ψ leaves ⊥, re-sampling every 1ms of virtual time.
+	// Each poll tick is a "nop" step of Figure 2 and, like every step,
+	// advances the global logical clock. The poll's crash check comes before
+	// the sample: a process that is already down when Ψ has switched must not
+	// fall through to a decision.
+	poll := q.ep.NewPoll(ctx, time.Millisecond)
+	err := poll.Until(ctx, func(bool) (bool, error) {
+		return q.psi.Sample().Phase != model.PsiBottom, nil
+	})
+	// Release the lease before blocking in the embedded consensus, whose
+	// waits ride their own poll.
+	poll.Stop()
+	if err != nil {
+		return Decision{}, fmt.Errorf("qc propose: %w", err)
 	}
-	// The ⊥-wait is over; release the ticker before blocking in the embedded
-	// consensus, whose waits ride their own timers.
-	ticker.Stop()
 
 	// Lines 2-4: if Ψ behaves like FS, a failure has occurred; return Quit.
 	if q.psi.Sample().Phase == model.PsiFS {
-		q.metrics.Inc("decided.quit")
 		return Decision{Quit: true}, nil
 	}
 
@@ -158,7 +102,6 @@ func (q *PsiQC) Propose(ctx context.Context, v Value) (Decision, error) {
 	if err != nil {
 		return Decision{}, fmt.Errorf("qc propose: %w", err)
 	}
-	q.metrics.Inc("decided.value")
 	return Decision{Value: d}, nil
 }
 
@@ -227,12 +170,12 @@ func (g Group) Stop() {
 
 // NewPsiGroup builds a QC participant for every process of the network, each
 // bound to its module of the system-wide Ψ source.
-func NewPsiGroup(nw *net.Network, instance string, psi fd.PsiSource, opts ...Option) Group {
+func NewPsiGroup(nw *net.Network, instance string, psi fd.PsiSource) Group {
 	g := make(Group, nw.N())
 	for i := 0; i < nw.N(); i++ {
 		ep := nw.Endpoint(model.ProcessID(i))
 		bound := fd.BindTo(ep.ID(), psi, nw.Clock())
-		g[i] = NewPsiQC(ep, instance, bound, opts...)
+		g[i] = NewPsiQC(ep, instance, bound)
 	}
 	return g
 }

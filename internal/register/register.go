@@ -38,7 +38,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
 	"weakestfd/internal/quorum"
-	"weakestfd/internal/trace"
 )
 
 // Timestamp orders writes: sequence number first, writer id as tie-break, so
@@ -98,8 +97,6 @@ type Register[V any] struct {
 	ep       *net.Endpoint
 	instance string
 	guard    quorum.Guard
-	metrics  *trace.Metrics
-	poll     time.Duration
 
 	mu    sync.Mutex
 	ts    Timestamp
@@ -121,43 +118,15 @@ type pending[V any] struct {
 	waiter  net.TaskWaiter // client task parked in await
 }
 
-// Option configures a Register.
-type Option func(*options)
-
-type options struct {
-	metrics *trace.Metrics
-	poll    time.Duration
-}
-
-// WithMetrics attaches a metrics sink counting operations and phases.
-func WithMetrics(m *trace.Metrics) Option {
-	return func(o *options) { o.metrics = m }
-}
-
-// WithPollInterval sets how often a blocked phase re-evaluates its quorum
-// guard even without new acknowledgements (needed with Σ, whose output can
-// change over time). The interval is virtual time on the network's scheduler
-// (Endpoint.NewTicker): re-evaluation costs no wall-clock time, and each poll
-// step advances the logical clock like any "nop" step. The default is 1ms.
-func WithPollInterval(d time.Duration) Option {
-	return func(o *options) { o.poll = d }
-}
-
 // New creates the register replica and client handle for the process behind
 // ep, joining the replica group identified by instance. The guard decides
 // when a phase has gathered enough acknowledgements: quorum.MajorityGuard for
 // the classical ABD protocol, quorum.SigmaGuard for the Σ-based one.
-func New[V any](ep *net.Endpoint, instance string, guard quorum.Guard, opts ...Option) *Register[V] {
-	o := options{metrics: trace.NewMetrics(), poll: time.Millisecond}
-	for _, fn := range opts {
-		fn(&o)
-	}
+func New[V any](ep *net.Endpoint, instance string, guard quorum.Guard) *Register[V] {
 	r := &Register[V]{
 		ep:       ep,
 		instance: "reg." + instance,
 		guard:    guard,
-		metrics:  o.metrics,
-		poll:     o.poll,
 		ts:       Timestamp{Seq: 0, Writer: -1},
 		pend:     make(map[int64]*pending[V]),
 		stop:     make(chan struct{}),
@@ -166,9 +135,6 @@ func New[V any](ep *net.Endpoint, instance string, guard quorum.Guard, opts ...O
 	r.task = ep.Network().Go(ep, "register.replica", r.run)
 	return r
 }
-
-// Metrics returns the register's metrics sink.
-func (r *Register[V]) Metrics() *trace.Metrics { return r.metrics }
 
 // Endpoint returns the network endpoint this replica runs on.
 func (r *Register[V]) Endpoint() *net.Endpoint { return r.ep }
@@ -274,42 +240,36 @@ func (r *Register[V]) dropPending(id int64) {
 }
 
 // await blocks until the guard is satisfied by the phase's acknowledgement
-// set, the context is cancelled, or the process crashes. It returns the
-// acknowledging set on success.
+// set, the context is cancelled, the replica stops, or the process crashes.
+// It returns the acknowledging set on success. Between acknowledgement
+// arrivals (the replica task's handler wakes us through the pending's
+// waiter) the guard is re-evaluated every 1ms of virtual time, since Σ's
+// output can change without new acknowledgements; each poll tick is a nop
+// step that keeps the logical clock, and with it Σ's suspicion horizon,
+// moving.
 func (r *Register[V]) await(ctx context.Context, p *pending[V]) (model.ProcessSet, error) {
-	task := net.TaskFrom(ctx)
-	p.waiter.Set(task)
-	ticker := r.ep.NewTicker(r.poll)
-	ticker.Bind(task)
-	defer ticker.Stop()
-	for {
+	p.waiter.Set(net.TaskFrom(ctx))
+	poll := r.ep.NewPoll(ctx, time.Millisecond)
+	defer poll.Stop()
+	var acked model.ProcessSet
+	err := poll.Until(ctx, func(bool) (bool, error) {
 		r.mu.Lock()
-		acked := p.acked.Clone()
+		acked = p.acked.Clone()
 		r.mu.Unlock()
 		if r.guard.Satisfied(acked) {
-			return acked, nil
-		}
-		// Park between acknowledgement arrivals; the replica task's handler
-		// wakes us through the pending's waiter.
-		if err := ctx.Err(); err != nil {
-			return model.NewProcessSet(), err
-		}
-		if err := r.ep.Context().Err(); err != nil {
-			return model.NewProcessSet(), err
+			return true, nil
 		}
 		select {
 		case <-r.stop:
-			return model.NewProcessSet(), context.Canceled
+			return false, context.Canceled
 		default:
+			return false, nil
 		}
-		if ticker.TryFire() {
-			// Nop step: keeps the logical clock (and with it Σ's suspicion
-			// horizon) moving while acknowledgements are outstanding.
-			r.ep.Clock().Tick()
-			continue
-		}
-		task.Await(ctx)
+	})
+	if err != nil {
+		return model.NewProcessSet(), err
 	}
+	return acked, nil
 }
 
 // queryPhase broadcasts a get request and waits for a quorum of replies,
@@ -317,7 +277,6 @@ func (r *Register[V]) await(ctx context.Context, p *pending[V]) (model.ProcessSe
 func (r *Register[V]) queryPhase(ctx context.Context) (Timestamp, V, model.ProcessSet, error) {
 	id, p := r.newPending()
 	defer r.dropPending(id)
-	r.metrics.Inc("phases.query")
 	r.ep.Broadcast(r.instance, msgGet, getReq{Op: id})
 	acked, err := r.await(ctx, p)
 	if err != nil {
@@ -335,7 +294,6 @@ func (r *Register[V]) queryPhase(ctx context.Context) (Timestamp, V, model.Proce
 func (r *Register[V]) storePhase(ctx context.Context, ts Timestamp, val V) (model.ProcessSet, error) {
 	id, p := r.newPending()
 	defer r.dropPending(id)
-	r.metrics.Inc("phases.store")
 	r.ep.Broadcast(r.instance, msgSet, setReq[V]{Op: id, Ts: ts, Val: val})
 	return r.await(ctx, p)
 }
@@ -344,7 +302,6 @@ func (r *Register[V]) storePhase(ctx context.Context, ts Timestamp, val V) (mode
 // quorum and writes it back to a quorum before returning, so that any later
 // read observes a value at least as fresh.
 func (r *Register[V]) Read(ctx context.Context) (V, error) {
-	r.metrics.Inc("ops.read")
 	ctx, release := net.AdoptTask(ctx, r.ep, "register.read")
 	defer release()
 	ts, val, _, err := r.queryPhase(ctx)
@@ -396,7 +353,6 @@ func (r *Register[V]) Run(ctx context.Context, input any) (any, error) {
 // later read served entirely by other processes could miss the value, which
 // the quorum intersection property forbids).
 func (r *Register[V]) WriteTracked(ctx context.Context, val V) (model.ProcessSet, error) {
-	r.metrics.Inc("ops.write")
 	ctx, release := net.AdoptTask(ctx, r.ep, "register.write")
 	defer release()
 	ts, _, queryAcks, err := r.queryPhase(ctx)

@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"weakestfd/internal/fd"
 	"weakestfd/internal/model"
@@ -29,8 +28,6 @@ type Automaton struct {
 	QC bool
 	// Inputs overrides the per-process inputs (default: process i gets i).
 	Inputs []any
-	// Poll is the λ-step pause; netrun's default applies when zero.
-	Poll time.Duration
 }
 
 // Name implements Protocol.
@@ -90,7 +87,6 @@ func (a Automaton) Setup(cl *Cluster) (*Instance, error) {
 			Instance:  cl.Instance,
 			Automaton: a.Algorithm,
 			Detector:  det,
-			Poll:      a.Poll,
 		}}
 		if i < len(a.Inputs) {
 			inst.Inputs[i] = a.Inputs[i]

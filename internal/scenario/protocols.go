@@ -157,8 +157,6 @@ type QC struct {
 	// Proposals overrides the per-process proposals (default: process i
 	// proposes i).
 	Proposals []any
-	// Options is forwarded to the participants.
-	Options []qc.Option
 }
 
 // Name implements Protocol.
@@ -171,7 +169,7 @@ func (q QC) Setup(cl *Cluster) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := qc.NewPsiGroup(cl.Net, cl.Instance, psi, q.Options...)
+	g := qc.NewPsiGroup(cl.Net, cl.Instance, psi)
 	inst := &Instance{
 		Runners: make([]Runner, n),
 		Inputs:  make([]any, n),
@@ -216,8 +214,6 @@ func checkQCOutcomes(f *model.FailurePattern, outs []Outcome, requireTermination
 type NBAC struct {
 	// Votes overrides the per-process votes (default: everyone votes Yes).
 	Votes []nbac.Vote
-	// Options is forwarded to the participants.
-	Options []nbac.Option
 }
 
 // Name implements Protocol.
@@ -234,7 +230,7 @@ func (a NBAC) Setup(cl *Cluster) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := nbac.NewPsiFSGroup(cl.Net, cl.Instance, psi, fs, a.Options...)
+	g := nbac.NewPsiFSGroup(cl.Net, cl.Instance, psi, fs)
 	inst := &Instance{
 		Runners: make([]Runner, n),
 		Inputs:  make([]any, n),
@@ -282,8 +278,6 @@ type TwoPC struct {
 	Coordinator model.ProcessID
 	// Votes overrides the per-process votes (default: everyone votes Yes).
 	Votes []nbac.Vote
-	// Options is forwarded to the participants.
-	Options []nbac.Option
 }
 
 // Name implements Protocol.
@@ -295,7 +289,7 @@ func (t TwoPC) Setup(cl *Cluster) (*Instance, error) {
 	if int(t.Coordinator) < 0 || int(t.Coordinator) >= n {
 		return nil, fmt.Errorf("twopc: coordinator %v out of range 0..%d", t.Coordinator, n-1)
 	}
-	g := nbac.NewTwoPCGroup(cl.Net, cl.Instance, t.Coordinator, t.Options...)
+	g := nbac.NewTwoPCGroup(cl.Net, cl.Instance, t.Coordinator)
 	inst := &Instance{
 		Runners: make([]Runner, n),
 		Inputs:  make([]any, n),
@@ -322,8 +316,6 @@ type NBACQC struct {
 	// Proposals overrides the per-process proposals (default: process i
 	// proposes i). Every entry must be an int.
 	Proposals []any
-	// Options is forwarded to the participants.
-	Options []nbac.Option
 }
 
 // Name implements Protocol.
@@ -340,7 +332,7 @@ func (q NBACQC) Setup(cl *Cluster) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := nbac.NewQCFromNBACGroup(cl.Net, cl.Instance, psi, fs, q.Options...)
+	g := nbac.NewQCFromNBACGroup(cl.Net, cl.Instance, psi, fs)
 	inst := &Instance{
 		Runners: make([]Runner, n),
 		Inputs:  make([]any, n),
@@ -519,8 +511,6 @@ type Registers struct {
 	// Values overrides the per-process written values (default: process i
 	// writes i+1; zero is the register's initial value).
 	Values []int
-	// Options is forwarded to the replicas.
-	Options []register.Option
 }
 
 // Name implements Protocol.
@@ -536,13 +526,13 @@ func (r Registers) Setup(cl *Cluster) (*Instance, error) {
 	n := cl.Net.N()
 	var g register.Group[int]
 	if r.Majority {
-		g = register.NewMajorityGroup[int](cl.Net, cl.Instance, r.Options...)
+		g = register.NewMajorityGroup[int](cl.Net, cl.Instance)
 	} else {
 		sigma, err := cl.NeedSigma()
 		if err != nil {
 			return nil, err
 		}
-		g = register.NewSigmaGroup[int](cl.Net, cl.Instance, sigma, r.Options...)
+		g = register.NewSigmaGroup[int](cl.Net, cl.Instance, sigma)
 	}
 	rec := &opRecorder{clock: cl.Net.Clock()}
 	inst := &Instance{

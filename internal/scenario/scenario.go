@@ -36,7 +36,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
 	"weakestfd/internal/probe"
-	"weakestfd/internal/trace"
 )
 
 // Crash is one entry of a scenario's fault schedule: process P crashes once
@@ -347,8 +346,6 @@ type Result struct {
 	Pattern *model.FailurePattern
 	// Metrics is the network's counter snapshot.
 	Metrics map[string]int64
-	// Trace is the run's event log (crashes, protocol events).
-	Trace []trace.Event
 	// VirtualEnd is the virtual clock when the run finished; Wall is the
 	// wall-clock time it took. Their ratio is the speedup virtual time buys.
 	VirtualEnd time.Duration
@@ -405,12 +402,10 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 		defer cancel()
 	}
 
-	log := trace.NewLog()
 	netOpts := []net.Option{
 		net.WithSeed(cfg.Seed),
 		net.WithDelays(cfg.MinDelay, cfg.MaxDelay),
 		net.WithDropRate(cfg.DropRate),
-		net.WithLog(log),
 	}
 	// Journaling, probes and replay checking all observe the step-trace
 	// stream.
@@ -571,7 +566,6 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 	}
 	res.VirtualEnd = nw.VirtualNow()
 	res.Metrics = nw.Metrics().Snapshot()
-	res.Trace = log.Events()
 	if hist != nil {
 		res.HistoryDepth = hist.Len()
 		res.HistoryDropped = hist.Dropped()

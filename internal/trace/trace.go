@@ -1,6 +1,6 @@
-// Package trace provides lightweight run instrumentation shared by the
-// protocol packages, the benchmark harness and cmd/experiments: monotonic
-// counters (message counts, rounds, retries) and an append-only event log.
+// Package trace holds the network's message counters: monotonic named
+// counters (messages sent, delivered and dropped, per instance, crashes)
+// that internal/net increments and scenario results snapshot.
 package trace
 
 import (
@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"weakestfd/internal/model"
 )
 
 // Counter is an interned handle to one named counter: a bare atomic, so hot
@@ -109,71 +107,4 @@ func (m *Metrics) String() string {
 		parts[i] = fmt.Sprintf("%s=%d", k, snap[k])
 	}
 	return strings.Join(parts, " ")
-}
-
-// Event is one entry of a run's event log.
-type Event struct {
-	Time    model.Time
-	Process model.ProcessID
-	Kind    string
-	Detail  string
-}
-
-// String implements fmt.Stringer.
-func (e Event) String() string {
-	return fmt.Sprintf("[t=%d %v] %s: %s", e.Time, e.Process, e.Kind, e.Detail)
-}
-
-// Log is an append-only event log. The zero value is ready to use. Log is
-// safe for concurrent use. A nil *Log discards appended events, so protocol
-// code can trace unconditionally.
-type Log struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{} }
-
-// Append adds an event to the log. Appending to a nil log is a no-op.
-func (l *Log) Append(t model.Time, p model.ProcessID, kind, format string, args ...any) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Time: t, Process: p, Kind: kind, Detail: fmt.Sprintf(format, args...)})
-}
-
-// Events returns a copy of all events in append order. A nil log has none.
-func (l *Log) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
-}
-
-// Len returns the number of events.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// Filter returns the events of the given kind.
-func (l *Log) Filter(kind string) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
 }

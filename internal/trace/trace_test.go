@@ -42,28 +42,3 @@ func TestMetricsZeroValueAndConcurrency(t *testing.T) {
 		t.Fatalf("Get = %d, want 800", got)
 	}
 }
-
-func TestLog(t *testing.T) {
-	l := NewLog()
-	l.Append(1, 0, "send", "to %d", 2)
-	l.Append(2, 1, "recv", "from %d", 0)
-	l.Append(3, 1, "send", "to %d", 0)
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	sends := l.Filter("send")
-	if len(sends) != 2 {
-		t.Fatalf("Filter(send) = %v", sends)
-	}
-	if got := l.Events()[0].String(); got != "[t=1 p0] send: to 2" {
-		t.Fatalf("Event.String = %q", got)
-	}
-}
-
-func TestNilLogIsDiscard(t *testing.T) {
-	var l *Log
-	l.Append(1, 0, "send", "x") // must not panic
-	if l.Len() != 0 || l.Events() != nil {
-		t.Fatalf("nil log not empty")
-	}
-}
