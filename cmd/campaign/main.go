@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -94,13 +93,13 @@ func runPlan(args []string) int {
 	case *gridF != "":
 		m.Kind = campaign.KindSweep
 		m.Grid = &cliutil.GridSpec{}
-		if err := readJSON(*gridF, m.Grid); err != nil {
+		if err := cliutil.ReadSpec(*gridF, m.Grid); err != nil {
 			return usageErr("plan: %v", err)
 		}
 	case *explF != "":
 		m.Kind = campaign.KindExplore
 		m.Explore = &campaign.ExploreSpec{}
-		if err := readJSON(*explF, m.Explore); err != nil {
+		if err := cliutil.ReadSpec(*explF, m.Explore); err != nil {
 			return usageErr("plan: %v", err)
 		}
 		if *units == 0 {
@@ -255,20 +254,6 @@ func runStatus(args []string) int {
 		fmt.Println("all shards complete; ready to merge")
 	}
 	return 0
-}
-
-// readJSON strictly parses a JSON spec file.
-func readJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("parse %s: %v", path, err)
-	}
-	return nil
 }
 
 func baseName(dir string) string {

@@ -295,9 +295,9 @@ func parseFrontier(s string) ([]explore.Axis, error) {
 		if strings.TrimSpace(entry) == "" {
 			continue
 		}
-		parts, err := cliutil.SplitTopLevel(strings.TrimSpace(entry), ':')
+		parts, err := fd.SplitTopLevel(strings.TrimSpace(entry), ':')
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bad axis %q: %w", entry, err)
 		}
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("bad axis %q (want class:param:max)", entry)

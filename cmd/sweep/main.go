@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -87,12 +86,8 @@ func run() int {
 
 	sp := def
 	if *gridFile != "" {
-		data, err := os.ReadFile(*gridFile)
-		if err != nil {
-			return usageErr("read grid spec: %v", err)
-		}
-		if err := json.Unmarshal(data, &sp); err != nil {
-			return usageErr("parse grid spec %s: %v", *gridFile, err)
+		if err := cliutil.ReadSpec(*gridFile, &sp); err != nil {
+			return usageErr("grid spec: %v", err)
 		}
 	}
 	// Explicit flags win over the spec file.

@@ -16,36 +16,6 @@ import (
 	"weakestfd/internal/scenario"
 )
 
-// SplitTopLevel splits s on sep, ignoring separators nested inside {...}
-// parameter blocks — the brace-aware splitter every list grammar carrying
-// detector specs needs (a spec like "perfect{suspect:3,stabilize:9}" embeds
-// both commas and colons). Empty elements are preserved; unbalanced braces
-// are an error.
-func SplitTopLevel(s string, sep byte) ([]string, error) {
-	var out []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '{':
-			depth++
-		case '}':
-			depth--
-			if depth < 0 {
-				return nil, fmt.Errorf("unbalanced '}' in %q", s)
-			}
-		case sep:
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if depth != 0 {
-		return nil, fmt.Errorf("unbalanced '{' in %q", s)
-	}
-	return append(out, s[start:]), nil
-}
-
 // ParseSeeds parses "1-1000" / "1,2,7-9" / "-5" style seed lists. A single
 // pure range becomes an unmaterialised scenario.SeedSpan — the million-seed
 // case stays O(1) in memory per shard process; mixed lists are expanded

@@ -8,43 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"weakestfd/internal/journal"
 	"weakestfd/internal/scenario"
 )
-
-// TestSplitTopLevel pins the brace-aware splitter both CLIs lean on: commas
-// and colons inside {...} parameter blocks never split, top-level ones
-// always do, empties survive, unbalanced braces error.
-func TestSplitTopLevel(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		sep  byte
-		want []string
-	}{
-		{"a,b,c", ',', []string{"a", "b", "c"}},
-		{"perfect{suspect:2,stabilize:9},omega-sigma", ',', []string{"perfect{suspect:2,stabilize:9}", "omega-sigma"}},
-		{"eventually-perfect{suspect:3}:stabilize:200", ':', []string{"eventually-perfect{suspect:3}", "stabilize", "200"}},
-		{"", ',', []string{""}},
-		{"a,,b", ',', []string{"a", "", "b"}},
-		{"{a,b}", ',', []string{"{a,b}"}},
-	} {
-		got, err := SplitTopLevel(tc.in, tc.sep)
-		if err != nil {
-			t.Fatalf("SplitTopLevel(%q, %q): %v", tc.in, tc.sep, err)
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("SplitTopLevel(%q, %q) = %q, want %q", tc.in, tc.sep, got, tc.want)
-		}
-	}
-	for _, bad := range []string{"a{b,c", "a}b", "x{y}}"} {
-		if _, err := SplitTopLevel(bad, ','); err == nil {
-			t.Errorf("SplitTopLevel(%q) accepted unbalanced braces", bad)
-		}
-	}
-}
 
 func TestParseSeedsFormsAndSpan(t *testing.T) {
 	seeds, span, err := ParseSeeds("1,2,7-9")
@@ -239,6 +209,37 @@ func TestFixturesReplay(t *testing.T) {
 			t.Errorf("%s: diverged after %d of %d records: %v", path, rr.Matched, len(j.Records), rr.Divergence)
 		case rr.Result.TraceFingerprint != j.Meta.TraceFingerprint:
 			t.Errorf("%s: replayed fingerprint %s, journal's %s", path, rr.Result.TraceFingerprint, j.Meta.TraceFingerprint)
+		}
+	}
+}
+
+// TestReadSpecRefusals pins the strict spec loader: an unknown key and a
+// second document after the first are refused, naming the file; whitespace
+// after the one document is not trailing data.
+func TestReadSpecRefusals(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, body, refusal string
+	}{
+		{"valid", `{"proto":"consensus","n":3,"seeds":"1-2","timeout":"5s"}` + "\n\n", ""},
+		{"unknown-key", `{"proto":"consensus","n":3,"seed":"1-2","timeout":"5s"}`, `unknown field "seed"`},
+		{"second-document", `{"proto":"consensus","n":3}` + "\n" + `{"proto":"nbac"}`, "trailing data"},
+		{"trailing-garbage", `{"proto":"consensus"} x`, "trailing data"},
+		{"truncated", `{"proto":"consensus"`, "unexpected EOF"},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var sp GridSpec
+		err := ReadSpec(path, &sp)
+		switch {
+		case tc.refusal == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.refusal == "" && (sp.Proto != "consensus" || sp.Seeds != "1-2"):
+			t.Errorf("%s: decoded %+v", tc.name, sp)
+		case tc.refusal != "" && (err == nil || !strings.Contains(err.Error(), tc.refusal) || !strings.Contains(err.Error(), path)):
+			t.Errorf("%s: err = %v, want a refusal naming %s and containing %q", tc.name, err, path, tc.refusal)
 		}
 	}
 }

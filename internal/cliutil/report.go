@@ -1,8 +1,10 @@
 package cliutil
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,6 +190,26 @@ func WriteJSON(path string, v any) error {
 		return err
 	}
 	return WriteFileAtomic(path, data)
+}
+
+// ReadSpec strictly decodes the JSON spec file at path into v — the one
+// loader of the CLIs' spec files (sweep -grid, campaign plan -grid and
+// -explore). An unknown key and anything after the first JSON value are
+// errors, so a typo or a second document is refused, never silently dropped.
+func ReadSpec(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("parse %s: %v", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("parse %s: trailing data after the spec", path)
+	}
+	return nil
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file and

@@ -53,12 +53,8 @@ type SigmaExtractor struct {
 	output model.ProcessSet
 	rounds int
 
-	ctx      context.Context
-	cancel   context.CancelFunc
-	done     chan struct{}
-	respDone chan struct{}
-	runTask  *net.Task
-	respTask *net.Task
+	responder *net.Service // task 2: answers pings
+	loop      *net.Service // task 1: writes, reads and selects
 }
 
 // SigmaExtractorConfig configures one process's extractor.
@@ -89,7 +85,6 @@ func StartSigmaExtractor(cfg SigmaExtractorConfig) *SigmaExtractor {
 	if interval == 0 {
 		interval = time.Millisecond
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	e := &SigmaExtractor{
 		ep:       cfg.Endpoint,
 		regs:     cfg.Registers,
@@ -98,17 +93,12 @@ func StartSigmaExtractor(cfg SigmaExtractorConfig) *SigmaExtractor {
 		interval: interval,
 		hist:     cfg.History,
 		output:   model.AllProcesses(cfg.Endpoint.N()),
-		ctx:      ctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		respDone: make(chan struct{}),
 	}
-	// Both loops are scheduler tasks, spawned in a fixed order, so the
+	// Both tasks are services, spawned in a fixed order, so the
 	// construction's traffic interleaves deterministically with the runners
 	// that poll its output.
-	nw := e.ep.Network()
-	e.respTask = nw.Go(e.ep, "extract.respond", e.respond)
-	e.runTask = nw.Go(e.ep, "extract.run", e.run)
+	e.responder = e.ep.Instance(e.pingInst).Serve("extract.respond", e.respond)
+	e.loop = e.ep.Spawn(context.Background(), "extract.run", e.run)
 	return e
 }
 
@@ -128,11 +118,8 @@ func (e *SigmaExtractor) Rounds() int {
 
 // Stop terminates the extractor's background tasks.
 func (e *SigmaExtractor) Stop() {
-	e.cancel()
-	e.runTask.Wake()
-	e.respTask.Wake()
-	<-e.done
-	<-e.respDone
+	e.loop.Stop()
+	e.responder.Stop()
 }
 
 type pingMsg struct {
@@ -143,39 +130,20 @@ type pongMsg struct {
 	Token int64
 }
 
-// respond implements task 2 of Figure 1: answer every ping. It drains the
-// ping mailbox on each granted step and parks, woken by the dispatcher's
-// pushes (Watch), by crash, and by Stop.
-func (e *SigmaExtractor) respond(task *net.Task) {
-	defer close(e.respDone)
-	in := e.ep.Instance(e.pingInst)
-	in.Watch(task)
-	for {
-		for {
-			msg, ok := in.TryRecv()
-			if !ok {
-				break
-			}
-			if msg.Type == "ping" {
-				e.ep.Send(msg.From, e.pongInst, "pong", pongMsg{Token: msg.Payload.(pingMsg).Token})
-			}
-		}
-		if e.ctx.Err() != nil || e.ep.Context().Err() != nil {
-			return
-		}
-		task.Await(nil)
+// respond implements task 2 of Figure 1: answer every ping.
+func (e *SigmaExtractor) respond(msg net.Message) {
+	if msg.Type == "ping" {
+		e.ep.Send(msg.From, e.pongInst, "pong", pongMsg{Token: msg.Payload.(pingMsg).Token})
 	}
 }
 
-// run implements task 1 of Figure 1.
-func (e *SigmaExtractor) run(task *net.Task) {
-	defer close(e.done)
+// run implements task 1 of Figure 1. The register operations, the pong
+// waits and the inter-round Sleep find the service's task in ctx and park on
+// it.
+func (e *SigmaExtractor) run(ctx context.Context) {
 	self := int(e.ep.ID())
-	// The register operations and the inter-round Sleep find the task in the
-	// ctx and park on it instead of adopting one of their own.
-	ctx := net.WithTask(e.ctx, task)
 	pongs := e.ep.Instance(e.pongInst)
-	pongs.Watch(task)
+	pongs.Watch(net.TaskFrom(ctx))
 
 	sets := []model.ProcessSet{model.AllProcesses(e.ep.N())} // Ei, with Pi(0) = Π
 	prev := model.AllProcesses(e.ep.N())                     // Pi(k-1)
@@ -234,27 +202,27 @@ func (e *SigmaExtractor) run(task *net.Task) {
 
 // selectFrom sends a ping carrying token to every member of x and waits for
 // the first pong for that token from a member of x (lines 14-16 of Figure 1).
+// run's Watch on the pong mailbox wakes the wait.
 func (e *SigmaExtractor) selectFrom(ctx context.Context, x model.ProcessSet, token int64, pongs net.Instance) (model.ProcessID, bool) {
 	for _, q := range x.Slice() {
 		e.ep.Send(q, e.pingInst, "ping", pingMsg{Token: token})
 	}
-	task := net.TaskFrom(ctx)
-	for {
+	var from model.ProcessID
+	wait := e.ep.NewWait(ctx)
+	err := wait.Until(ctx, func(bool) (bool, error) {
 		for {
 			msg, ok := pongs.TryRecv()
 			if !ok {
-				break
+				return false, nil
 			}
 			// Anything else is a stale pong from an earlier token.
 			if msg.Type == "pong" && msg.Payload.(pongMsg).Token == token && x.Contains(msg.From) {
-				return msg.From, true
+				from = msg.From
+				return true, nil
 			}
 		}
-		if ctx.Err() != nil || e.ep.Context().Err() != nil {
-			return 0, false
-		}
-		task.Await(ctx)
-	}
+	})
+	return from, err == nil
 }
 
 func cloneSets(sets []model.ProcessSet) []model.ProcessSet {

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -116,14 +117,6 @@ func ParamDirection(key string) ParamDir {
 		}
 	}
 	return DirNone
-}
-
-// ParamWeakens reports whether the named parameter follows the degradation
-// convention (0 = exact, larger = weaker); false for unknown keys and for
-// parameters with inverted or defaulted-at-zero semantics (ParamDirection
-// distinguishes those).
-func ParamWeakens(key string) bool {
-	return ParamDirection(key) == DirWeakens
 }
 
 // TimeParams returns pointers to the spec's logical-tick quality parameters,
@@ -273,24 +266,14 @@ func MustParseSpec(s string) DetectorSpec {
 	return spec
 }
 
-// ParseSpecList splits a list of specs on top-level commas (commas inside a
-// {...} parameter block do not split) and parses each element — the format of
-// the sweep CLI's -detectors axis.
-func ParseSpecList(s string) ([]DetectorSpec, error) {
-	var out []DetectorSpec
+// SplitTopLevel splits s on sep, ignoring separators nested inside {...}
+// parameter blocks — the brace-aware splitter every list grammar carrying
+// detector specs needs (a spec like "perfect{suspect:3,stabilize:9}" embeds
+// both commas and colons). Empty elements are preserved; unbalanced braces
+// are an error.
+func SplitTopLevel(s string, sep byte) ([]string, error) {
+	var out []string
 	depth, start := 0, 0
-	flush := func(end int) error {
-		part := strings.TrimSpace(s[start:end])
-		if part == "" {
-			return nil
-		}
-		spec, err := ParseSpec(part)
-		if err != nil {
-			return err
-		}
-		out = append(out, spec)
-		return nil
-	}
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '{':
@@ -298,22 +281,39 @@ func ParseSpecList(s string) ([]DetectorSpec, error) {
 		case '}':
 			depth--
 			if depth < 0 {
-				return nil, fmt.Errorf("detector list %q: unbalanced '}'", s)
+				return nil, errors.New("unbalanced '}'")
 			}
-		case ',':
+		case sep:
 			if depth == 0 {
-				if err := flush(i); err != nil {
-					return nil, err
-				}
+				out = append(out, s[start:i])
 				start = i + 1
 			}
 		}
 	}
 	if depth != 0 {
-		return nil, fmt.Errorf("detector list %q: unbalanced '{'", s)
+		return nil, errors.New("unbalanced '{'")
 	}
-	if err := flush(len(s)); err != nil {
-		return nil, err
+	return append(out, s[start:]), nil
+}
+
+// ParseSpecList splits a list of specs on top-level commas (commas inside a
+// {...} parameter block do not split) and parses each non-empty element —
+// the format of the sweep CLI's -detectors axis.
+func ParseSpecList(s string) ([]DetectorSpec, error) {
+	parts, err := SplitTopLevel(s, ',')
+	if err != nil {
+		return nil, fmt.Errorf("detector list %q: %w", s, err)
+	}
+	var out []DetectorSpec
+	for _, part := range parts {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		spec, err := ParseSpec(part)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, spec)
 	}
 	return out, nil
 }

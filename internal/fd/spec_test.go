@@ -58,6 +58,37 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestSplitTopLevel pins the brace-aware splitter ParseSpecList and the CLIs lean on: commas
+// and colons inside {...} parameter blocks never split, top-level ones
+// always do, empties survive, unbalanced braces error.
+func TestSplitTopLevel(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		sep  byte
+		want []string
+	}{
+		{"a,b,c", ',', []string{"a", "b", "c"}},
+		{"perfect{suspect:2,stabilize:9},omega-sigma", ',', []string{"perfect{suspect:2,stabilize:9}", "omega-sigma"}},
+		{"eventually-perfect{suspect:3}:stabilize:200", ':', []string{"eventually-perfect{suspect:3}", "stabilize", "200"}},
+		{"", ',', []string{""}},
+		{"a,,b", ',', []string{"a", "", "b"}},
+		{"{a,b}", ',', []string{"{a,b}"}},
+	} {
+		got, err := SplitTopLevel(tc.in, tc.sep)
+		if err != nil {
+			t.Fatalf("SplitTopLevel(%q, %q): %v", tc.in, tc.sep, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("SplitTopLevel(%q, %q) = %q, want %q", tc.in, tc.sep, got, tc.want)
+		}
+	}
+	for _, bad := range []string{"a{b,c", "a}b", "x{y}}"} {
+		if _, err := SplitTopLevel(bad, ','); err == nil {
+			t.Errorf("SplitTopLevel(%q) accepted unbalanced braces", bad)
+		}
+	}
+}
+
 func TestParseSpecListSplitsTopLevelCommasOnly(t *testing.T) {
 	specs, err := ParseSpecList("omega-sigma, perfect{suspect:2}, eventually-perfect{suspect:10,stabilize:50}")
 	if err != nil {

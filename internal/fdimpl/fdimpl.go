@@ -18,14 +18,13 @@
 //     internal/fd is the assumption-free reference.
 //
 // All intervals and timeouts are measured on the network's virtual clock, so
-// a heartbeat round costs no wall-clock time. The loops run as scheduler
-// tasks with task-bound tickers: the dispatcher delivers a tick only once
-// every task is parked, so virtual time cannot run ahead of the detector
-// loops by construction — the partial-synchrony assumption these detectors
-// need survives time being simulated.
-//
-// All three run a background goroutine per process; callers must Stop them
-// (or close the network) when done.
+// a heartbeat round costs no wall-clock time. Each detector is one periodic
+// net.Service per process: its body holds the detector's state and pulls
+// the fires of a ticker bound to the service's task. The dispatcher
+// delivers a fire only once every task is parked, so virtual time cannot run
+// ahead of the detectors by construction — the partial-synchrony assumption
+// they need survives time being simulated. A service stops at its process's
+// crash; callers Stop the rest (or close the network) when done.
 //
 // The whole family is also packaged as the "heartbeat" class of
 // fd.DefaultRegistry (see heartbeat.go), so scenario sweeps and explore runs
@@ -43,17 +42,11 @@ import (
 
 // MajoritySigma is a message-based Σ for majority-correct environments.
 type MajoritySigma struct {
-	ep       *net.Endpoint
-	interval time.Duration
-	ticker   *net.Timer
-	task     *net.Task
+	ep  *net.Endpoint
+	svc *net.Service
 
 	mu     sync.Mutex
 	quorum model.ProcessSet
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
 }
 
 const sigmaInstance = "fdimpl.sigma"
@@ -68,16 +61,10 @@ const sigmaInstance = "fdimpl.sigma"
 // the only reader of its instance — do not TryRecv from it elsewhere. Start a
 // whole ensemble under Network.Freeze/Thaw for a simultaneous boot.
 func StartMajoritySigma(ep *net.Endpoint, interval time.Duration) *MajoritySigma {
-	s := &MajoritySigma{
-		ep:       ep,
-		interval: interval,
-		ticker:   ep.NewTicker(interval),
-		quorum:   model.AllProcesses(ep.N()),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	s := &MajoritySigma{ep: ep, quorum: model.AllProcesses(ep.N())}
+	ticker := ep.NewTicker(interval)
 	ep.Broadcast(sigmaInstance, "probe", sigmaProbe{Round: 0})
-	s.task = ep.Network().Go(ep, "fdimpl.sigma", s.run)
+	s.svc = ep.Periodic("fdimpl.sigma", ticker, s.run)
 	return s
 }
 
@@ -90,20 +77,12 @@ func (s *MajoritySigma) Sample() model.ProcessSet {
 }
 
 // Stop terminates the background protocol.
-func (s *MajoritySigma) Stop() {
-	s.once.Do(func() { close(s.stop) })
-	s.task.Wake()
-	<-s.done
-}
+func (s *MajoritySigma) Stop() { s.svc.Stop() }
 
 type sigmaProbe struct{ Round int }
 type sigmaAck struct{ Round int }
 
-func (s *MajoritySigma) run(task *net.Task) {
-	defer close(s.done)
-	defer s.ticker.Stop()
-	s.ticker.Bind(task)
-
+func (s *MajoritySigma) run(next func() (time.Duration, bool)) {
 	round := 0
 	acked := map[int]model.ProcessSet{}
 	majority := s.ep.N()/2 + 1
@@ -154,20 +133,8 @@ func (s *MajoritySigma) run(task *net.Task) {
 		s.ep.Broadcast(sigmaInstance, "probe", sigmaProbe{Round: round})
 	}
 
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		if s.ep.Context().Err() != nil {
-			return
-		}
-		if s.ticker.TryFire() {
-			tick()
-		} else {
-			task.Await(nil)
-		}
+	for _, ok := next(); ok; _, ok = next() {
+		tick()
 	}
 }
 
@@ -175,19 +142,13 @@ func (s *MajoritySigma) run(task *net.Task) {
 // that has heartbeated within the timeout (the local process always trusts
 // itself).
 type HeartbeatOmega struct {
-	ep       *net.Endpoint
-	interval time.Duration
-	timeout  time.Duration
-	ticker   *net.Timer
-	task     *net.Task
-	start    time.Duration
+	ep      *net.Endpoint
+	svc     *net.Service
+	timeout time.Duration
+	start   time.Duration
 
 	mu     sync.Mutex
 	leader model.ProcessID
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
 }
 
 const omegaInstance = "fdimpl.omega"
@@ -199,18 +160,10 @@ const omegaInstance = "fdimpl.omega"
 // instance — do not TryRecv from it elsewhere. Start a whole ensemble under
 // Network.Freeze/Thaw for a simultaneous boot.
 func StartHeartbeatOmega(ep *net.Endpoint, interval, timeout time.Duration) *HeartbeatOmega {
-	o := &HeartbeatOmega{
-		ep:       ep,
-		interval: interval,
-		timeout:  timeout,
-		ticker:   ep.NewTicker(interval),
-		start:    ep.VirtualNow(),
-		leader:   0,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	o := &HeartbeatOmega{ep: ep, timeout: timeout, start: ep.VirtualNow()}
+	ticker := ep.NewTicker(interval)
 	ep.Broadcast(omegaInstance, "hb", nil)
-	o.task = ep.Network().Go(ep, "fdimpl.omega", o.run)
+	o.svc = ep.Periodic("fdimpl.omega", ticker, o.run)
 	return o
 }
 
@@ -222,17 +175,9 @@ func (o *HeartbeatOmega) Sample() model.ProcessID {
 }
 
 // Stop terminates the background protocol.
-func (o *HeartbeatOmega) Stop() {
-	o.once.Do(func() { close(o.stop) })
-	o.task.Wake()
-	<-o.done
-}
+func (o *HeartbeatOmega) Stop() { o.svc.Stop() }
 
-func (o *HeartbeatOmega) run(task *net.Task) {
-	defer close(o.done)
-	defer o.ticker.Stop()
-	o.ticker.Bind(task)
-
+func (o *HeartbeatOmega) run(next func() (time.Duration, bool)) {
 	lastHeard := make(map[model.ProcessID]time.Duration)
 
 	recompute := func(now time.Duration) {
@@ -257,9 +202,9 @@ func (o *HeartbeatOmega) run(task *net.Task) {
 
 	// Drain synchronously before recomputing: TryRecv reads the mailbox ring
 	// directly, so freshness reflects everything the dispatcher has delivered
-	// up to this tick. "now" is the fire deadline read back from the virtual
-	// clock — the dispatcher grants the woken task before popping any further
-	// event, so the clock cannot have moved past it.
+	// up to this tick. "now" is the fire deadline — the dispatcher grants the
+	// woken task before popping any further event, so the virtual clock the
+	// tick was read from cannot have moved past it.
 	tick := func(now time.Duration) {
 		for {
 			msg, ok := o.ep.TryRecv(omegaInstance)
@@ -274,20 +219,8 @@ func (o *HeartbeatOmega) run(task *net.Task) {
 		recompute(now)
 	}
 
-	for {
-		select {
-		case <-o.stop:
-			return
-		default:
-		}
-		if o.ep.Context().Err() != nil {
-			return
-		}
-		if o.ticker.TryFire() {
-			tick(o.ep.VirtualNow())
-		} else {
-			task.Await(nil)
-		}
+	for now, ok := next(); ok; now, ok = next() {
+		tick(now)
 	}
 }
 
@@ -295,19 +228,13 @@ func (o *HeartbeatOmega) run(task *net.Task) {
 // silent for longer than the timeout (after an initial grace period), the
 // signal turns red permanently.
 type HeartbeatFS struct {
-	ep       *net.Endpoint
-	interval time.Duration
-	timeout  time.Duration
-	ticker   *net.Timer
-	task     *net.Task
-	start    time.Duration
+	ep      *net.Endpoint
+	svc     *net.Service
+	timeout time.Duration
+	start   time.Duration
 
 	mu  sync.Mutex
 	red bool
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
 }
 
 const fsInstance = "fdimpl.fs"
@@ -317,17 +244,10 @@ const fsInstance = "fdimpl.fs"
 // only reader of its instance — do not TryRecv from it elsewhere. Start a
 // whole ensemble under Network.Freeze/Thaw for a simultaneous boot.
 func StartHeartbeatFS(ep *net.Endpoint, interval, timeout time.Duration) *HeartbeatFS {
-	f := &HeartbeatFS{
-		ep:       ep,
-		interval: interval,
-		timeout:  timeout,
-		ticker:   ep.NewTicker(interval),
-		start:    ep.VirtualNow(),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	f := &HeartbeatFS{ep: ep, timeout: timeout, start: ep.VirtualNow()}
+	ticker := ep.NewTicker(interval)
 	ep.Broadcast(fsInstance, "hb", nil)
-	f.task = ep.Network().Go(ep, "fdimpl.fs", f.run)
+	f.svc = ep.Periodic("fdimpl.fs", ticker, f.run)
 	return f
 }
 
@@ -342,17 +262,9 @@ func (f *HeartbeatFS) Sample() model.FSValue {
 }
 
 // Stop terminates the background protocol.
-func (f *HeartbeatFS) Stop() {
-	f.once.Do(func() { close(f.stop) })
-	f.task.Wake()
-	<-f.done
-}
+func (f *HeartbeatFS) Stop() { f.svc.Stop() }
 
-func (f *HeartbeatFS) run(task *net.Task) {
-	defer close(f.done)
-	defer f.ticker.Stop()
-	f.ticker.Bind(task)
-
+func (f *HeartbeatFS) run(next func() (time.Duration, bool)) {
 	lastHeard := make(map[model.ProcessID]time.Duration)
 	grace := 2 * f.timeout
 
@@ -392,20 +304,8 @@ func (f *HeartbeatFS) run(task *net.Task) {
 		}
 	}
 
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		if f.ep.Context().Err() != nil {
-			return
-		}
-		if f.ticker.TryFire() {
-			tick(f.ep.VirtualNow())
-		} else {
-			task.Await(nil)
-		}
+	for now, ok := next(); ok; now, ok = next() {
+		tick(now)
 	}
 }
 

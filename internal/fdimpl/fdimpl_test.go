@@ -177,19 +177,29 @@ func TestStopIsIdempotentAndTerminates(t *testing.T) {
 	f.Stop()
 }
 
+// A crash ends every detector's service: Stop after the crash only joins a
+// task that has already exited (the crash-exit itself is pinned in
+// internal/net's service tests).
 func TestDetectorsExitWhenProcessCrashes(t *testing.T) {
 	nw := net.NewNetwork(2, net.WithSeed(6))
 	defer nw.Close()
-	s := StartMajoritySigma(nw.Endpoint(1), 5*time.Millisecond)
+	ep := nw.Endpoint(1)
+	stops := []func(){
+		StartMajoritySigma(ep, 5*time.Millisecond).Stop,
+		StartHeartbeatOmega(ep, 5*time.Millisecond, 20*time.Millisecond).Stop,
+		StartHeartbeatFS(ep, 5*time.Millisecond, 20*time.Millisecond).Stop,
+	}
 	nw.Crash(1)
 	done := make(chan struct{})
 	go func() {
-		<-s.done
+		for _, stop := range stops {
+			stop()
+		}
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatalf("detector goroutine did not exit after its process crashed")
+		t.Fatalf("detector services did not exit after their process crashed")
 	}
 }

@@ -228,24 +228,24 @@ func (q *NBACQC) Propose(ctx context.Context, v qc.Value) (qc.Decision, error) {
 	// Lines 5-7: Commit means every process voted, hence every process also
 	// broadcast its proposal; wait for all of them and return the smallest.
 	proposals := make(map[model.ProcessID]int, q.ep.N())
-	task := net.TaskFrom(ctx)
 	in := q.ep.Instance(q.instance)
-	in.Watch(task)
+	in.Watch(net.TaskFrom(ctx))
 	defer in.Watch(nil)
-	for len(proposals) < q.ep.N() {
-		if msg, ok := in.TryRecv(); ok {
+	wait := q.ep.NewWait(ctx)
+	err = wait.Until(ctx, func(bool) (bool, error) {
+		for len(proposals) < q.ep.N() {
+			msg, ok := in.TryRecv()
+			if !ok {
+				return false, nil
+			}
 			if msg.Type == "proposal" {
 				proposals[msg.From] = msg.Payload.(proposalMsg).Value
 			}
-			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", err)
-		}
-		if err := q.ep.Context().Err(); err != nil {
-			return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", err)
-		}
-		task.Await(ctx)
+		return true, nil
+	})
+	if err != nil {
+		return qc.Decision{}, fmt.Errorf("nbac-based qc: %w", err)
 	}
 	smallest := 0
 	first := true
@@ -281,9 +281,7 @@ type FSFromNBAC struct {
 	red    bool
 	rounds int
 
-	cancel context.CancelFunc
-	done   chan struct{}
-	once   sync.Once
+	svc *net.Service
 }
 
 // StartFSFromNBAC starts the emulation at the process behind ep. newInstance
@@ -294,19 +292,10 @@ type FSFromNBAC struct {
 // spaced on the schedule, never by wall-clock sleeps. The emulation stops
 // when ctx is cancelled, when Stop is called, or when the process crashes.
 func StartFSFromNBAC(ctx context.Context, ep *net.Endpoint, newInstance func(k int) Protocol, interval time.Duration) *FSFromNBAC {
-	ctx, cancel := context.WithCancel(ctx)
-	f := &FSFromNBAC{
-		newInstance: newInstance,
-		ep:          ep,
-		interval:    interval,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-	}
-	// The emulation loop is a scheduler task, so the endless sequence of NBAC
-	// instances interleaves deterministically with the protocols under test.
-	ep.Network().Go(ep, "nbac.fs", func(task *net.Task) {
-		f.run(ctx, task)
-	})
+	f := &FSFromNBAC{newInstance: newInstance, ep: ep, interval: interval}
+	// The emulation is a service, so the endless sequence of NBAC instances
+	// interleaves deterministically with the protocols under test.
+	f.svc = ep.Spawn(ctx, "nbac.fs", f.run)
 	return f
 }
 
@@ -329,16 +318,11 @@ func (f *FSFromNBAC) Rounds() int {
 }
 
 // Stop terminates the emulation. The signal keeps its last value.
-func (f *FSFromNBAC) Stop() {
-	f.once.Do(f.cancel)
-	<-f.done
-}
+func (f *FSFromNBAC) Stop() { f.svc.Stop() }
 
-func (f *FSFromNBAC) run(ctx context.Context, task *net.Task) {
-	defer close(f.done)
-	// Thread the task through the ctx so the Vote and Sleep calls below park
-	// on the scheduler instead of adopting a task of their own.
-	ctx = net.WithTask(ctx, task)
+// run is the service body. ctx carries the service's task, so the Vote and
+// Sleep calls below park on it instead of adopting a task of their own.
+func (f *FSFromNBAC) run(ctx context.Context) {
 	for k := 0; ; k++ {
 		outcome, err := f.newInstance(k).Vote(ctx, VoteYes)
 		if err != nil {

@@ -43,23 +43,17 @@ func (t *TwoPC) Vote(ctx context.Context, v Vote) (Outcome, error) {
 	// until the run's deadline escapes it.
 	ctx, release := net.AdoptTask(ctx, t.ep, "twopc.vote")
 	defer release()
-	task := net.TaskFrom(ctx)
 	in := t.ep.Instance(t.instance)
-	in.Watch(task)
+	in.Watch(net.TaskFrom(ctx))
 	defer in.Watch(nil)
-	recv := func() (net.Message, error) {
-		for {
-			if msg, ok := in.TryRecv(); ok {
-				return msg, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return net.Message{}, err
-			}
-			if err := t.ep.Context().Err(); err != nil {
-				return net.Message{}, err
-			}
-			task.Await(ctx)
-		}
+	wait := t.ep.NewWait(ctx)
+	recv := func() (msg net.Message, err error) {
+		err = wait.Until(ctx, func(bool) (bool, error) {
+			var ok bool
+			msg, ok = in.TryRecv()
+			return ok, nil
+		})
+		return msg, err
 	}
 
 	// Phase 1: every participant (including the coordinator) sends its vote

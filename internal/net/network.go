@@ -79,12 +79,6 @@ func WithDropRate(p float64) Option {
 	}
 }
 
-// WithMetrics attaches a metrics sink; the network counts sent, delivered and
-// dropped messages into it.
-func WithMetrics(m *trace.Metrics) Option {
-	return func(n *Network) { n.metrics = m }
-}
-
 // WithTraceRecorder attaches rec to the step scheduler's trace stream: every
 // record the trace digest hashes (events, grants, exits — see TraceRecord) is
 // also passed to rec, in hash order, while a trace group is armed. The
@@ -168,7 +162,6 @@ func NewNetwork(n int, opts ...Option) *Network {
 		ep := &nw.endpoints[i]
 		ep.id = model.ProcessID(i)
 		ep.net = nw
-		ep.ctx.done = make(chan struct{})
 	}
 	nw.wg.Add(1)
 	go nw.dispatch()
@@ -401,18 +394,12 @@ func (nw *Network) deliver(ev *event) {
 	}
 }
 
-// processCtx is the minimal context.Context behind Endpoint.Context: done
-// channel plus Canceled error, nothing else. A full context.WithCancel chain
-// costs several allocations per process, which dominates network construction
-// at large n; protocol code only ever selects on Done and reports Err.
+// processCtx is a process's liveness as the waits in this package read it:
+// cancelled when the process crashes or the network closes, after which Err
+// reports context.Canceled — the error a wait of a crashed process returns.
 type processCtx struct {
-	done     chan struct{}
 	canceled atomic.Bool
 }
-
-func (c *processCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (c *processCtx) Done() <-chan struct{}       { return c.done }
-func (c *processCtx) Value(any) any               { return nil }
 
 func (c *processCtx) Err() error {
 	if c.canceled.Load() {
@@ -421,11 +408,7 @@ func (c *processCtx) Err() error {
 	return nil
 }
 
-func (c *processCtx) cancel() {
-	if c.canceled.CompareAndSwap(false, true) {
-		close(c.done)
-	}
-}
+func (c *processCtx) cancel() { c.canceled.Store(true) }
 
 // Endpoint is a process's connection to the network. A protocol participant
 // running at process p sends through it and reads its per-instance message
@@ -448,19 +431,11 @@ func (ep *Endpoint) ID() model.ProcessID { return ep.id }
 // N returns the number of processes in the network.
 func (ep *Endpoint) N() int { return ep.net.n }
 
-// Context is cancelled when the process crashes or the network closes.
-// Protocol loops must select on it so that crashed processes stop taking
-// steps.
-func (ep *Endpoint) Context() context.Context { return &ep.ctx }
-
 // Crashed reports whether this process has crashed.
 func (ep *Endpoint) Crashed() bool { return ep.crashed.Load() }
 
 // Clock returns the network's logical clock.
 func (ep *Endpoint) Clock() *Clock { return ep.net.clock }
-
-// Network returns the network this endpoint belongs to.
-func (ep *Endpoint) Network() *Network { return ep.net }
 
 // Instance resolves an instance name once and returns the handle hot paths
 // should hold on to: every Instance method runs with zero name lookups.

@@ -50,8 +50,14 @@ func TestPollUntilNeverCallsCondAfterCrash(t *testing.T) {
 
 	nw2 := NewNetwork(2, WithSeed(1))
 	defer nw2.Close()
-	nw2.ScheduleCrash(0, 2500*time.Microsecond)
-	calls, err = pollUntil(t, nw2, never)
+	// Scheduled at the wait's first step: scheduled before the task exists,
+	// the crash could pop before the task's first grant.
+	calls, err = pollUntil(t, nw2, func(_ context.Context, calls []pollCall) (bool, error) {
+		if len(calls) == 1 {
+			nw2.ScheduleCrash(0, 2500*time.Microsecond)
+		}
+		return false, nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Until across a crash returned %v, want context.Canceled", err)
 	}

@@ -95,12 +95,8 @@ func (t *Task) Wake() {
 // Await is the park point: it returns the scheduling token to the dispatcher
 // and blocks until the next Wake is granted. If a wake credit is already
 // pending (issued while the task was running) it returns immediately without
-// yielding. Callers use the condition-recheck idiom:
-//
-//	for {
-//		if done() { return }
-//		t.Await(ctx)
-//	}
+// yielding. Its callers are the condition-recheck loops of Poll.Until and
+// the Service kinds, which re-check their exit conditions after every wake.
 //
 // ctx is the escape hatch for wall-clock teardown (the scenario timeout): if
 // it fires while the task is parked, the task resumes WITHOUT the token,
@@ -711,18 +707,10 @@ func (ep *Endpoint) wakeTasks() {
 }
 
 // Watch registers t to be woken whenever the dispatcher pushes a message into
-// this process's mailbox for the instance — the Watch + TryRecv-drain + Await
-// idiom, the one way a task waits for traffic:
-//
-//	in.Watch(t)
-//	for {
-//		for { m, ok := in.TryRecv(); ... }
-//		if done() { return }
-//		t.Await(ctx)
-//	}
-//
-// Watch(nil) clears the watcher. A mailbox has one watcher: a second Watch
-// replaces the first.
+// this process's mailbox for the instance: the wake of a wait whose cond
+// drains the mailbox with TryRecv (NewWait, NewPoll). Instance.Serve watches
+// for its service. Watch(nil) clears the watcher. A mailbox has one watcher:
+// a second Watch replaces the first.
 func (in Instance) Watch(t *Task) {
 	b := in.box()
 	b.mu.Lock()

@@ -131,20 +131,9 @@ func (ep *Endpoint) Sleep(ctx context.Context, d time.Duration) error {
 	// task discipline is adopted for its span.
 	ctx, release := AdoptTask(ctx, ep, "net.sleep")
 	defer release()
-	task := TaskFrom(ctx)
 	t := ep.NewTimer(d)
 	defer t.Stop()
-	t.Bind(task)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := ep.ctx.Err(); err != nil {
-			return err
-		}
-		if t.TryFire() {
-			return nil
-		}
-		task.Await(ctx)
-	}
+	wait := ep.NewWait(ctx)
+	t.Bind(wait.task)
+	return wait.Until(ctx, func(bool) (bool, error) { return t.TryFire(), nil })
 }

@@ -104,10 +104,7 @@ type Register[V any] struct {
 	opSeq int64
 	pend  map[int64]*pending[V]
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-	task     *net.Task // replica loop's step-scheduler task
+	replica *net.Service // serves the replica role and routes acks; see handle
 }
 
 // pending tracks the acknowledgements of one in-flight phase.
@@ -129,10 +126,8 @@ func New[V any](ep *net.Endpoint, instance string, guard quorum.Guard) *Register
 		guard:    guard,
 		ts:       Timestamp{Seq: 0, Writer: -1},
 		pend:     make(map[int64]*pending[V]),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
-	r.task = ep.Network().Go(ep, "register.replica", r.run)
+	r.replica = ep.Instance(r.instance).Serve("register.replica", r.handle)
 	return r
 }
 
@@ -141,41 +136,11 @@ func (r *Register[V]) Endpoint() *net.Endpoint { return r.ep }
 
 // Stop shuts down the replica's message loop. The register group loses this
 // replica, exactly as if the process stopped participating.
-func (r *Register[V]) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	r.task.Wake()
-	<-r.done
-}
+func (r *Register[V]) Stop() { r.replica.Stop() }
 
-// run is the single reader of the register's message stream: it serves the
-// replica role (answering get/set requests) and routes acknowledgements to
-// in-flight operations of the local process. It is a scheduler task: it
-// drains the mailbox synchronously on each granted step and parks, woken by
-// the dispatcher's pushes (Watch), by crash, and by Stop.
-func (r *Register[V]) run(task *net.Task) {
-	defer close(r.done)
-	in := r.ep.Instance(r.instance)
-	in.Watch(task)
-	for {
-		for {
-			msg, ok := in.TryRecv()
-			if !ok {
-				break
-			}
-			r.handle(msg)
-		}
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
-		if r.ep.Context().Err() != nil {
-			return
-		}
-		task.Await(nil)
-	}
-}
-
+// handle is the replica service's step, once per message of the register's
+// stream: it serves the replica role (answering get/set requests) and routes
+// acknowledgements to in-flight operations of the local process.
 func (r *Register[V]) handle(msg net.Message) {
 	switch msg.Type {
 	case msgGet:
@@ -259,12 +224,10 @@ func (r *Register[V]) await(ctx context.Context, p *pending[V]) (model.ProcessSe
 		if r.guard.Satisfied(acked) {
 			return true, nil
 		}
-		select {
-		case <-r.stop:
+		if r.replica.Stopped() {
 			return false, context.Canceled
-		default:
-			return false, nil
 		}
+		return false, nil
 	})
 	if err != nil {
 		return model.NewProcessSet(), err

@@ -187,12 +187,6 @@ func WithFSDetectionDelay(d model.Time) Option {
 	return func(c *Config) { c.Detector.DetectionDelay = d }
 }
 
-// WithStabilizeAfter sets when the ◇ detector classes end their
-// false-suspicion prefix.
-func WithStabilizeAfter(d model.Time) Option {
-	return func(c *Config) { c.Detector.StabilizeAfter = d }
-}
-
 // WithPsiSwitch sets when Ψ leaves ⊥ and which regime it prefers.
 func WithPsiSwitch(after model.Time, policy fd.PsiPolicy) Option {
 	return func(c *Config) {
