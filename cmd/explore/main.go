@@ -74,7 +74,7 @@ func run() int {
 		delays        = flag.String("delays", "1ms:3ms", "base delay range min:max")
 		timeout       = flag.Duration("timeout", 250*time.Millisecond, "per-run wall-clock backstop (genuine non-termination failures each cost this)")
 		safetyOnly    = flag.Bool("safety-only", false, "check only safety clauses; also arms the drop-rate mutator")
-		minimize      = flag.Int("minimize", 3, "distinct failure signatures to minimize (0 or negative = none)")
+		minimize      = flag.Int("minimize", 3, "distinct failure signatures to minimize (0 = none)")
 		depthSignal   = flag.Bool("depth-signal", false, "mix suspect-history depth into the novelty signature (trades reproducibility for sensitivity)")
 		traceSignal   = flag.Bool("trace-signal", false, "mix the step scheduler's bucketed trace shape into the novelty signature (stays byte-reproducible)")
 		frontier      = flag.String("frontier", "", "frontier axes 'class:param:max' split by ';', e.g. 'eventually-perfect:stabilize:100000;eventually-strong:stabilize:1000'")
@@ -166,13 +166,6 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The CLI has no sentinel baggage: 0 means "no minimisation", unlike the
-	// library's 0 → default-of-3 (the same contract cmd/sweep gives -keep).
-	minimizeLimit := *minimize
-	if minimizeLimit <= 0 {
-		minimizeLimit = -1
-	}
-
 	var done, failed atomic.Int64
 	opts := explore.Options{
 		Seed:          *seed,
@@ -183,7 +176,7 @@ func run() int {
 		Proto:         p,
 		Base:          base,
 		Classes:       alphabet,
-		MinimizeLimit: minimizeLimit,
+		MinimizeLimit: *minimize,
 		DepthSignal:   *depthSignal,
 		TraceSignal:   *traceSignal,
 		SeedCorpus:    seedCorpus,

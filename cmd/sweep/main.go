@@ -3,8 +3,10 @@
 // goroutines — and, with --shard k/m, across independent processes covering
 // disjoint contiguous slices of the row-major index space — streams
 // progress, and emits a JSON report in the same committed-snapshot style as
-// BENCH_net.json. With --minimize, the first retained failure is shrunk to
-// a minimal reproducer (scenario.Minimize) before the report is written.
+// BENCH_net.json. With --minimize, the first failure is shrunk to a minimal
+// reproducer (scenario.Minimize) before the report is written. Detector
+// quality is part of the detector spec (-detectors 'omega-sigma{suspect:10}'),
+// which also labels the report's per-class column.
 //
 // Reports carry a schema_version and the grid fingerprint, so cmd/campaign
 // can fold shard reports from independent invocations into one campaign
@@ -18,7 +20,7 @@
 //	      -detectors 'omega-sigma,perfect,eventually-perfect{stabilize:50},eventually-strong{stabilize:50}' \
 //	      -crashes '-;4@5ms'
 //	sweep -proto consensus/multi -rounds 16 -seeds 1-64
-//	sweep -proto nbac -seeds 1-250000 -shard 3/8 -keep -1 -out shard3.json
+//	sweep -proto nbac -seeds 1-250000 -shard 3/8 -keep 0 -out shard3.json
 //
 // Exit codes: 0 all runs passed, 1 spec failures, 2 usage or setup error,
 // 3 cancelled (SIGINT/SIGTERM).
@@ -60,17 +62,14 @@ func run() int {
 		delays      = flag.String("delays", def.Delays, "delay ranges, e.g. 0:200us,1ms:50ms (empty = scenario default)")
 		crashes     = flag.String("crashes", def.Crashes, "crash schedules split by ';', entries p@time; '-' is the crash-free point, e.g. '-;4@5ms;1@2ms,3@10ms'")
 		drop        = flag.Float64("drop", def.Drop, "per-message drop probability (combine with -safety-only)")
-		suspicion   = flag.Int64("suspicion", def.Suspicion, "Σ/Ω suspicion delay, logical ticks")
-		fsDelay     = flag.Int64("fs-delay", def.FSDelay, "FS detection delay, logical ticks")
-		psiSwitch   = flag.Int64("psi-switch", def.PsiSwitch, "Ψ switch time, logical ticks")
 		safetyOnly  = flag.Bool("safety-only", def.SafetyOnly, "check only safety clauses (no termination)")
 		timeout     = flag.String("timeout", def.Timeout, "per-run wall-clock backstop")
 		shard       = flag.String("shard", def.Shard, "shard k/m: cover slice k of m of the grid's row-major index space")
 		workers     = flag.Int("workers", def.Workers, "worker goroutines (0 = GOMAXPROCS)")
-		keep        = flag.Int("keep", def.Keep, "failing Results to retain in full (0 or negative = none, count only)")
+		keep        = flag.Int("keep", def.Keep, "failing Results to retain in full (0 = none: count only)")
 		gridFile    = flag.String("grid", "", "JSON grid-spec file; explicit flags override its keys")
 		out         = flag.String("out", "", "report path (default stdout)")
-		minimize    = flag.Bool("minimize", false, "shrink the first retained failure to a minimal reproducer")
+		minimize    = flag.Bool("minimize", false, "shrink the first failure to a minimal reproducer (retains it even under -keep 0)")
 		probes      = flag.Bool("probes", def.Probes, "fold per-run trace probes into the report's aggregates")
 		progress    = flag.Duration("progress", 0, "JSONL progress interval on stderr (0 = off)")
 	)
@@ -97,9 +96,8 @@ func run() int {
 		"seeds": func() { sp.Seeds = *seeds }, "detectors": func() { sp.Detectors = *detectors },
 		"delays":  func() { sp.Delays = *delays },
 		"crashes": func() { sp.Crashes = *crashes }, "drop": func() { sp.Drop = *drop },
-		"suspicion": func() { sp.Suspicion = *suspicion }, "fs-delay": func() { sp.FSDelay = *fsDelay },
-		"psi-switch": func() { sp.PsiSwitch = *psiSwitch }, "safety-only": func() { sp.SafetyOnly = *safetyOnly },
-		"timeout": func() { sp.Timeout = *timeout }, "shard": func() { sp.Shard = *shard },
+		"safety-only": func() { sp.SafetyOnly = *safetyOnly },
+		"timeout":     func() { sp.Timeout = *timeout }, "shard": func() { sp.Shard = *shard },
 		"workers": func() { sp.Workers = *workers }, "keep": func() { sp.Keep = *keep },
 		"probes": func() { sp.Probes = *probes },
 	}
@@ -113,7 +111,7 @@ func run() int {
 	if err != nil {
 		return usageErr("%v", err)
 	}
-	if *minimize && grid.KeepFailures == scenario.KeepAllCounts {
+	if *minimize && grid.KeepFailures <= 0 {
 		// Minimisation needs a retained failure to start from.
 		fmt.Fprintln(os.Stderr, "sweep: -minimize needs a retained failure; keeping 1 despite -keep")
 		grid.KeepFailures = 1

@@ -332,7 +332,6 @@ func exploreThroughput(runs int) (*explore.Report, error) {
 			{Class: fd.ClassOmegaSigma},
 			{Class: fd.ClassPerfect},
 		},
-		MinimizeLimit: -1,
 	})
 }
 

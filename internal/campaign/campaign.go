@@ -129,10 +129,6 @@ func (sp ExploreSpec) Options(unitSeed int64) (explore.Options, error) {
 	if sp.SafetyOnly {
 		baseOpts = append(baseOpts, scenario.WithSafetyOnly())
 	}
-	minimize := sp.Minimize
-	if minimize <= 0 {
-		minimize = -1 // spec semantics match cmd/explore: 0 means none
-	}
 	return explore.Options{
 		Seed:          unitSeed,
 		Runs:          sp.Runs,
@@ -140,7 +136,7 @@ func (sp ExploreSpec) Options(unitSeed int64) (explore.Options, error) {
 		Proto:         proto,
 		Base:          scenario.New(sp.N, baseOpts...).Config(),
 		Classes:       alphabet,
-		MinimizeLimit: minimize,
+		MinimizeLimit: sp.Minimize,
 		DepthSignal:   sp.DepthSignal,
 		TraceSignal:   sp.TraceSignal,
 	}, nil

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"weakestfd/internal/explore"
-	"weakestfd/internal/model"
 	"weakestfd/internal/probe"
 	"weakestfd/internal/scenario"
 )
@@ -303,9 +302,6 @@ type GridSpec struct {
 	Delays        string  `json:"delays"`
 	Crashes       string  `json:"crashes"`
 	Drop          float64 `json:"drop"`
-	Suspicion     int64   `json:"suspicion"`
-	FSDelay       int64   `json:"fs_delay"`
-	PsiSwitch     int64   `json:"psi_switch"`
 	SafetyOnly    bool    `json:"safety_only"`
 	Timeout       string  `json:"timeout"`
 	Shard         string  `json:"shard"`
@@ -337,11 +333,6 @@ func BuildGrid(sp GridSpec) (*scenario.Scenario, scenario.Grid, scenario.Protoco
 	opts := []scenario.Option{
 		scenario.WithTimeout(timeout),
 		scenario.WithDropRate(sp.Drop),
-		scenario.WithSuspicionDelay(model.Time(sp.Suspicion)),
-		scenario.WithFSDetectionDelay(model.Time(sp.FSDelay)),
-	}
-	if sp.PsiSwitch != 0 {
-		opts = append(opts, scenario.WithPsiSwitch(model.Time(sp.PsiSwitch), 0))
 	}
 	if sp.SafetyOnly {
 		opts = append(opts, scenario.WithSafetyOnly())
@@ -352,13 +343,6 @@ func BuildGrid(sp GridSpec) (*scenario.Scenario, scenario.Grid, scenario.Protoco
 		return nil, grid, nil, fmt.Errorf("seeds: %v", err)
 	}
 	if strings.TrimSpace(sp.Detectors) != "" {
-		// The axis replaces the base spec wholesale per grid point, exactly
-		// like -delays replaces the base delay range — so base detector
-		// quality flags would be silently dropped. Refuse the combination:
-		// quality parameters of an axis spec belong in its grammar.
-		if sp.Suspicion != 0 || sp.FSDelay != 0 || sp.PsiSwitch != 0 {
-			return nil, grid, nil, fmt.Errorf("detectors: -suspicion/-fs-delay/-psi-switch cannot combine with -detectors; put quality parameters in the spec grammar, e.g. 'omega-sigma{suspect:%d}'", sp.Suspicion)
-		}
 		if grid.Detectors, err = ParseDetectors(sp.Detectors); err != nil {
 			return nil, grid, nil, fmt.Errorf("detectors: %v", err)
 		}
@@ -374,11 +358,6 @@ func BuildGrid(sp GridSpec) (*scenario.Scenario, scenario.Grid, scenario.Protoco
 	}
 	grid.Workers = sp.Workers
 	grid.Probes = sp.Probes
-	// The CLI has no compatibility baggage: 0 means "retain none", unlike
-	// the library's historical 0 → 8 default.
 	grid.KeepFailures = sp.Keep
-	if sp.Keep <= 0 {
-		grid.KeepFailures = scenario.KeepAllCounts
-	}
 	return base, grid, p, nil
 }

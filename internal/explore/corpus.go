@@ -17,17 +17,14 @@ import (
 // with equal space fingerprints and different seeds are independent samples
 // of one campaign's space, which is what lets campaign merge fold their
 // reports: the merged result is a pure function of (fingerprint, seed set).
-// A custom Mutators set is not representable and must be nil.
+// No minimisation renders as minimize=-1.
 func SpaceFingerprint(opts Options) string {
 	batch := opts.Batch
 	if batch <= 0 {
 		batch = defaultBatch
 	}
 	minimize := opts.MinimizeLimit
-	if minimize == 0 {
-		minimize = defaultMinimize
-	}
-	if minimize < 0 {
+	if minimize <= 0 {
 		minimize = -1
 	}
 	base := opts.Base

@@ -62,14 +62,12 @@ type Options struct {
 	// Base is the exploration's starting configuration (and first corpus
 	// entry). Required: use scenario.New(n, opts...).Config().
 	Base scenario.Config
-	// Mutators is the perturbation set; nil means DefaultMutators(Classes).
-	Mutators []Mutator
-	// Classes is the detector-class alphabet the default detector-class
-	// mutator swaps between; ignored when Mutators is set explicitly.
+	// Classes is the detector-class alphabet the detector-class mutator
+	// swaps between.
 	Classes []fd.DetectorSpec
 	// MinimizeLimit caps how many distinct failure signatures are fed
 	// through scenario.Minimize after the exploration (in discovery order).
-	// 0 means 3; negative disables minimisation.
+	// 0 (or negative) minimises none.
 	MinimizeLimit int
 	// SeedCorpus, if non-nil, preloads a previously serialized corpus
 	// before the loop starts: its entries (with their energies), behaviour
@@ -131,15 +129,14 @@ type Entry struct {
 // picks where behaviour is changing instead of spreading them uniformly —
 // which is the entire advantage over a uniform grid.
 const (
-	baseEnergy      = 1.0
-	hotEnergy       = 4.0
-	energyReward    = 0.75
-	energyCap       = 4.0
-	energyDecay     = 0.9
-	energyFloor     = 0.15
-	planAttempts    = 16 // mutation re-rolls per planned run before accepting a duplicate
-	defaultBatch    = 16
-	defaultMinimize = 3
+	baseEnergy   = 1.0
+	hotEnergy    = 4.0
+	energyReward = 0.75
+	energyCap    = 4.0
+	energyDecay  = 0.9
+	energyFloor  = 0.15
+	planAttempts = 16 // mutation re-rolls per planned run before accepting a duplicate
+	defaultBatch = 16
 )
 
 // Failure is one deduplicated failing behaviour class found during
@@ -194,17 +191,7 @@ func Explore(ctx context.Context, opts Options) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	muts := opts.Mutators
-	if muts == nil {
-		muts = DefaultMutators(opts.Classes)
-	}
-	if len(muts) == 0 {
-		return nil, fmt.Errorf("explore: no mutators")
-	}
-	minimize := opts.MinimizeLimit
-	if minimize == 0 {
-		minimize = defaultMinimize
-	}
+	muts := mutators(opts.Classes)
 
 	start := time.Now()
 	rng := newRand(opts.Seed)
@@ -408,30 +395,28 @@ func Explore(ctx context.Context, opts Options) (*Report, error) {
 	// the loop, shrink to minimal reproducers — deduplicated again by
 	// minimal fingerprint, since distinct signatures often share one root
 	// cause.
-	if minimize > 0 {
-		seen := map[string]bool{}
-		for i, f := range failures {
-			if i >= minimize || ctx.Err() != nil {
-				break
-			}
-			minRes, err := scenario.Minimize(ctx, f.Config, opts.Proto)
-			rep.MinimizeCandidates += minRes.Candidates
-			if err != nil {
-				continue
-			}
-			if seen[minRes.Fingerprint] {
-				continue
-			}
-			seen[minRes.Fingerprint] = true
-			rep.Minimized = append(rep.Minimized, MinimizedFailure{
-				FromSignature: f.Signature,
-				FromRun:       f.Run,
-				Candidates:    minRes.Candidates,
-				Violations:    minRes.Result.Verdict.Violations,
-				Fingerprint:   minRes.Fingerprint,
-				Config:        minRes.Config,
-			})
+	seen := map[string]bool{}
+	for i, f := range failures {
+		if i >= opts.MinimizeLimit || ctx.Err() != nil {
+			break
 		}
+		minRes, err := scenario.Minimize(ctx, f.Config, opts.Proto)
+		rep.MinimizeCandidates += minRes.Candidates
+		if err != nil {
+			continue
+		}
+		if seen[minRes.Fingerprint] {
+			continue
+		}
+		seen[minRes.Fingerprint] = true
+		rep.Minimized = append(rep.Minimized, MinimizedFailure{
+			FromSignature: f.Signature,
+			FromRun:       f.Run,
+			Candidates:    minRes.Candidates,
+			Violations:    minRes.Result.Verdict.Violations,
+			Fingerprint:   minRes.Fingerprint,
+			Config:        minRes.Config,
+		})
 	}
 
 	for _, e := range corpus {

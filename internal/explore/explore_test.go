@@ -177,7 +177,7 @@ func TestSignatureAbstractsSeedKeepsBehaviour(t *testing.T) {
 	if SignatureOf(&a, false, false) != SignatureOf(&b, false, false) {
 		t.Fatalf("seed changed the signature:\n%s\n%s", SignatureOf(&a, false, false), SignatureOf(&b, false, false))
 	}
-	c := run(scenario.WithSeed(1), scenario.WithDetectorClass(fd.ClassPerfect))
+	c := run(scenario.WithSeed(1), scenario.WithDetector(fd.MustParseSpec("perfect")))
 	if SignatureOf(&a, false, false) == SignatureOf(&c, false, false) {
 		t.Fatalf("detector class did not change the signature")
 	}

@@ -49,7 +49,7 @@ const (
 	maxTicks      = model.Time(200)
 )
 
-// DefaultMutators is the standard perturbation set over the given
+// mutators is the exploration's perturbation set over the given
 // detector-class alphabet: seed churn, crash-schedule edits (add, drop,
 // retime, retarget), delay-range redraws, detector-class swaps, and
 // detector-quality perturbation along the parameters the current class
@@ -57,7 +57,7 @@ const (
 // class ignores would mint spurious novelty). A drop-rate mutator joins
 // only for safety-only configs, where lost liveness is not a spurious
 // failure.
-func DefaultMutators(classes []fd.DetectorSpec) []Mutator {
+func mutators(classes []fd.DetectorSpec) []Mutator {
 	muts := []Mutator{
 		{Name: "seed", Weight: 0.5, Apply: func(r *Rand, cfg *scenario.Config) bool {
 			cfg.Seed = int64(r.Intn(1 << 30))

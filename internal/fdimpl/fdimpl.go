@@ -83,6 +83,7 @@ type sigmaProbe struct{ Round int }
 type sigmaAck struct{ Round int }
 
 func (s *MajoritySigma) run(next func() (time.Duration, bool)) {
+	in := s.ep.Instance(sigmaInstance)
 	round := 0
 	acked := map[int]model.ProcessSet{}
 	majority := s.ep.N()/2 + 1
@@ -91,7 +92,7 @@ func (s *MajoritySigma) run(next func() (time.Duration, bool)) {
 		switch msg.Type {
 		case "probe":
 			probe := msg.Payload.(sigmaProbe)
-			s.ep.Send(msg.From, sigmaInstance, "ack", sigmaAck{Round: probe.Round})
+			in.Send(msg.From, "ack", sigmaAck{Round: probe.Round})
 		case "ack":
 			// Accept acks for the previous round too: a peer that answers a
 			// probe at its own next tick produces an ack that systematically
@@ -122,7 +123,7 @@ func (s *MajoritySigma) run(next func() (time.Duration, bool)) {
 	// rounds by processing progress.
 	tick := func() {
 		for {
-			msg, ok := s.ep.TryRecv(sigmaInstance)
+			msg, ok := in.TryRecv()
 			if !ok {
 				break
 			}
@@ -130,7 +131,7 @@ func (s *MajoritySigma) run(next func() (time.Duration, bool)) {
 		}
 		delete(acked, round-1)
 		round++
-		s.ep.Broadcast(sigmaInstance, "probe", sigmaProbe{Round: round})
+		in.Broadcast("probe", sigmaProbe{Round: round})
 	}
 
 	for _, ok := next(); ok; _, ok = next() {
@@ -178,6 +179,7 @@ func (o *HeartbeatOmega) Sample() model.ProcessID {
 func (o *HeartbeatOmega) Stop() { o.svc.Stop() }
 
 func (o *HeartbeatOmega) run(next func() (time.Duration, bool)) {
+	in := o.ep.Instance(omegaInstance)
 	lastHeard := make(map[model.ProcessID]time.Duration)
 
 	recompute := func(now time.Duration) {
@@ -207,7 +209,7 @@ func (o *HeartbeatOmega) run(next func() (time.Duration, bool)) {
 	// tick was read from cannot have moved past it.
 	tick := func(now time.Duration) {
 		for {
-			msg, ok := o.ep.TryRecv(omegaInstance)
+			msg, ok := in.TryRecv()
 			if !ok {
 				break
 			}
@@ -215,7 +217,7 @@ func (o *HeartbeatOmega) run(next func() (time.Duration, bool)) {
 				lastHeard[msg.From] = now
 			}
 		}
-		o.ep.Broadcast(omegaInstance, "hb", nil)
+		in.Broadcast("hb", nil)
 		recompute(now)
 	}
 
@@ -265,6 +267,7 @@ func (f *HeartbeatFS) Sample() model.FSValue {
 func (f *HeartbeatFS) Stop() { f.svc.Stop() }
 
 func (f *HeartbeatFS) run(next func() (time.Duration, bool)) {
+	in := f.ep.Instance(fsInstance)
 	lastHeard := make(map[model.ProcessID]time.Duration)
 	grace := 2 * f.timeout
 
@@ -275,7 +278,7 @@ func (f *HeartbeatFS) run(next func() (time.Duration, bool)) {
 	// path that must not race.
 	tick := func(now time.Duration) {
 		for {
-			msg, ok := f.ep.TryRecv(fsInstance)
+			msg, ok := in.TryRecv()
 			if !ok {
 				break
 			}
@@ -283,7 +286,7 @@ func (f *HeartbeatFS) run(next func() (time.Duration, bool)) {
 				lastHeard[msg.From] = now
 			}
 		}
-		f.ep.Broadcast(fsInstance, "hb", nil)
+		in.Broadcast("hb", nil)
 		if now-f.start < grace {
 			return
 		}

@@ -46,8 +46,9 @@ func broadcastSchedule(t *testing.T, seed int64, drop float64, serial bool) [][]
 	waitQuiesced(t, nw)
 	out := make([][]string, n)
 	for p := 0; p < n; p++ {
+		in := nw.Endpoint(model.ProcessID(p)).Instance("sched")
 		for {
-			msg, ok := nw.Endpoint(model.ProcessID(p)).TryRecv("sched")
+			msg, ok := in.TryRecv()
 			if !ok {
 				break
 			}

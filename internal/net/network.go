@@ -457,19 +457,6 @@ func (ep *Endpoint) Broadcast(instance, typ string, payload any) {
 	ep.net.broadcast(ep.net.intern(instance), ep.id, typ, 0, 0, payload)
 }
 
-// TryRecv pops the next buffered message for the given instance without
-// blocking, straight from the mailbox ring. Messages delivered before the
-// first TryRecv are buffered, so a reader that starts after communication has
-// begun loses nothing. Nothing stands between the dispatcher and the caller:
-// once the network delivers a message it is visible here immediately — which
-// is what lets timeout-driven loops (internal/fdimpl) drain their traffic
-// synchronously before acting on a tick. Each instance has a single stream;
-// concurrent readers drain it cooperatively. A task that must wait for
-// traffic pairs TryRecv with Instance.Watch.
-func (ep *Endpoint) TryRecv(instance string) (Message, bool) {
-	return ep.Instance(instance).TryRecv()
-}
-
 // Instance is an interned handle on one (process, instance) pair: the mailbox
 // and counters are resolved once at Instance() time, so sends, broadcasts and
 // receives through the handle perform no map lookups. The zero Instance is
@@ -505,8 +492,15 @@ func (in Instance) BroadcastAux(typ string, aux, aux2 int64, payload any) {
 	in.ep.net.broadcast(in.st, in.ep.id, typ, aux, aux2, payload)
 }
 
-// TryRecv pops the next buffered message without blocking; see
-// Endpoint.TryRecv.
+// TryRecv pops the next buffered message without blocking, straight from
+// the mailbox ring. Messages delivered before the first TryRecv are
+// buffered, so a reader that starts after communication has begun loses
+// nothing. Nothing stands between the dispatcher and the caller: once the
+// network delivers a message it is visible here immediately — which is what
+// lets timeout-driven loops (internal/fdimpl) drain their traffic
+// synchronously before acting on a tick. Each instance has a single stream;
+// concurrent readers drain it cooperatively. A task that must wait for
+// traffic pairs TryRecv with Instance.Watch.
 func (in Instance) TryRecv() (Message, bool) {
 	return in.box().tryPop()
 }

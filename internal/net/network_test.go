@@ -68,7 +68,7 @@ func TestMessagesDeliveredBeforeFirstTryRecvAreBuffered(t *testing.T) {
 
 	nw.Endpoint(0).Send(1, "late", "m", 1)
 	waitQuiesced(t, nw) // delivered before anyone reads
-	msg, ok := nw.Endpoint(1).TryRecv("late")
+	msg, ok := nw.Endpoint(1).Instance("late").TryRecv()
 	if !ok {
 		t.Fatalf("buffered message lost")
 	}

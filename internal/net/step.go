@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // This file implements run-to-quiescence stepping, the deterministic
@@ -416,6 +417,7 @@ type stepper struct {
 	groupDone  chan struct{}
 	final      string
 	finalStats TraceStats
+	finalAt    time.Duration
 }
 
 func newStepper(q *eventQueue, rec TraceRecorder) *stepper {
@@ -542,9 +544,10 @@ func (s *stepper) beginTraceGroup(n int) {
 
 // groupExit retires one group task. When the last one exits the trace is
 // finalized: if every exit was clean and no escape tainted the run, the
-// digest is snapshotted (the exiting task still holds the token, so the read
-// cannot race the dispatcher's writes); otherwise the fingerprint stays
-// empty. groupDone is closed either way, releasing TraceResult.
+// digest and the virtual clock are snapshotted (the exiting task still holds
+// the token, so the reads cannot race the dispatcher); otherwise the
+// fingerprint stays empty and the clock is read off the token discipline.
+// groupDone is closed either way, releasing TraceResult.
 func (s *stepper) groupExit(t *Task, clean bool) {
 	if !t.group {
 		return
@@ -556,11 +559,12 @@ func (s *stepper) groupExit(t *Task, clean bool) {
 	if !last {
 		return
 	}
+	at := s.q.virtualNow()
+	s.groupMu.Lock()
+	s.finalAt = at
 	if clean && !s.tainted.Load() {
-		s.groupMu.Lock()
 		s.final = hex.EncodeToString(s.digest.Sum(nil))
 		s.finalStats = s.stats
-		s.groupMu.Unlock()
 	} else {
 		// A tainted trace keeps nothing but the reason it was forfeited.
 		s.taintMu.Lock()
@@ -569,10 +573,9 @@ func (s *stepper) groupExit(t *Task, clean bool) {
 		if reason == "" {
 			reason = "trace tainted: a group task exited on an escape path"
 		}
-		s.groupMu.Lock()
 		s.finalStats = TraceStats{TaintReason: reason}
-		s.groupMu.Unlock()
 	}
+	s.groupMu.Unlock()
 	s.finalized.Store(true)
 	close(s.groupDone)
 }
@@ -665,22 +668,24 @@ func (nw *Network) TraceGroup(n int) {
 }
 
 // TraceResult blocks until the trace group has exited and returns the trace
-// fingerprint with its shape counters. The fingerprint is the hex SHA-256
-// over the (event, grant, exit) record stream up to the last group task's
-// exit — byte-identical across runs of an identical seeded configuration. It
-// is empty when the run was tainted by a wall-clock escape (a timeout cut the
+// fingerprint with its shape counters and the virtual time of the boundary.
+// The fingerprint is the hex SHA-256 over the (event, grant, exit) record
+// stream up to the last group task's exit — byte-identical across runs of an
+// identical seeded configuration, as is the boundary time. The fingerprint is
+// empty when the run was tainted by a wall-clock escape (a timeout cut the
 // run at a nondeterministic point) — the returned stats then carry only
-// TaintReason, naming the escape — and immediately empty when no trace group
+// TaintReason, naming the escape, and the time is wherever the clock stood
+// at the last exit — and everything is immediately zero when no trace group
 // was declared.
-func (nw *Network) TraceResult() (string, TraceStats) {
+func (nw *Network) TraceResult() (string, TraceStats, time.Duration) {
 	s := nw.stepper
 	if !s.tracing.Load() {
-		return "", TraceStats{}
+		return "", TraceStats{}, 0
 	}
 	<-s.groupDone
 	s.groupMu.Lock()
 	defer s.groupMu.Unlock()
-	return s.final, s.finalStats
+	return s.final, s.finalStats, s.finalAt
 }
 
 // registerTask records t on its endpoint so a crash (or close) can wake it:

@@ -51,7 +51,7 @@ func runPingPong(t *testing.T) (string, TraceStats) {
 	nw.GoGroup(nw.Endpoint(0), "pp0", player(nw.Endpoint(0), 1, true))
 	nw.GoGroup(nw.Endpoint(1), "pp1", player(nw.Endpoint(1), 0, false))
 	nw.Thaw()
-	fp, st := nw.TraceResult()
+	fp, st, _ := nw.TraceResult()
 	for i := 0; i < 2; i++ {
 		select {
 		case <-done:
@@ -101,7 +101,7 @@ func TestEscapeTaintsTrace(t *testing.T) {
 	<-parked
 	time.Sleep(10 * time.Millisecond) // let it park with no wake pending
 	cancel()
-	fp, st := nw.TraceResult()
+	fp, st, _ := nw.TraceResult()
 	if fp != "" {
 		t.Fatalf("escaped run kept a fingerprint: %q", fp)
 	}
@@ -137,7 +137,7 @@ func TestWakeCreditNotLost(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending wake credit was lost: Await parked forever")
 	}
-	if fp, _ := nw.TraceResult(); fp == "" {
+	if fp, _, _ := nw.TraceResult(); fp == "" {
 		t.Fatal("clean self-waking run lost its trace")
 	}
 }

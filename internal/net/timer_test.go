@@ -61,7 +61,7 @@ func TestPendingMessagesBeatLaterTimers(t *testing.T) {
 		}
 		// By the time a 10ms timer fires, the 100µs message must already be
 		// waiting in the mailbox.
-		if _, ok := nw.Endpoint(1).TryRecv("beat"); !ok {
+		if _, ok := nw.Endpoint(1).Instance("beat").TryRecv(); !ok {
 			t.Errorf("message was leapfrogged by a later timer")
 		}
 	})

@@ -431,11 +431,10 @@ type RoundDecision struct {
 	Time  model.Time
 }
 
-// String renders the decision without its logical timestamp: tick counts are
-// scheduling-dependent even for a fixed seed, and this rendering is what
-// reaches Result.Fingerprint through Outcome.Value — the byte-stable part
-// must stay byte-stable. The Time field itself remains available to the
-// spec checker.
+// String renders the decision without its logical timestamp: this rendering
+// is what reaches Result.Fingerprint through Outcome.Value, and that
+// fingerprint is outcome-level — what each process decided, not when. The
+// Time field itself remains available to the spec checker.
 func (d RoundDecision) String() string { return fmt.Sprintf("r%d=%v", d.Round, d.Value) }
 
 func (m MultiConsensus) check(f *model.FailurePattern, outs []Outcome, requireTermination bool) model.Verdict {

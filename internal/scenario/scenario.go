@@ -168,33 +168,6 @@ func WithDetector(spec fd.DetectorSpec) Option {
 	return func(c *Config) { c.Detector = spec }
 }
 
-// WithDetectorClass selects the detector class by registry name, keeping the
-// quality parameters already configured.
-func WithDetectorClass(class string) Option {
-	return func(c *Config) { c.Detector.Class = class }
-}
-
-// WithSuspicionDelay makes crashed processes linger in Σ quorums, as Ω
-// leader candidates and outside suspect lists for d logical ticks after
-// their crash.
-func WithSuspicionDelay(d model.Time) Option {
-	return func(c *Config) { c.Detector.SuspicionDelay = d }
-}
-
-// WithFSDetectionDelay makes the FS signal turn red only d logical ticks
-// after the first crash.
-func WithFSDetectionDelay(d model.Time) Option {
-	return func(c *Config) { c.Detector.DetectionDelay = d }
-}
-
-// WithPsiSwitch sets when Ψ leaves ⊥ and which regime it prefers.
-func WithPsiSwitch(after model.Time, policy fd.PsiPolicy) Option {
-	return func(c *Config) {
-		c.Detector.PsiSwitchAfter = after
-		c.Detector.PsiPolicy = policy
-	}
-}
-
 // WithJournal captures the run's trace record stream into Result.Journal:
 // k == JournalAll keeps every record, k > 0 ring-buffers the last k. See
 // Config.Journal.
@@ -340,8 +313,13 @@ type Result struct {
 	Pattern *model.FailurePattern
 	// Metrics is the network's counter snapshot.
 	Metrics map[string]int64
-	// VirtualEnd is the virtual clock when the run finished; Wall is the
-	// wall-clock time it took. Their ratio is the speedup virtual time buys.
+	// VirtualEnd is the virtual clock at the trace boundary, read by the
+	// last runner to exit while it holds the step token, so it is a pure
+	// function of (seed, config) like TraceFingerprint. In a tainted run
+	// that runner exits without the token and the value is only where the
+	// clock stood when the wall-clock cut landed: not reproducible. Zero
+	// when the protocol launched no runner. Its ratio to Wall is the
+	// speedup virtual time buys.
 	VirtualEnd time.Duration
 	// Wall is the run's wall-clock duration.
 	Wall time.Duration
@@ -528,7 +506,7 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 		<-done
 	}
 	if launched > 0 {
-		res.TraceFingerprint, res.TraceSummary = nw.TraceResult()
+		res.TraceFingerprint, res.TraceSummary, res.VirtualEnd = nw.TraceResult()
 		tainted := res.TraceSummary.TaintReason != ""
 		if tainted && (jrec != nil || analyzer != nil) {
 			// A wall-clock escape means the runners exited without the
@@ -558,7 +536,6 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 	} else {
 		res.Verdict = model.Ok()
 	}
-	res.VirtualEnd = nw.VirtualNow()
 	res.Metrics = nw.Metrics().Snapshot()
 	if hist != nil {
 		res.HistoryDepth = hist.Len()
@@ -608,14 +585,12 @@ func (r *Result) buildJournal(rec *journal.Recorder) *journal.Journal {
 	})
 }
 
-// Fingerprint renders the run's scheduling-independent content canonically:
-// the configuration, the protocol, the verdict, and each process's
-// (returned, value, errored) outcome in process order. Logical timestamps,
-// metrics and wall times are deliberately excluded — tick counts and
-// throughput depend on goroutine scheduling even for a fixed seed, while
-// everything in the fingerprint is reproducible across identically-seeded
-// runs of a schedule-determined protocol. The sweep determinism tests
-// compare these byte-for-byte.
+// Fingerprint renders the run's outcome canonically: the configuration, the
+// protocol, the verdict, and each process's (returned, value, errored)
+// outcome in process order. Logical timestamps, metrics and wall times are
+// deliberately excluded because the fingerprint is outcome-level — what the
+// run decided, not when or at what cost; TraceFingerprint is the schedule-
+// level identity. The sweep determinism tests compare these byte-for-byte.
 func (r Result) Fingerprint() string {
 	var b strings.Builder
 	cfg := r.Config

@@ -79,7 +79,7 @@ func TestScenarioQC(t *testing.T) {
 	res := New(4,
 		WithSeed(5),
 		WithCrash(3, 0),
-		WithPsiSwitch(10, fd.PreferFSOnFailure),
+		WithDetector(fd.MustParseSpec("omega-sigma{switch:10,policy:fs-on-failure}")),
 	).Run(context.Background(), QC{})
 	if !res.Verdict.OK {
 		t.Fatalf("verdict: %v", res.Verdict)
@@ -146,7 +146,7 @@ func TestScenarioSuspicionDelay(t *testing.T) {
 	res := New(3,
 		WithSeed(10),
 		WithCrash(0, 0),
-		WithSuspicionDelay(50),
+		WithDetector(fd.MustParseSpec("omega-sigma{suspect:50}")),
 	).Run(context.Background(), Consensus{})
 	if !res.Verdict.OK {
 		t.Fatalf("verdict: %v", res.Verdict)
@@ -171,7 +171,7 @@ func TestScenarioAutomatonQC(t *testing.T) {
 	res := New(3,
 		WithSeed(13),
 		WithCrash(2, 0),
-		WithPsiSwitch(0, fd.PreferFSOnFailure),
+		WithDetector(fd.MustParseSpec("omega-sigma{policy:fs-on-failure}")),
 	).Run(context.Background(), Automaton{Algorithm: sim.QCAutomaton{}, Label: "qc", UsePsi: true, QC: true})
 	if !res.Verdict.OK {
 		t.Fatalf("verdict: %v", res.Verdict)
@@ -252,7 +252,7 @@ func TestSweepSmoke(t *testing.T) {
 			{{P: model.ProcessID(n - 1), At: 300 * time.Microsecond}},
 		}
 		base := New(n)
-		grid := Grid{Seeds: seeds, Delays: delays, Crashes: crashes}
+		grid := Grid{Seeds: seeds, Delays: delays, Crashes: crashes, KeepFailures: 1}
 		for _, proto := range protos {
 			res := Sweep(context.Background(), base, grid, proto)
 			if !res.AllPassed() {

@@ -17,12 +17,6 @@ type DelayRange struct {
 	Min, Max time.Duration
 }
 
-// KeepAllCounts is the Grid.KeepFailures sentinel for "count every failure
-// but retain none of the Results" — the count-only mode a million-run sweep
-// needs, where holding even a handful of full Results (configs, outcomes,
-// traces) per shard is pure overhead.
-const KeepAllCounts = -1
-
 // Shard restricts a sweep to one contiguous slice of the grid's row-major
 // index space, so independent invocations (other processes, other machines)
 // cover disjoint runs whose union is the whole grid. Shard k of m covers
@@ -94,9 +88,10 @@ type Grid struct {
 	// GOMAXPROCS.
 	Workers int
 	// KeepFailures caps how many failing Results are retained in full
-	// (earliest grid points first). 0 means 8 (kept for compatibility);
-	// KeepAllCounts (or any negative value) retains none while still
-	// counting every failure. Pass/fail counts always cover every run.
+	// (earliest grid points first). 0 (or negative) retains none: the
+	// count-only mode a million-run sweep needs, where holding even a
+	// handful of full Results per shard is pure overhead. Pass/fail counts
+	// always cover every run.
 	KeepFailures int
 	// OnRun, if non-nil, streams every executed run's result as it
 	// completes: index is the run's global row-major grid index. It is
@@ -306,10 +301,6 @@ func Sweep(ctx context.Context, base *Scenario, grid Grid, proto Protocol) Sweep
 	if workers > hi-lo {
 		workers = hi - lo
 	}
-	keep := grid.KeepFailures
-	if keep == 0 {
-		keep = 8
-	}
 
 	start := time.Now()
 	passed := make([]bool, hi-lo)
@@ -401,7 +392,7 @@ submit:
 		case faulted[j]:
 			out.Faulted++
 			det.Faulted++
-			if failed[j] != nil && keep > 0 && len(out.Failures) < keep {
+			if failed[j] != nil && len(out.Failures) < grid.KeepFailures {
 				out.Failures = append(out.Failures, *failed[j])
 				out.FailureIndices = append(out.FailureIndices, lo+j)
 			}

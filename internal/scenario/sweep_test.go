@@ -24,9 +24,8 @@ import (
 //     or identical inputs at every process (so any winner yields the same
 //     value).
 //
-// Logical tick counts are still scheduling-dependent, which is why
-// Result.Fingerprint excludes timestamps; everything it does include must be
-// byte-identical across repeated runs of these points.
+// Result.Fingerprint is outcome-level and excludes timestamps; everything it
+// does include must be byte-identical across repeated runs of these points.
 func determinismFamily() []struct {
 	name  string
 	s     *Scenario
@@ -216,8 +215,9 @@ func TestSweepCancellationSemantics(t *testing.T) {
 	var streamed []int
 	var mu sync.Mutex
 	grid := Grid{
-		Seeds:   seeds,
-		Workers: 2,
+		Seeds:        seeds,
+		Workers:      2,
+		KeepFailures: len(seeds),
 		OnRun: func(i int, _ *Result) {
 			mu.Lock()
 			streamed = append(streamed, i)
@@ -318,19 +318,19 @@ func TestSweepShardsPartitionGrid(t *testing.T) {
 	}
 }
 
-// TestSweepKeepAllCounts: the count-only mode needed at million-run scale —
-// every failure is counted, none is retained.
-func TestSweepKeepAllCounts(t *testing.T) {
+// TestSweepKeepZeroRetainsNone: the zero KeepFailures is the count-only mode
+// needed at million-run scale — every failure is counted, none is retained.
+func TestSweepKeepZeroRetainsNone(t *testing.T) {
 	badBase := New(5,
 		WithCrashes(Crash{2, 0}, Crash{3, 0}, Crash{4, 0}),
 		WithTimeout(200*time.Millisecond),
 	)
-	res := Sweep(context.Background(), badBase, Grid{Seeds: []int64{1, 2}, KeepFailures: KeepAllCounts}, Consensus{Majority: true})
+	res := Sweep(context.Background(), badBase, Grid{Seeds: []int64{1, 2}}, Consensus{Majority: true})
 	if res.Faulted != 2 {
 		t.Fatalf("Faulted = %d, want 2", res.Faulted)
 	}
 	if len(res.Failures) != 0 || len(res.FailureIndices) != 0 {
-		t.Fatalf("KeepAllCounts retained %d failures, want none", len(res.Failures))
+		t.Fatalf("KeepFailures 0 retained %d failures, want none", len(res.Failures))
 	}
 }
 
@@ -396,7 +396,7 @@ func TestGridFingerprint(t *testing.T) {
 	sharded := grid
 	sharded.Shard = Shard{Index: 2, Count: 3}
 	sharded.Workers = 7
-	sharded.KeepFailures = KeepAllCounts
+	sharded.KeepFailures = 3
 	if sharded.Fingerprint(base) != fp {
 		t.Fatal("execution detail (shard/workers/keep) leaked into the fingerprint")
 	}

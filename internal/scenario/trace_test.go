@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"weakestfd/internal/fd"
 	"weakestfd/internal/model"
 )
 
@@ -110,6 +111,42 @@ func TestTraceDeterministicCrashAtDecisionMoment(t *testing.T) {
 		}
 		if got.Fingerprint() != want.Fingerprint() {
 			t.Fatalf("%s: outcome fingerprint diverged", tc.name)
+		}
+	}
+}
+
+// TestVirtualEndDeterministic: Result.VirtualEnd is read at the trace
+// boundary, so repeated runs of one (seed, config) agree on it even where
+// detector tickers keep the dispatcher busy after the last runner exits —
+// crashy ◇P and delayed-P points whose clock used to be read while the
+// dispatcher was still firing timers.
+func TestVirtualEndDeterministic(t *testing.T) {
+	ctx := context.Background()
+	rounds := 32
+	if raceEnabled {
+		rounds = 8
+	}
+	point := func(seed int64, spec string) *Scenario {
+		return New(5, WithSeed(seed), WithDelays(time.Millisecond, 20*time.Millisecond),
+			WithCrashes(Crash{P: 4, At: 5 * time.Millisecond}, Crash{P: 0, At: 8 * time.Millisecond}),
+			WithDetector(fd.MustParseSpec(spec)), WithSafetyOnly())
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Scenario
+	}{
+		{"perfect-suspect10-seed15", point(15, "perfect{suspect:10}")},
+		{"eventually-perfect-seed5", point(5, "eventually-perfect{stabilize:50}")},
+		{"eventually-perfect-seed8", point(8, "eventually-perfect{stabilize:50}")},
+	} {
+		want := tc.s.Run(ctx, Consensus{})
+		if want.TraceFingerprint == "" || want.VirtualEnd == 0 {
+			t.Fatalf("%s: no pinned trace (fingerprint %q, VirtualEnd %v)", tc.name, want.TraceFingerprint, want.VirtualEnd)
+		}
+		for i := 1; i < rounds; i++ {
+			if got := tc.s.Run(ctx, Consensus{}); got.VirtualEnd != want.VirtualEnd {
+				t.Fatalf("%s: VirtualEnd %v on run %d, %v on the first", tc.name, got.VirtualEnd, i+1, want.VirtualEnd)
+			}
 		}
 	}
 }
