@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -71,8 +72,8 @@ func runPlan(args []string) int {
 		name   = fs.String("name", "", "campaign name (default: base of -dir)")
 		units  = fs.Int("units", 0, "work units (sweep: contiguous grid slices; explore: seeds)")
 		shards = fs.Int("shards", 1, "shards the units are assigned to")
-		gridF  = fs.String("grid", "", "sweep campaign: JSON grid-spec file (cmd/sweep -grid format)")
-		explF  = fs.String("explore", "", "explore campaign: JSON explore-spec file")
+		gridF  = fs.String("grid", "", "sweep campaign: JSON grid-spec file, read over cmd/sweep's flag defaults (cmd/sweep -grid format)")
+		explF  = fs.String("explore", "", "explore campaign: JSON explore-spec file, read over cmd/explore's flag defaults")
 	)
 	fs.Parse(args)
 	if *dir == "" {
@@ -87,18 +88,20 @@ func runPlan(args []string) int {
 		Shards: *shards,
 	}
 	if m.Name == "" {
-		m.Name = baseName(*dir)
+		m.Name = filepath.Base(*dir)
 	}
 	switch {
 	case *gridF != "":
 		m.Kind = campaign.KindSweep
-		m.Grid = &cliutil.GridSpec{}
+		sp := cliutil.DefaultGridSpec()
+		m.Grid = &sp
 		if err := cliutil.ReadSpec(*gridF, m.Grid); err != nil {
 			return usageErr("plan: %v", err)
 		}
 	case *explF != "":
 		m.Kind = campaign.KindExplore
-		m.Explore = &campaign.ExploreSpec{}
+		sp := campaign.DefaultExploreSpec()
+		m.Explore = &sp
 		if err := cliutil.ReadSpec(*explF, m.Explore); err != nil {
 			return usageErr("plan: %v", err)
 		}
@@ -254,14 +257,6 @@ func runStatus(args []string) int {
 		fmt.Println("all shards complete; ready to merge")
 	}
 	return 0
-}
-
-func baseName(dir string) string {
-	dir = strings.TrimRight(dir, "/")
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		return dir[i+1:]
-	}
-	return dir
 }
 
 func usageErr(format string, args ...any) int {

@@ -6,9 +6,15 @@
 // locates per-class solvability boundaries with -frontier.
 //
 // The whole run is a pure function of -seed (for schedule-determined
-// protocols, no -wall budget, -depth-signal off): re-invoking with the same
-// flags reproduces the report byte-for-byte up to the timing fields
-// (elapsed_ms, explore_runs_per_sec), which is asserted by CI.
+// protocols and no -wall budget), with -depth-signal and -trace-signal as
+// well as without: re-invoking with the same flags reproduces the report
+// byte-for-byte up to the timing fields (elapsed_ms, explore_runs_per_sec),
+// which is asserted by CI.
+//
+// The search flags fill a campaign.ExploreSpec, whose defaults are
+// campaign.DefaultExploreSpec and whose Options is the one translation into
+// an exploration: a campaign unit planned from a spec file with the same
+// keys runs the same search and reports the same space fingerprint.
 //
 // Persistence flags connect explorations across invocations and machines:
 // -corpus-in seeds this run with a serialized corpus (a -corpus-out file or
@@ -47,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"weakestfd/internal/campaign"
 	"weakestfd/internal/cliutil"
 	"weakestfd/internal/explore"
 	"weakestfd/internal/fd"
@@ -59,24 +66,30 @@ func main() {
 }
 
 func run() int {
+	// The search flags write straight into the spec, over its default table.
+	spec := campaign.DefaultExploreSpec()
+	defTimeout, err := time.ParseDuration(spec.Timeout)
+	if err != nil {
+		return usageErr("default timeout: %v", err)
+	}
+	flag.StringVar(&spec.Proto, "proto", spec.Proto, "protocol: "+cliutil.ProtoNames)
+	flag.IntVar(&spec.N, "n", spec.N, "number of processes")
+	flag.IntVar(&spec.Rounds, "rounds", spec.Rounds, "instances per run (consensus/multi)")
+	flag.IntVar(&spec.Coordinator, "coordinator", spec.Coordinator, "coordinator process (twopc)")
+	flag.Int64Var(&spec.Seed, "seed", spec.Seed, "master seed; the whole exploration is a pure function of it")
+	flag.IntVar(&spec.Runs, "runs", spec.Runs, "exploration run budget")
+	flag.IntVar(&spec.Batch, "batch", spec.Batch, "generation size (0 = default)")
+	flag.StringVar(&spec.Classes, "classes", spec.Classes, "detector-class alphabet the class mutator swaps between (registry grammar)")
+	flag.StringVar(&spec.Crashes, "crashes", spec.Crashes, "base crash schedule, entries p@time (mutators edit it; frontier probes run it as-is)")
+	flag.StringVar(&spec.Delays, "delays", spec.Delays, "base delay range min:max")
+	flag.BoolVar(&spec.SafetyOnly, "safety-only", spec.SafetyOnly, "check only safety clauses; also arms the drop-rate mutator")
+	flag.IntVar(&spec.Minimize, "minimize", spec.Minimize, "distinct failure signatures to minimize (0 = none)")
+	flag.BoolVar(&spec.DepthSignal, "depth-signal", spec.DepthSignal, "mix suspect-history depth into the novelty signature (stays byte-reproducible)")
+	flag.BoolVar(&spec.TraceSignal, "trace-signal", spec.TraceSignal, "mix the step scheduler's bucketed trace shape into the novelty signature (stays byte-reproducible)")
 	var (
-		proto         = flag.String("proto", "consensus", "protocol: "+cliutil.ProtoNames)
-		n             = flag.Int("n", 5, "number of processes")
-		rounds        = flag.Int("rounds", 8, "instances per run (consensus/multi)")
-		coordinator   = flag.Int("coordinator", 0, "coordinator process (twopc)")
-		seed          = flag.Int64("seed", 1, "master seed; the whole exploration is a pure function of it")
-		runs          = flag.Int("runs", 256, "exploration run budget")
+		timeout       = flag.Duration("timeout", defTimeout, "per-run wall-clock backstop (genuine non-termination failures each cost this)")
 		wall          = flag.Duration("wall", 0, "wall-clock budget (0 = none; a wall-bounded run is not reproducible)")
-		batch         = flag.Int("batch", 0, "generation size (0 = default)")
 		workers       = flag.Int("workers", 0, "concurrent runs per generation (0 = GOMAXPROCS)")
-		classes       = flag.String("classes", "omega-sigma,perfect,eventually-perfect{stabilize:50},eventually-strong{stabilize:50}", "detector-class alphabet the class mutator swaps between (registry grammar)")
-		crashes       = flag.String("crashes", "", "base crash schedule, entries p@time (mutators edit it; frontier probes run it as-is)")
-		delays        = flag.String("delays", "1ms:3ms", "base delay range min:max")
-		timeout       = flag.Duration("timeout", 250*time.Millisecond, "per-run wall-clock backstop (genuine non-termination failures each cost this)")
-		safetyOnly    = flag.Bool("safety-only", false, "check only safety clauses; also arms the drop-rate mutator")
-		minimize      = flag.Int("minimize", 3, "distinct failure signatures to minimize (0 = none)")
-		depthSignal   = flag.Bool("depth-signal", false, "mix suspect-history depth into the novelty signature (trades reproducibility for sensitivity)")
-		traceSignal   = flag.Bool("trace-signal", false, "mix the step scheduler's bucketed trace shape into the novelty signature (stays byte-reproducible)")
 		frontier      = flag.String("frontier", "", "frontier axes 'class:param:max' split by ';', e.g. 'eventually-perfect:stabilize:100000;eventually-strong:stabilize:1000'")
 		frontierSeeds = flag.String("frontier-seeds", "", "probe seeds for the frontier search (default: the master seed)")
 		frontierState = flag.String("frontier-state", "", "frontier checkpoint file: resumed from if present, rewritten after every probe run")
@@ -95,17 +108,10 @@ func run() int {
 	}
 	defer prof.Stop()
 
-	p, err := cliutil.BuildProtocol(*proto, *n, *rounds, *coordinator)
+	spec.Timeout = timeout.String()
+	opts, err := spec.Options(spec.Seed)
 	if err != nil {
 		return usageErr("%v", err)
-	}
-	alphabet, err := cliutil.ParseDetectors(*classes)
-	if err != nil {
-		return usageErr("classes: %v", err)
-	}
-	delayRanges, err := cliutil.ParseDelays(*delays)
-	if err != nil || len(delayRanges) != 1 {
-		return usageErr("delays: want exactly one min:max range (got %q)", *delays)
 	}
 	axes, err := parseFrontier(*frontier)
 	if err != nil {
@@ -125,7 +131,6 @@ func run() int {
 		probeSeeds = append(probeSeeds, probeSpan.From+int64(i))
 	}
 
-	var seedCorpus *explore.CorpusState
 	if *corpusIn != "" {
 		data, err := os.ReadFile(*corpusIn)
 		if err != nil {
@@ -137,58 +142,26 @@ func run() int {
 			if sw != nil {
 				return usageErr("corpus-in %s: is a sweep report, which carries no corpus", *corpusIn)
 			}
-			seedCorpus = ex.CorpusState()
-		} else if seedCorpus, err = explore.LoadCorpus(data); err != nil {
+			opts.SeedCorpus = ex.CorpusState()
+		} else if opts.SeedCorpus, err = explore.LoadCorpus(data); err != nil {
 			return usageErr("corpus-in %s: %v", *corpusIn, err)
 		}
 	}
-
-	baseSchedules, err := cliutil.ParseCrashes(*crashes, *n)
-	if err != nil {
-		return usageErr("crashes: %v", err)
-	}
-	if len(baseSchedules) > 1 {
-		return usageErr("crashes: the base takes one schedule, not %d (the mutators explore variants)", len(baseSchedules))
-	}
-	baseOpts := []scenario.Option{
-		scenario.WithSeed(*seed),
-		scenario.WithDelays(delayRanges[0].Min, delayRanges[0].Max),
-		scenario.WithTimeout(*timeout),
-	}
-	if len(baseSchedules) == 1 {
-		baseOpts = append(baseOpts, scenario.WithCrashes(baseSchedules[0]...))
-	}
-	if *safetyOnly {
-		baseOpts = append(baseOpts, scenario.WithSafetyOnly())
-	}
-	base := scenario.New(*n, baseOpts...).Config()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	var done, failed atomic.Int64
-	opts := explore.Options{
-		Seed:          *seed,
-		Runs:          *runs,
-		Wall:          *wall,
-		Batch:         *batch,
-		Workers:       *workers,
-		Proto:         p,
-		Base:          base,
-		Classes:       alphabet,
-		MinimizeLimit: *minimize,
-		DepthSignal:   *depthSignal,
-		TraceSignal:   *traceSignal,
-		SeedCorpus:    seedCorpus,
-		OnRun: func(_ int, res *scenario.Result) {
-			done.Add(1)
-			if !res.Verdict.OK {
-				failed.Add(1)
-			}
-		},
+	opts.Wall = *wall
+	opts.Workers = *workers
+	opts.OnRun = func(_ int, res *scenario.Result) {
+		done.Add(1)
+		if !res.Verdict.OK {
+			failed.Add(1)
+		}
 	}
 	stopProgress := cliutil.StartProgress(os.Stderr, *progress, func() cliutil.ProgressLine {
-		return cliutil.ProgressLine{Tool: "explore", Done: done.Load(), Total: int64(*runs), Failed: failed.Load()}
+		return cliutil.ProgressLine{Tool: "explore", Done: done.Load(), Total: int64(spec.Runs), Failed: failed.Load()}
 	})
 
 	rep, err := explore.Explore(ctx, opts)
@@ -197,42 +170,27 @@ func run() int {
 		return usageErr("%v", err)
 	}
 
-	var outRep cliutil.ExploreReport
-	outRep.FromExplore(rep)
+	outRep := cliutil.NewExploreReport(opts, rep)
 	outRep.GeneratedBy = "cmd/explore " + strings.Join(os.Args[1:], " ")
 	outRep.GoVersion = runtime.Version()
-	outRep.SpaceFingerprint = explore.SpaceFingerprint(opts)
 	outRep.ElapsedMS = float64(rep.Elapsed) / float64(time.Millisecond)
 	outRep.RunsPerSec = rep.RunsPerSec
-
-	if journals.Enabled() && ctx.Err() == nil {
-		for _, f := range rep.Failures {
-			name := fmt.Sprintf("failure-run%06d", f.Run)
-			path, err := journals.Dump(ctx, name, f.Config, p)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "explore: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "explore: journaled failure at run %d -> %s\n", f.Run, path)
-		}
-	}
+	journals.DumpFailures(ctx, "", nil, &outRep, opts.Proto, logf)
 
 	if *corpusOut != "" {
 		data, err := rep.CorpusState().Marshal()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "explore: corpus-out: %v\n", err)
-			return 2
+			return usageErr("corpus-out: %v", err)
 		}
 		if err := cliutil.WriteFileAtomic(*corpusOut, data); err != nil {
-			fmt.Fprintf(os.Stderr, "explore: corpus-out %s: %v\n", *corpusOut, err)
-			return 2
+			return usageErr("corpus-out %s: %v", *corpusOut, err)
 		}
 	}
 
 	if len(axes) > 0 && ctx.Err() == nil {
 		seeds := probeSeeds
 		if len(seeds) == 0 {
-			seeds = []int64{base.Seed}
+			seeds = []int64{opts.Seed}
 		}
 		var state *explore.FrontierState
 		var checkpoint func(*explore.FrontierState) error
@@ -252,11 +210,11 @@ func run() int {
 				return cliutil.WriteFileAtomic(*frontierState, data)
 			}
 		}
-		bounds, err := explore.FrontierResume(ctx, base, p, axes, seeds, state, checkpoint)
+		bounds, err := explore.FrontierResume(ctx, opts.Base, opts.Proto, axes, seeds, state, checkpoint)
 		outRep.Frontier = bounds
 		for _, b := range bounds {
 			outRep.FrontierRuns += b.Runs
-			fmt.Fprintf(os.Stderr, "explore: frontier %s:%s = %s\n", b.Spec, b.Param, describeBoundary(b))
+			logf("frontier %s:%s = %s", b.Spec, b.Param, describeBoundary(b))
 		}
 		if err != nil && ctx.Err() == nil {
 			return usageErr("frontier: %v", err)
@@ -264,15 +222,14 @@ func run() int {
 	}
 
 	if err := cliutil.WriteJSON(*out, outRep); err != nil {
-		fmt.Fprintf(os.Stderr, "explore: write report: %v\n", err)
-		return 2
+		return usageErr("write report: %v", err)
 	}
 
 	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "explore: cancelled after %d of %d runs\n", rep.Runs, rep.Budget)
+		logf("cancelled after %d of %d runs", rep.Runs, rep.Budget)
 		return 3
 	}
-	fmt.Fprintf(os.Stderr, "explore: %d runs, %d behaviour classes, %d failure signatures (%d minimized)\n",
+	logf("%d runs, %d behaviour classes, %d failure signatures (%d minimized)",
 		rep.Runs, rep.Novel, len(rep.Failures), len(rep.Minimized))
 	return 0
 }
@@ -326,7 +283,11 @@ func describeBoundary(b explore.Boundary) string {
 	}
 }
 
-func usageErr(format string, args ...any) int {
+func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "explore: "+format+"\n", args...)
+}
+
+func usageErr(format string, args ...any) int {
+	logf(format, args...)
 	return 2
 }

@@ -50,8 +50,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
-	"time"
 
 	"weakestfd/internal/cliutil"
 	"weakestfd/internal/journal"
@@ -64,21 +64,23 @@ func main() {
 }
 
 func run() int {
+	// The -record point flags write straight into a one-point grid spec.
+	sp := cliutil.GridSpec{}
+	flag.IntVar(&sp.Rounds, "rounds", 8, "instances per run (consensus/multi; not stored in the journal meta)")
+	flag.IntVar(&sp.Coordinator, "coordinator", 0, "coordinator process (twopc; not stored in the journal meta)")
+	flag.StringVar(&sp.Proto, "proto", "consensus", "-record: protocol, one of "+cliutil.ProtoNames)
+	flag.IntVar(&sp.N, "n", 5, "-record: number of processes")
+	flag.StringVar(&sp.Delays, "delays", "", "-record: delay range min:max (scenario default when empty)")
+	flag.StringVar(&sp.Crashes, "crashes", "", "-record: crash schedule, entries p@time")
 	var (
-		verify      = flag.Bool("verify", false, "verify the journal offline: recompute the record hash against the recorded trace fingerprint (no re-execution)")
-		diff        = flag.Bool("diff", false, "compare two journals, reporting the first meta or record difference (no re-execution)")
-		stats       = flag.Bool("stats", false, "recompute the probe fold offline from the journal's records, assert it matches the recorded live capture, and print it (no re-execution)")
-		record      = flag.Bool("record", false, "run one scenario point with full capture and write its journal (-proto/-n/-seed/..., -o)")
-		window      = flag.Int("window", 5, "journal context records shown around a divergence")
-		rounds      = flag.Int("rounds", 8, "instances per run (consensus/multi; not stored in the journal meta)")
-		coordinator = flag.Int("coordinator", 0, "coordinator process (twopc; not stored in the journal meta)")
-		proto       = flag.String("proto", "consensus", "-record: protocol, one of "+cliutil.ProtoNames)
-		n           = flag.Int("n", 5, "-record: number of processes")
-		seed        = flag.Int64("seed", 1, "-record: schedule seed")
-		delays      = flag.String("delays", "", "-record: delay range min:max (scenario default when empty)")
-		crashes     = flag.String("crashes", "", "-record: crash schedule, entries p@time")
-		timeout     = flag.Duration("timeout", 0, "-record: wall-clock backstop (scenario default when 0)")
-		out         = flag.String("o", "", "-record: journal output path (required)")
+		verify  = flag.Bool("verify", false, "verify the journal offline: recompute the record hash against the recorded trace fingerprint (no re-execution)")
+		diff    = flag.Bool("diff", false, "compare two journals, reporting the first meta or record difference (no re-execution)")
+		stats   = flag.Bool("stats", false, "recompute the probe fold offline from the journal's records, assert it matches the recorded live capture, and print it (no re-execution)")
+		record  = flag.Bool("record", false, "run one scenario point with full capture and write its journal (-proto/-n/-seed/..., -o)")
+		window  = flag.Int("window", 5, "journal context records shown around a divergence")
+		seed    = flag.Int64("seed", 1, "-record: schedule seed")
+		timeout = flag.Duration("timeout", 0, "-record: wall-clock backstop (scenario default when 0)")
+		out     = flag.String("o", "", "-record: journal output path (required)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: replay [flags] <journal>")
@@ -104,7 +106,11 @@ func run() int {
 		if len(args) != 0 || *out == "" {
 			return usageErr("-record wants no positional arguments and a -o path")
 		}
-		return runRecord(*proto, *n, *rounds, *coordinator, *seed, *delays, *crashes, *timeout, *out)
+		sp.Seeds = strconv.FormatInt(*seed, 10)
+		if *timeout > 0 {
+			sp.Timeout = timeout.String()
+		}
+		return runRecord(sp, *out)
 	case *diff:
 		if len(args) != 2 {
 			return usageErr("-diff wants exactly two journals, got %d", len(args))
@@ -124,7 +130,7 @@ func run() int {
 		if len(args) != 1 {
 			return usageErr("want exactly one journal, got %d (see -h)", len(args))
 		}
-		return runReplay(args[0], *window, *rounds, *coordinator)
+		return runReplay(args[0], *window, sp.Rounds, sp.Coordinator)
 	}
 }
 
@@ -171,40 +177,26 @@ func runReplay(path string, window, rounds, coordinator int) int {
 	}
 }
 
-// runRecord runs one scenario point with full journal capture and writes
-// the journal file — the no-failure-needed way to mint a replayable
-// artifact (tainted captures are still written: they are inspectable, and
-// the refusal belongs to replay/verify).
-func runRecord(protoName string, n, rounds, coordinator int, seed int64, delays, crashes string, timeout time.Duration, out string) int {
-	p, err := cliutil.BuildProtocol(protoName, n, rounds, coordinator)
+// runRecord runs the one scenario point sp describes with full journal
+// capture and writes the journal file — the no-failure-needed way to mint a
+// replayable artifact (tainted captures are still written: they are
+// inspectable, and the refusal belongs to replay/verify). The point is
+// built through cliutil.BuildGrid, so the flags mean what cmd/sweep's do; a
+// spec that expands to more than one point is refused.
+func runRecord(sp cliutil.GridSpec, out string) int {
+	base, grid, p, err := cliutil.BuildGrid(sp)
 	if err != nil {
 		return usageErr("-record: %v", err)
 	}
-	opts := []scenario.Option{scenario.WithSeed(seed), scenario.WithJournal(scenario.JournalAll)}
-	if delays != "" {
-		dr, err := cliutil.ParseDelays(delays)
-		if err != nil || len(dr) != 1 {
-			return usageErr("-record: want exactly one delay range min:max, got %q", delays)
-		}
-		opts = append(opts, scenario.WithDelays(dr[0].Min, dr[0].Max))
+	if size := grid.Size(); size != 1 {
+		return usageErr("-record: want exactly one scenario point (one delay range, one crash schedule), got %d", size)
 	}
-	if crashes != "" {
-		cs, err := cliutil.ParseCrashes(crashes, n)
-		if err != nil {
-			return usageErr("-record: %v", err)
-		}
-		if len(cs) != 1 {
-			return usageErr("-record: want exactly one crash schedule, got %d", len(cs))
-		}
-		opts = append(opts, scenario.WithCrashes(cs[0]...))
-	}
-	if timeout > 0 {
-		opts = append(opts, scenario.WithTimeout(timeout))
-	}
+	cfg := grid.ConfigAt(base.Config(), 0)
+	cfg.Journal = scenario.JournalAll
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	res := scenario.New(n, opts...).Run(ctx, p)
+	res := scenario.FromConfig(cfg).Run(ctx, p)
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "replay: -record cancelled")
 		return 3

@@ -42,36 +42,33 @@ import (
 	"weakestfd/internal/scenario"
 )
 
-func defaultSpec() cliutil.GridSpec {
-	return cliutil.GridSpec{Proto: "consensus", N: 5, Rounds: 8, Seeds: "1-16", Timeout: "30s", Keep: 8}
-}
-
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
-	def := defaultSpec()
+	// The spec flags write straight into the spec, over its default table.
+	sp := cliutil.DefaultGridSpec()
+	flag.StringVar(&sp.Proto, "proto", sp.Proto, "protocol: "+cliutil.ProtoNames)
+	flag.IntVar(&sp.N, "n", sp.N, "number of processes")
+	flag.IntVar(&sp.Rounds, "rounds", sp.Rounds, "instances per run (consensus/multi)")
+	flag.IntVar(&sp.Coordinator, "coordinator", sp.Coordinator, "coordinator process (twopc)")
+	flag.StringVar(&sp.Seeds, "seeds", sp.Seeds, "seed list/ranges, e.g. 1-1000 or 1,2,7-9")
+	flag.StringVar(&sp.Detectors, "detectors", sp.Detectors, "detector-spec axis, e.g. 'omega-sigma,perfect,eventually-perfect{stabilize:50},eventually-strong' (empty = scenario default; registry grammar class{suspect:N,detect:N,stabilize:N,switch:N,policy:..})")
+	flag.StringVar(&sp.Delays, "delays", sp.Delays, "delay ranges, e.g. 0:200us,1ms:50ms (empty = scenario default)")
+	flag.StringVar(&sp.Crashes, "crashes", sp.Crashes, "crash schedules split by ';', entries p@time; '-' is the crash-free point, e.g. '-;4@5ms;1@2ms,3@10ms'")
+	flag.Float64Var(&sp.Drop, "drop", sp.Drop, "per-message drop probability (combine with -safety-only)")
+	flag.BoolVar(&sp.SafetyOnly, "safety-only", sp.SafetyOnly, "check only safety clauses (no termination)")
+	flag.StringVar(&sp.Timeout, "timeout", sp.Timeout, "per-run wall-clock backstop")
+	flag.StringVar(&sp.Shard, "shard", sp.Shard, "shard k/m: cover slice k of m of the grid's row-major index space")
+	flag.IntVar(&sp.Workers, "workers", sp.Workers, "worker goroutines (0 = GOMAXPROCS)")
+	flag.IntVar(&sp.Keep, "keep", sp.Keep, "failing Results to retain in full (0 = none: count only)")
+	flag.BoolVar(&sp.Probes, "probes", sp.Probes, "fold per-run trace probes into the report's aggregates")
 	var (
-		proto       = flag.String("proto", def.Proto, "protocol: "+cliutil.ProtoNames)
-		n           = flag.Int("n", def.N, "number of processes")
-		rounds      = flag.Int("rounds", def.Rounds, "instances per run (consensus/multi)")
-		coordinator = flag.Int("coordinator", def.Coordinator, "coordinator process (twopc)")
-		seeds       = flag.String("seeds", def.Seeds, "seed list/ranges, e.g. 1-1000 or 1,2,7-9")
-		detectors   = flag.String("detectors", def.Detectors, "detector-spec axis, e.g. 'omega-sigma,perfect,eventually-perfect{stabilize:50},eventually-strong' (empty = scenario default; registry grammar class{suspect:N,detect:N,stabilize:N,switch:N,policy:..})")
-		delays      = flag.String("delays", def.Delays, "delay ranges, e.g. 0:200us,1ms:50ms (empty = scenario default)")
-		crashes     = flag.String("crashes", def.Crashes, "crash schedules split by ';', entries p@time; '-' is the crash-free point, e.g. '-;4@5ms;1@2ms,3@10ms'")
-		drop        = flag.Float64("drop", def.Drop, "per-message drop probability (combine with -safety-only)")
-		safetyOnly  = flag.Bool("safety-only", def.SafetyOnly, "check only safety clauses (no termination)")
-		timeout     = flag.String("timeout", def.Timeout, "per-run wall-clock backstop")
-		shard       = flag.String("shard", def.Shard, "shard k/m: cover slice k of m of the grid's row-major index space")
-		workers     = flag.Int("workers", def.Workers, "worker goroutines (0 = GOMAXPROCS)")
-		keep        = flag.Int("keep", def.Keep, "failing Results to retain in full (0 = none: count only)")
-		gridFile    = flag.String("grid", "", "JSON grid-spec file; explicit flags override its keys")
-		out         = flag.String("out", "", "report path (default stdout)")
-		minimize    = flag.Bool("minimize", false, "shrink the first failure to a minimal reproducer (retains it even under -keep 0)")
-		probes      = flag.Bool("probes", def.Probes, "fold per-run trace probes into the report's aggregates")
-		progress    = flag.Duration("progress", 0, "JSONL progress interval on stderr (0 = off)")
+		gridFile = flag.String("grid", "", "JSON grid-spec file; explicit flags override its keys")
+		out      = flag.String("out", "", "report path (default stdout)")
+		minimize = flag.Bool("minimize", false, "shrink the first failure to a minimal reproducer (retains it even under -keep 0)")
+		progress = flag.Duration("progress", 0, "JSONL progress interval on stderr (0 = off)")
 	)
 	var prof cliutil.ProfileFlags
 	prof.Register(flag.CommandLine)
@@ -83,29 +80,20 @@ func run() int {
 	}
 	defer prof.Stop()
 
-	sp := def
 	if *gridFile != "" {
+		// Explicit flags win over the spec file: read it over the parsed
+		// spec, then set the explicit flags again.
+		explicit := map[string]string{}
+		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = f.Value.String() })
 		if err := cliutil.ReadSpec(*gridFile, &sp); err != nil {
 			return usageErr("grid spec: %v", err)
 		}
-	}
-	// Explicit flags win over the spec file.
-	overlay := map[string]func(){
-		"proto": func() { sp.Proto = *proto }, "n": func() { sp.N = *n },
-		"rounds": func() { sp.Rounds = *rounds }, "coordinator": func() { sp.Coordinator = *coordinator },
-		"seeds": func() { sp.Seeds = *seeds }, "detectors": func() { sp.Detectors = *detectors },
-		"delays":  func() { sp.Delays = *delays },
-		"crashes": func() { sp.Crashes = *crashes }, "drop": func() { sp.Drop = *drop },
-		"safety-only": func() { sp.SafetyOnly = *safetyOnly },
-		"timeout":     func() { sp.Timeout = *timeout }, "shard": func() { sp.Shard = *shard },
-		"workers": func() { sp.Workers = *workers }, "keep": func() { sp.Keep = *keep },
-		"probes": func() { sp.Probes = *probes },
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if apply, ok := overlay[f.Name]; ok {
-			apply()
+		for name, v := range explicit {
+			if err := flag.Set(name, v); err != nil {
+				return usageErr("%v", err)
+			}
 		}
-	})
+	}
 
 	base, grid, p, err := cliutil.BuildGrid(sp)
 	if err != nil {
@@ -113,7 +101,7 @@ func run() int {
 	}
 	if *minimize && grid.KeepFailures <= 0 {
 		// Minimisation needs a retained failure to start from.
-		fmt.Fprintln(os.Stderr, "sweep: -minimize needs a retained failure; keeping 1 despite -keep")
+		logf("-minimize needs a retained failure; keeping 1 despite -keep")
 		grid.KeepFailures = 1
 	}
 
@@ -137,51 +125,16 @@ func run() int {
 	res := scenario.Sweep(ctx, base, grid, p)
 	stopProgress()
 
-	rep := cliutil.SweepReport{
-		SchemaVersion:   cliutil.ReportSchemaVersion,
-		GeneratedBy:     "cmd/sweep " + strings.Join(os.Args[1:], " "),
-		GoVersion:       runtime.Version(),
-		GridFingerprint: grid.Fingerprint(base.Config()),
-		Proto:           p.Name(),
-		N:               sp.N,
-		GridSize:        res.GridSize,
-		Shard:           sp.Shard,
-		IndexLo:         res.IndexLo,
-		IndexHi:         res.IndexHi,
-		Runs:            res.Runs,
-		Passed:          res.Passed,
-		Faulted:         res.Faulted,
-		Cancelled:       res.Cancelled,
-		ElapsedMS:       float64(res.Elapsed) / float64(time.Millisecond),
-		RunsPerSec:      res.RunsPerSec,
-		Probes:          res.Probes,
-	}
-	for _, d := range res.Detectors {
-		rep.Detectors = append(rep.Detectors, cliutil.DetectorReport(d))
-	}
-	for i, f := range res.Failures {
-		rep.Failures = append(rep.Failures, cliutil.FailureReport{
-			Index:       res.FailureIndices[i],
-			Violations:  f.Verdict.Violations,
-			Fingerprint: f.Fingerprint(),
-			Config:      f.Config,
-		})
-	}
-	if journals.Enabled() && ctx.Err() == nil {
-		for i, f := range res.Failures {
-			name := fmt.Sprintf("failure-%06d", res.FailureIndices[i])
-			path, err := journals.Dump(ctx, name, f.Config, p)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "sweep: journaled failure %d -> %s\n", res.FailureIndices[i], path)
-		}
-	}
+	rep := cliutil.NewSweepReport(sp, base, grid, p, res)
+	rep.GeneratedBy = "cmd/sweep " + strings.Join(os.Args[1:], " ")
+	rep.GoVersion = runtime.Version()
+	rep.ElapsedMS = float64(res.Elapsed) / float64(time.Millisecond)
+	rep.RunsPerSec = res.RunsPerSec
+	journals.DumpFailures(ctx, "", &rep, nil, p, logf)
 	if *minimize && len(res.Failures) > 0 && ctx.Err() == nil {
 		min, err := scenario.Minimize(ctx, res.Failures[0].Config, p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: minimize: %v\n", err)
+			logf("minimize: %v", err)
 		} else {
 			rep.Minimized = &cliutil.MinimizedReport{
 				FromIndex:   res.FailureIndices[0],
@@ -194,23 +147,26 @@ func run() int {
 	}
 
 	if err := cliutil.WriteJSON(*out, rep); err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: write report: %v\n", err)
-		return 2
+		return usageErr("write report: %v", err)
 	}
 
 	switch {
 	case ctx.Err() != nil:
-		fmt.Fprintf(os.Stderr, "sweep: cancelled after %d of %d runs\n", res.Runs-res.Cancelled, res.Runs)
+		logf("cancelled after %d of %d runs", res.Runs-res.Cancelled, res.Runs)
 		return 3
 	case res.Faulted > 0:
-		fmt.Fprintf(os.Stderr, "sweep: %d of %d runs violated the spec\n", res.Faulted, res.Runs)
+		logf("%d of %d runs violated the spec", res.Faulted, res.Runs)
 		return 1
 	default:
 		return 0
 	}
 }
 
-func usageErr(format string, args ...any) int {
+func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
+}
+
+func usageErr(format string, args ...any) int {
+	logf(format, args...)
 	return 2
 }

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"weakestfd/internal/cliutil"
 )
 
 // A grid file with an unknown key is a usage error (exit 2) naming the key,
@@ -44,5 +47,36 @@ func TestGridTypoExitsTwo(t *testing.T) {
 				t.Fatalf("usage error does not name the key %q: %s", key, msg)
 			}
 		})
+	}
+}
+
+// TestFlagsOverrideGridFile: a -grid file is read over the default table and
+// explicit flags win over its keys — whether the flag comes before or after
+// -grid on the command line.
+func TestFlagsOverrideGridFile(t *testing.T) {
+	dir := t.TempDir()
+	grid := filepath.Join(dir, "grid.json")
+	if err := os.WriteFile(grid, []byte(`{"proto":"consensus","n":3,"seeds":"1-4","delays":"1ms:2ms"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "report.json")
+	args, cmdline := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = args, cmdline }()
+	os.Args = []string{"sweep", "-n", "4", "-grid", grid, "-seeds", "2-3", "-out", out}
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	if code := run(); code != 0 {
+		t.Fatalf("sweep exited %d", code)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep cliutil.SweepReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := "grid{base=n=4 seed=1 delay=[0s,200µs] drop=0 det=omega-sigma crashes=[] term=true timeout=30s;seeds=;seedspan=2+2;detectors=;delays=[1ms,2ms];crashes=}"
+	if rep.N != 4 || rep.Runs != 2 || rep.GridFingerprint != want {
+		t.Fatalf("n=%d runs=%d fingerprint %s, want n=4 runs=2 fingerprint %s", rep.N, rep.Runs, rep.GridFingerprint, want)
 	}
 }

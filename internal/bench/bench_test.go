@@ -347,8 +347,7 @@ func campaignMergeThroughput(units int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var unit cliutil.ExploreReport
-	unit.FromExplore(rep)
+	unit := cliutil.NewExploreReport(explore.Options{}, rep)
 	unit.SpaceFingerprint = "bench"
 	inputs := make([]campaign.Input, units)
 	for i := range inputs {

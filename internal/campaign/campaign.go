@@ -49,10 +49,13 @@ const (
 	KindExplore Kind = "explore"
 )
 
-// ExploreSpec is the work description of an explore campaign: the
-// cmd/explore surface minus the seed (unit i explores at Seed + i) and
-// minus runtime detail (workers, wall budget, progress). Empty Classes,
-// Delays and Timeout take cmd/explore's defaults.
+// ExploreSpec is the work description of an explore campaign and of one
+// cmd/explore invocation: the cmd/explore surface minus runtime detail
+// (workers, wall budget, corpus and frontier files, progress). Unit i of a
+// campaign explores at Seed + i. Specs from a user (cmd/explore's flags,
+// campaign plan -explore files) start from DefaultExploreSpec; a spec
+// stored in a manifest is read as written, except that empty Classes,
+// Delays and Timeout read as DefaultExploreSpec's.
 type ExploreSpec struct {
 	Proto       string `json:"proto"`
 	N           int    `json:"n"`
@@ -73,9 +76,19 @@ type ExploreSpec struct {
 	TraceSignal bool   `json:"trace_signal,omitempty"`
 }
 
-// Options builds the explore options of one unit. Workers/OnRun are runtime
-// detail the caller sets afterwards; they do not affect the unit's result.
-func (sp ExploreSpec) Options(unitSeed int64) (explore.Options, error) {
+// DefaultExploreSpec is the one default table of explore specs: cmd/explore's
+// flag defaults and the base every campaign plan -explore file is read over.
+func DefaultExploreSpec() ExploreSpec {
+	return ExploreSpec{Proto: "consensus", N: 5, Rounds: 8, Seed: 1, Runs: 256, Minimize: 3,
+		Classes: "omega-sigma,perfect,eventually-perfect{stabilize:50},eventually-strong{stabilize:50}",
+		Delays:  "1ms:3ms", Timeout: "250ms"}
+}
+
+// Options builds the explore options of the exploration at seed: the one
+// translation of an explore spec into runs, shared by cmd/explore and
+// campaign units. Workers, OnRun and the other runtime detail are the
+// caller's to set afterwards; they do not affect the result.
+func (sp ExploreSpec) Options(seed int64) (explore.Options, error) {
 	var opts explore.Options
 	if sp.N <= 0 {
 		return opts, fmt.Errorf("explore spec: invalid process count %d", sp.N)
@@ -83,31 +96,27 @@ func (sp ExploreSpec) Options(unitSeed int64) (explore.Options, error) {
 	if sp.Runs <= 0 {
 		return opts, fmt.Errorf("explore spec: runs must be positive, got %d", sp.Runs)
 	}
-	proto, err := cliutil.BuildProtocol(sp.Proto, sp.N, max(1, sp.Rounds), sp.Coordinator)
+	proto, err := cliutil.BuildProtocol(sp.Proto, sp.N, sp.Rounds, sp.Coordinator)
 	if err != nil {
 		return opts, err
 	}
-	classes := sp.Classes
-	if strings.TrimSpace(classes) == "" {
-		classes = "omega-sigma,perfect,eventually-perfect{stabilize:50},eventually-strong{stabilize:50}"
+	def := DefaultExploreSpec()
+	orDefault := func(v, d string) string {
+		if strings.TrimSpace(v) == "" {
+			return d
+		}
+		return v
 	}
-	alphabet, err := cliutil.ParseDetectors(classes)
+	alphabet, err := cliutil.ParseDetectors(orDefault(sp.Classes, def.Classes))
 	if err != nil {
 		return opts, fmt.Errorf("explore spec: classes: %v", err)
 	}
-	delays := sp.Delays
-	if strings.TrimSpace(delays) == "" {
-		delays = "1ms:3ms"
-	}
+	delays := orDefault(sp.Delays, def.Delays)
 	delayRanges, err := cliutil.ParseDelays(delays)
 	if err != nil || len(delayRanges) != 1 {
 		return opts, fmt.Errorf("explore spec: delays: want exactly one min:max range (got %q)", delays)
 	}
-	timeout := sp.Timeout
-	if strings.TrimSpace(timeout) == "" {
-		timeout = "250ms"
-	}
-	d, err := time.ParseDuration(timeout)
+	timeout, err := time.ParseDuration(orDefault(sp.Timeout, def.Timeout))
 	if err != nil {
 		return opts, fmt.Errorf("explore spec: timeout: %v", err)
 	}
@@ -116,12 +125,12 @@ func (sp ExploreSpec) Options(unitSeed int64) (explore.Options, error) {
 		return opts, fmt.Errorf("explore spec: crashes: %v", err)
 	}
 	if len(schedules) > 1 {
-		return opts, fmt.Errorf("explore spec: the base takes one crash schedule, not %d", len(schedules))
+		return opts, fmt.Errorf("explore spec: the base takes one crash schedule, not %d (the mutators explore variants)", len(schedules))
 	}
 	baseOpts := []scenario.Option{
-		scenario.WithSeed(unitSeed),
+		scenario.WithSeed(seed),
 		scenario.WithDelays(delayRanges[0].Min, delayRanges[0].Max),
-		scenario.WithTimeout(d),
+		scenario.WithTimeout(timeout),
 	}
 	if len(schedules) == 1 {
 		baseOpts = append(baseOpts, scenario.WithCrashes(schedules[0]...))
@@ -130,7 +139,7 @@ func (sp ExploreSpec) Options(unitSeed int64) (explore.Options, error) {
 		baseOpts = append(baseOpts, scenario.WithSafetyOnly())
 	}
 	return explore.Options{
-		Seed:          unitSeed,
+		Seed:          seed,
 		Runs:          sp.Runs,
 		Batch:         sp.Batch,
 		Proto:         proto,
@@ -152,15 +161,17 @@ type Manifest struct {
 	Name          string `json:"name"`
 	Kind          Kind   `json:"kind"`
 	// Fingerprint identifies the campaign's search space: the grid
-	// fingerprint (scenario.Grid.Fingerprint) for a sweep campaign, the
-	// space fingerprint (explore.SpaceFingerprint) for an explore one.
+	// fingerprint (cliutil.GridFingerprint) for a sweep campaign, the
+	// space fingerprint (cliutil.ExploreFingerprint) for an explore one.
 	Fingerprint string `json:"fingerprint"`
 	// Units is the number of work units; Shards how many contiguous unit
 	// ranges they are assigned to (shard k of S owns units
 	// [(k−1)·U/S, k·U/S), 1-based k — scenario.Shard's tiling).
 	Units  int `json:"units"`
 	Shards int `json:"shards"`
-	// Exactly one of Grid and Explore is set, matching Kind.
+	// Exactly one of Grid and Explore is set, matching Kind. It holds the
+	// resolved spec, defaults filled in when it was planned: a stored
+	// manifest is never read over a later build's defaults.
 	Grid    *cliutil.GridSpec `json:"grid,omitempty"`
 	Explore *ExploreSpec      `json:"explore,omitempty"`
 }
@@ -198,14 +209,14 @@ func (m *Manifest) validate() error {
 		if strings.TrimSpace(m.Grid.Shard) != "" {
 			return fmt.Errorf("campaign %s: the grid spec must not set shard %q — sharding is the campaign layer's job", m.Name, m.Grid.Shard)
 		}
-		base, grid, _, err := cliutil.BuildGrid(*m.Grid)
+		base, grid, proto, err := cliutil.BuildGrid(*m.Grid)
 		if err != nil {
 			return fmt.Errorf("campaign %s: grid: %w", m.Name, err)
 		}
 		if grid.Size() < m.Units {
 			return fmt.Errorf("campaign %s: %d units over a grid of %d runs leaves empty units", m.Name, m.Units, grid.Size())
 		}
-		m.Fingerprint = grid.Fingerprint(base.Config())
+		m.Fingerprint = cliutil.GridFingerprint(base, grid, proto)
 	case KindExplore:
 		if m.Explore == nil || m.Grid != nil {
 			return fmt.Errorf("campaign %s: kind explore needs exactly the explore spec", m.Name)
@@ -214,7 +225,7 @@ func (m *Manifest) validate() error {
 		if err != nil {
 			return fmt.Errorf("campaign %s: %w", m.Name, err)
 		}
-		m.Fingerprint = explore.SpaceFingerprint(opts)
+		m.Fingerprint = cliutil.ExploreFingerprint(opts)
 	default:
 		return fmt.Errorf("campaign %s: unknown kind %q", m.Name, m.Kind)
 	}

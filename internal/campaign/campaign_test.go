@@ -138,6 +138,37 @@ func TestPlanImmutable(t *testing.T) {
 	}
 }
 
+// TestLoadManifestRefusesParameterFreeFingerprint: a multi-instance or
+// twopc manifest whose stored fingerprint does not name the protocol's
+// parameter — as manifests planned before fingerprints covered it do not —
+// is refused at load, so it never runs work its fingerprint does not
+// describe.
+func TestLoadManifestRefusesParameterFreeFingerprint(t *testing.T) {
+	for _, m := range []*Manifest{
+		{Name: "multi", Kind: KindSweep, Units: 2, Shards: 1, Grid: &cliutil.GridSpec{Proto: "consensus/multi", N: 3, Seeds: "1-4", Timeout: "5s"}},
+		{Name: "twopc", Kind: KindSweep, Units: 2, Shards: 1, Grid: &cliutil.GridSpec{Proto: "twopc", N: 3, Seeds: "1-4", Timeout: "5s"}},
+		{Name: "multi-explore", Kind: KindExplore, Units: 1, Shards: 1, Explore: &ExploreSpec{Proto: "consensus/multi", N: 3, Seed: 5, Runs: 8}},
+	} {
+		dir := t.TempDir()
+		if err := Plan(dir, m); err != nil {
+			t.Fatalf("%s: plan: %v", m.Name, err)
+		}
+		i := strings.LastIndex(m.Fingerprint, ";")
+		stale := *m
+		stale.Fingerprint = m.Fingerprint[:i] + "}"
+		data, err := marshalJSON(&stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadManifest(dir); err == nil || !strings.Contains(err.Error(), "stored fingerprint does not match") {
+			t.Errorf("%s: load of a parameter-free fingerprint: err=%v, want a refusal", m.Name, err)
+		}
+	}
+}
+
 // TestShardStateRejectsForeignState: a shard state from another campaign
 // (different fingerprint) is refused, not silently resumed.
 func TestShardStateRejectsForeignState(t *testing.T) {

@@ -196,36 +196,21 @@ func dumpUnitJournals(ctx context.Context, m *Manifest, opts RunOptions, u int, 
 	if err != nil {
 		return err
 	}
-	jf := cliutil.JournalFlags{Dir: opts.JournalDir}
 	var proto scenario.Protocol
-	switch {
-	case sw != nil:
-		if _, _, proto, err = cliutil.BuildGrid(*m.Grid); err != nil {
-			return err
-		}
-		for _, f := range sw.Failures {
-			name := fmt.Sprintf("unit-%06d-failure-%06d", u, f.Index)
-			path, err := jf.Dump(ctx, name, f.Config, proto)
-			if err != nil {
-				return err
-			}
-			logf("campaign %s: journaled unit %d failure %d -> %s", m.Name, u, f.Index, path)
-		}
-	case ex != nil:
-		eopts, err := m.Explore.Options(m.UnitSeed(u))
-		if err != nil {
-			return err
-		}
+	if sw != nil {
+		_, _, proto, err = cliutil.BuildGrid(*m.Grid)
+	} else {
+		var eopts explore.Options
+		eopts, err = m.Explore.Options(m.UnitSeed(u))
 		proto = eopts.Proto
-		for _, f := range ex.Failures {
-			name := fmt.Sprintf("unit-%06d-failure-run%06d", u, f.Run)
-			path, err := jf.Dump(ctx, name, f.Config, proto)
-			if err != nil {
-				return err
-			}
-			logf("campaign %s: journaled unit %d failure at run %d -> %s", m.Name, u, f.Run, path)
-		}
 	}
+	if err != nil {
+		return err
+	}
+	jf := cliutil.JournalFlags{Dir: opts.JournalDir}
+	jf.DumpFailures(ctx, fmt.Sprintf("unit-%06d-", u), sw, ex, proto, func(format string, args ...any) {
+		logf("campaign %s: unit %d: "+format, append([]any{m.Name, u}, args...)...)
+	})
 	return nil
 }
 
@@ -278,34 +263,8 @@ func runSweepUnit(ctx context.Context, m *Manifest, opts RunOptions, u int) ([]b
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("campaign %s: unit %d cancelled: %w", m.Name, u, err)
 	}
-	unit := u
-	rep := cliutil.SweepReport{
-		SchemaVersion:   cliutil.ReportSchemaVersion,
-		Campaign:        m.Name,
-		Unit:            &unit,
-		GridFingerprint: m.Fingerprint,
-		Proto:           proto.Name(),
-		N:               m.Grid.N,
-		GridSize:        res.GridSize,
-		IndexLo:         res.IndexLo,
-		IndexHi:         res.IndexHi,
-		Runs:            res.Runs,
-		Passed:          res.Passed,
-		Faulted:         res.Faulted,
-		Cancelled:       res.Cancelled,
-	}
-	rep.Probes = res.Probes
-	for _, d := range res.Detectors {
-		rep.Detectors = append(rep.Detectors, cliutil.DetectorReport(d))
-	}
-	for i, f := range res.Failures {
-		rep.Failures = append(rep.Failures, cliutil.FailureReport{
-			Index:       res.FailureIndices[i],
-			Violations:  f.Verdict.Violations,
-			Fingerprint: f.Fingerprint(),
-			Config:      f.Config,
-		})
-	}
+	rep := cliutil.NewSweepReport(*m.Grid, base, grid, proto, res)
+	rep.Campaign, rep.Unit = m.Name, &u
 	return marshalJSON(rep)
 }
 
@@ -323,9 +282,8 @@ func runExploreUnit(ctx context.Context, m *Manifest, opts RunOptions, u int) ([
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("campaign %s: unit %d cancelled: %w", m.Name, u, err)
 	}
-	unit := u
-	rep := cliutil.ExploreReport{Campaign: m.Name, Unit: &unit, SpaceFingerprint: m.Fingerprint}
-	rep.FromExplore(res)
+	rep := cliutil.NewExploreReport(eopts, res)
+	rep.Campaign, rep.Unit = m.Name, &u
 	return marshalJSON(rep)
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"weakestfd/internal/explore"
 	"weakestfd/internal/fd"
 	"weakestfd/internal/model"
 	"weakestfd/internal/scenario"
@@ -208,4 +209,32 @@ func BuildProtocol(name string, n, rounds, coordinator int) (scenario.Protocol, 
 	default:
 		return nil, fmt.Errorf("unknown protocol %q", name)
 	}
+}
+
+// withParam closes a braced fingerprint with the parameter the protocol
+// reads — the instance count of the multi-instance workloads, the 2PC
+// coordinator — which the descriptors' names do not carry. Fingerprints of
+// parameter-free protocols are unchanged.
+func withParam(fp string, p scenario.Protocol) string {
+	switch p := p.(type) {
+	case scenario.MultiConsensus:
+		return strings.TrimSuffix(fp, "}") + fmt.Sprintf(";rounds=%d}", max(1, p.Rounds))
+	case scenario.TwoPC:
+		return strings.TrimSuffix(fp, "}") + fmt.Sprintf(";coordinator=%d}", p.Coordinator)
+	}
+	return fp
+}
+
+// GridFingerprint is the identity of a sweep BuildGrid built: the grid's
+// fingerprint over the base config plus the protocol's parameter. Campaign
+// manifests record it and campaign merge refuses to fold reports that
+// disagree on it.
+func GridFingerprint(base *scenario.Scenario, grid scenario.Grid, p scenario.Protocol) string {
+	return withParam(grid.Fingerprint(base.Config()), p)
+}
+
+// ExploreFingerprint is the identity of an exploration's search space:
+// explore.SpaceFingerprint plus the protocol's parameter.
+func ExploreFingerprint(opts explore.Options) string {
+	return withParam(explore.SpaceFingerprint(opts), opts.Proto)
 }

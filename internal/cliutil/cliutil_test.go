@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"weakestfd/internal/explore"
 	"weakestfd/internal/journal"
 	"weakestfd/internal/scenario"
 )
@@ -241,5 +242,82 @@ func TestReadSpecRefusals(t *testing.T) {
 		case tc.refusal != "" && (err == nil || !strings.Contains(err.Error(), tc.refusal) || !strings.Contains(err.Error(), path)):
 			t.Errorf("%s: err = %v, want a refusal naming %s and containing %q", tc.name, err, path, tc.refusal)
 		}
+	}
+}
+
+// TestFingerprintsCoverProtocolParams: the grid and space fingerprints name
+// the parameter a protocol reads — rounds for the multi-instance workloads,
+// the twopc coordinator — so sweeps of different workloads over one grid
+// never share an identity, while the fingerprints of parameter-free
+// protocols stay exactly the grid's and the space's own.
+func TestFingerprintsCoverProtocolParams(t *testing.T) {
+	gridFP := func(sp GridSpec) string {
+		t.Helper()
+		base, grid, p, err := BuildGrid(sp)
+		if err != nil {
+			t.Fatalf("build grid %+v: %v", sp, err)
+		}
+		return GridFingerprint(base, grid, p)
+	}
+	spaceFP := func(sp GridSpec) string {
+		t.Helper()
+		p, err := BuildProtocol(sp.Proto, sp.N, sp.Rounds, sp.Coordinator)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ExploreFingerprint(explore.Options{Runs: 8, Proto: p, Base: scenario.New(sp.N).Config()})
+	}
+	spec := func(proto string, rounds, coordinator int) GridSpec {
+		sp := DefaultGridSpec()
+		sp.Proto, sp.N, sp.Seeds, sp.Rounds, sp.Coordinator = proto, 4, "1-4", rounds, coordinator
+		return sp
+	}
+	for _, fp := range []func(GridSpec) string{gridFP, spaceFP} {
+		for _, tc := range []struct {
+			a, b  GridSpec
+			param string
+		}{
+			{spec("consensus/multi", 8, 0), spec("consensus/multi", 2, 0), ";rounds=8}"},
+			{spec("consensus/multi-majority", 8, 0), spec("consensus/multi-majority", 2, 0), ";rounds=8}"},
+			{spec("twopc", 8, 0), spec("twopc", 8, 3), ";coordinator=0}"},
+		} {
+			a, b := fp(tc.a), fp(tc.b)
+			if a == b {
+				t.Errorf("%s: %+v and %+v share the fingerprint %s", tc.a.Proto, tc.a, tc.b, a)
+			}
+			if !strings.HasSuffix(a, tc.param) {
+				t.Errorf("%s: fingerprint %s does not end in %s", tc.a.Proto, a, tc.param)
+			}
+		}
+		// Zero rounds runs one instance, like one round.
+		if a, b := fp(spec("consensus/multi", 0, 0)), fp(spec("consensus/multi", 1, 0)); a != b {
+			t.Errorf("rounds 0 and 1 run the same instances but fingerprint %s and %s", a, b)
+		}
+		if a, b := fp(spec("consensus", 8, 0)), fp(spec("consensus", 2, 3)); a != b {
+			t.Errorf("consensus reads no parameter but fingerprints %s and %s", a, b)
+		}
+	}
+	base, grid, _, err := BuildGrid(spec("consensus", 8, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gridFP(spec("consensus", 8, 0)), grid.Fingerprint(base.Config()); got != want {
+		t.Errorf("parameter-free grid fingerprint changed:\n got %s\nwant %s", got, want)
+	}
+	opts := explore.Options{Runs: 8, Proto: scenario.Consensus{}, Base: scenario.New(4).Config()}
+	if got, want := ExploreFingerprint(opts), explore.SpaceFingerprint(opts); got != want {
+		t.Errorf("parameter-free space fingerprint changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestBuildGridEmptyTimeout: a spec without a timeout keeps the scenario's
+// default backstop instead of failing to parse.
+func TestBuildGridEmptyTimeout(t *testing.T) {
+	base, _, _, err := BuildGrid(GridSpec{Proto: "consensus", N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := base.Config().Timeout, scenario.New(3).Config().Timeout; got != want {
+		t.Fatalf("timeout %v, want the scenario default %v", got, want)
 	}
 }

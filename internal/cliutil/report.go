@@ -142,25 +142,31 @@ type ExploreReport struct {
 	FrontierRuns       int                        `json:"frontier_runs,omitempty"`
 }
 
-// FromExplore fills the deterministic fields from an exploration report.
-func (r *ExploreReport) FromExplore(rep *explore.Report) {
-	r.SchemaVersion = ReportSchemaVersion
-	r.Proto = rep.Proto
-	r.N = rep.N
-	r.Seed = rep.Seed
-	r.Budget = rep.Budget
-	r.Runs = rep.Runs
-	r.Novel = rep.Novel
-	r.Duplicates = rep.Duplicates
-	r.Cancelled = rep.Cancelled
-	r.FirstFail = rep.FirstFailureRun
-	r.Corpus = rep.Corpus
-	r.Behaviours = rep.Behaviours
-	r.FailureSigs = rep.FailureSigs
-	r.Mutators = rep.Mutators
-	r.Failures = rep.Failures
-	r.Minimized = rep.Minimized
-	r.MinimizeCandidates = rep.MinimizeCandidates
+// NewExploreReport renders a finished exploration under opts as its
+// report's deterministic fields: the one builder cmd/explore and campaign
+// explore units share. Callers add provenance (generated_by and timing, or
+// the campaign unit).
+func NewExploreReport(opts explore.Options, rep *explore.Report) ExploreReport {
+	return ExploreReport{
+		SchemaVersion:      ReportSchemaVersion,
+		SpaceFingerprint:   ExploreFingerprint(opts),
+		Proto:              rep.Proto,
+		N:                  rep.N,
+		Seed:               rep.Seed,
+		Budget:             rep.Budget,
+		Runs:               rep.Runs,
+		Novel:              rep.Novel,
+		Duplicates:         rep.Duplicates,
+		Cancelled:          rep.Cancelled,
+		FirstFail:          rep.FirstFailureRun,
+		Corpus:             rep.Corpus,
+		Behaviours:         rep.Behaviours,
+		FailureSigs:        rep.FailureSigs,
+		Mutators:           rep.Mutators,
+		Failures:           rep.Failures,
+		Minimized:          rep.Minimized,
+		MinimizeCandidates: rep.MinimizeCandidates,
+	}
 }
 
 // CorpusState extracts the report's corpus state — the seedable form.
@@ -291,6 +297,9 @@ func ReadAnyReport(kind string, data []byte) (*SweepReport, *ExploreReport, erro
 // 1:1 onto a cmd/sweep flag and onto a key of its -grid JSON file, and a
 // campaign manifest embeds one verbatim as the sweep work description.
 // SchemaVersion is optional in hand-written files (0 reads as "current").
+// Specs from a user (flags, -grid files) start from DefaultGridSpec; a
+// spec stored in a manifest is read as written. An empty Timeout keeps the
+// scenario's default backstop.
 type GridSpec struct {
 	SchemaVersion int     `json:"schema_version,omitempty"`
 	Proto         string  `json:"proto"`
@@ -310,6 +319,13 @@ type GridSpec struct {
 	Probes        bool    `json:"probes,omitempty"`
 }
 
+// DefaultGridSpec is the one default table of grid specs: cmd/sweep's flag
+// defaults and the base every -grid file is read over, by cmd/sweep and
+// campaign plan alike.
+func DefaultGridSpec() GridSpec {
+	return GridSpec{Proto: "consensus", N: 5, Rounds: 8, Seeds: "1-16", Timeout: "30s", Keep: 8}
+}
+
 // BuildGrid turns the spec into the Sweep inputs: the base scenario, the
 // grid and the protocol descriptor. The single definition both cmd/sweep
 // and campaign sweep units build through, so a grid fingerprint computed by
@@ -326,13 +342,13 @@ func BuildGrid(sp GridSpec) (*scenario.Scenario, scenario.Grid, scenario.Protoco
 	if err != nil {
 		return nil, grid, nil, err
 	}
-	timeout, err := time.ParseDuration(sp.Timeout)
-	if err != nil {
-		return nil, grid, nil, fmt.Errorf("timeout: %v", err)
-	}
-	opts := []scenario.Option{
-		scenario.WithTimeout(timeout),
-		scenario.WithDropRate(sp.Drop),
+	opts := []scenario.Option{scenario.WithDropRate(sp.Drop)}
+	if sp.Timeout != "" {
+		timeout, err := time.ParseDuration(sp.Timeout)
+		if err != nil {
+			return nil, grid, nil, fmt.Errorf("timeout: %v", err)
+		}
+		opts = append(opts, scenario.WithTimeout(timeout))
 	}
 	if sp.SafetyOnly {
 		opts = append(opts, scenario.WithSafetyOnly())
@@ -360,4 +376,39 @@ func BuildGrid(sp GridSpec) (*scenario.Scenario, scenario.Grid, scenario.Protoco
 	grid.Probes = sp.Probes
 	grid.KeepFailures = sp.Keep
 	return base, grid, p, nil
+}
+
+// NewSweepReport renders a finished sweep of sp — built by BuildGrid into
+// base, grid and p — as its report's deterministic fields: the one builder
+// cmd/sweep and campaign sweep units share. Callers add provenance
+// (generated_by and timing, or the campaign unit) and the minimised
+// reproducer.
+func NewSweepReport(sp GridSpec, base *scenario.Scenario, grid scenario.Grid, p scenario.Protocol, res scenario.SweepResult) SweepReport {
+	rep := SweepReport{
+		SchemaVersion:   ReportSchemaVersion,
+		GridFingerprint: GridFingerprint(base, grid, p),
+		Proto:           p.Name(),
+		N:               sp.N,
+		GridSize:        res.GridSize,
+		Shard:           sp.Shard,
+		IndexLo:         res.IndexLo,
+		IndexHi:         res.IndexHi,
+		Runs:            res.Runs,
+		Passed:          res.Passed,
+		Faulted:         res.Faulted,
+		Cancelled:       res.Cancelled,
+		Probes:          res.Probes,
+	}
+	for _, d := range res.Detectors {
+		rep.Detectors = append(rep.Detectors, DetectorReport(d))
+	}
+	for i, f := range res.Failures {
+		rep.Failures = append(rep.Failures, FailureReport{
+			Index:       res.FailureIndices[i],
+			Violations:  f.Verdict.Violations,
+			Fingerprint: f.Fingerprint(),
+			Config:      f.Config,
+		})
+	}
+	return rep
 }

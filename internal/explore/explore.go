@@ -78,13 +78,13 @@ type Options struct {
 	// discoveries), so -corpus-out always carries the full state forward.
 	SeedCorpus *CorpusState
 	// DepthSignal mixes the log-bucketed suspect-history depth into the
-	// novelty signature. It is a real behaviour signal but a
-	// scheduling-dependent one, so switching it on trades byte-for-byte
-	// reproducibility for sensitivity.
+	// novelty signature: how hard the run worked its detectors. The step
+	// scheduler pins the detector samples like every other step, so
+	// explorations stay byte-identical per seed with it on.
 	DepthSignal bool
 	// TraceSignal mixes the step scheduler's bucketed trace shape (events,
 	// messages, grants up to the trace boundary) into the novelty signature.
-	// Unlike DepthSignal it stays on the reproducible side of the contract:
+	// Like DepthSignal it stays on the reproducible side of the contract:
 	// the counters are part of the pinned schedule, so explorations remain
 	// byte-identical per seed with it on. Runs without a pinned trace
 	// (timeout-tainted runs) share one "~" territory.

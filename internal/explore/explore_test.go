@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -46,22 +47,29 @@ const exploreSeed = 5
 
 // TestExploreDeterministicPerSeed is the reproducibility contract: the whole
 // exploration — corpus, energies' effect on picks, failures, minimised
-// reproducers — is a pure function of the seed, byte-for-byte.
+// reproducers — is a pure function of the seed, byte-for-byte, with the
+// suspect-history depth in the novelty signature or without it.
 func TestExploreDeterministicPerSeed(t *testing.T) {
-	ctx := context.Background()
-	a, err := Explore(ctx, testOptions(exploreSeed))
-	if err != nil {
-		t.Fatalf("explore: %v", err)
-	}
-	b, err := Explore(ctx, testOptions(exploreSeed))
-	if err != nil {
-		t.Fatalf("second explore: %v", err)
-	}
-	if ca, cb := a.Canonical(), b.Canonical(); ca != cb {
-		t.Fatalf("exploration not reproducible per seed\n--- first ---\n%s\n--- second ---\n%s", ca, cb)
-	}
-	if a.Runs != a.Budget {
-		t.Fatalf("executed %d of %d budgeted runs without cancellation", a.Runs, a.Budget)
+	for _, depth := range []bool{false, true} {
+		t.Run(fmt.Sprintf("depth-signal=%t", depth), func(t *testing.T) {
+			ctx := context.Background()
+			opts := testOptions(exploreSeed)
+			opts.DepthSignal = depth
+			a, err := Explore(ctx, opts)
+			if err != nil {
+				t.Fatalf("explore: %v", err)
+			}
+			b, err := Explore(ctx, opts)
+			if err != nil {
+				t.Fatalf("second explore: %v", err)
+			}
+			if ca, cb := a.Canonical(), b.Canonical(); ca != cb {
+				t.Fatalf("exploration not reproducible per seed\n--- first ---\n%s\n--- second ---\n%s", ca, cb)
+			}
+			if a.Runs != a.Budget {
+				t.Fatalf("executed %d of %d budgeted runs without cancellation", a.Runs, a.Budget)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Report is everything one exploration produced. All fields except Elapsed
 // and RunsPerSec are deterministic per Options.Seed (for schedule-determined
-// protocols, no wall budget, DepthSignal off); Canonical renders exactly
+// protocols and no wall budget); Canonical renders exactly
 // that deterministic content, byte-stably — the form the determinism tests
 // compare and external tooling may diff.
 type Report struct {

@@ -26,13 +26,12 @@ import (
 //
 // Everything the signature reads is schedule-determined, so for the
 // deterministic protocols the signature — and hence the whole exploration —
-// is byte-reproducible per seed. Result.HistoryDepth is the one deliberate
-// exception: it is a real behaviour signal (how hard the run worked its
-// detectors) but, like tick counts, it is scheduling-dependent, so it joins
-// the signature only when Options.DepthSignal opts in. The trace shape
-// (Options.TraceSignal) sits on the reproducible side: the step scheduler's
-// record counters are part of the pinned schedule, so bucketing them adds
-// how-it-ran sensitivity without giving up byte-reproducibility.
+// is byte-reproducible per seed. Two optional dimensions add how-it-ran
+// sensitivity without giving that up: Result.HistoryDepth (how hard the run
+// worked its detectors, Options.DepthSignal) and the trace shape
+// (Options.TraceSignal). The step scheduler pins the detector samples and
+// the record counters like every other step, so both are schedule-determined
+// too.
 
 // SignatureOf renders res's novelty signature: the bucketed configuration
 // territory plus the behaviour part (BehaviourOf). withDepth additionally

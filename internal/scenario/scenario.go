@@ -326,9 +326,11 @@ type Result struct {
 	// HistoryDepth is how many suspect-list samples the run's history ring
 	// retained (bounded by Config.HistoryLimit); HistoryDropped counts the
 	// samples the cap discarded. Together they are a cheap detector-activity
-	// signal — usable in novelty signatures without unbounded memory — but,
-	// like tick counts, they are scheduling-dependent and therefore excluded
-	// from Fingerprint. Zero for classes without a suspect view.
+	// signal, usable in novelty signatures without unbounded memory. The
+	// step scheduler pins the samples, so both repeat with the schedule;
+	// they describe how the run worked, not what it decided, and are
+	// therefore excluded from Fingerprint. Zero for classes without a
+	// suspect view.
 	HistoryDepth   int
 	HistoryDropped int64
 	// TraceFingerprint is the step scheduler's digest of the full schedule:
