@@ -66,8 +66,8 @@ func main() {
 func run() int {
 	// The -record point flags write straight into a one-point grid spec.
 	sp := cliutil.GridSpec{}
-	flag.IntVar(&sp.Rounds, "rounds", 8, "instances per run (consensus/multi; not stored in the journal meta)")
-	flag.IntVar(&sp.Coordinator, "coordinator", 0, "coordinator process (twopc; not stored in the journal meta)")
+	flag.IntVar(&sp.Rounds, "rounds", 8, "-record: instances per run (consensus/multi; replay reads it from the journal meta)")
+	flag.IntVar(&sp.Coordinator, "coordinator", 0, "-record: coordinator process (twopc; replay reads it from the journal meta)")
 	flag.StringVar(&sp.Proto, "proto", "consensus", "-record: protocol, one of "+cliutil.ProtoNames)
 	flag.IntVar(&sp.N, "n", 5, "-record: number of processes")
 	flag.StringVar(&sp.Delays, "delays", "", "-record: delay range min:max (scenario default when empty)")
@@ -130,13 +130,14 @@ func run() int {
 		if len(args) != 1 {
 			return usageErr("want exactly one journal, got %d (see -h)", len(args))
 		}
-		return runReplay(args[0], *window, sp.Rounds, sp.Coordinator)
+		return runReplay(args[0], *window)
 	}
 }
 
-// runReplay re-executes the journal's run and asserts every scheduler
+// runReplay re-executes the journal's run — the protocol rebuilt from the
+// name and parameter its meta records — and asserts every scheduler
 // decision against the recorded stream.
-func runReplay(path string, window, rounds, coordinator int) int {
+func runReplay(path string, window int) int {
 	j, err := journal.ReadFile(path)
 	if err != nil {
 		return usageErr("%v", err)
@@ -152,7 +153,7 @@ func runReplay(path string, window, rounds, coordinator int) int {
 	if j.Meta.Protocol == "" {
 		return usageErr("%s: journal records no protocol name to rebuild the run from", path)
 	}
-	proto, err := cliutil.BuildProtocol(j.Meta.Protocol, cfg.N, rounds, coordinator)
+	proto, err := cliutil.JournalProtocol(j.Meta, cfg.N)
 	if err != nil {
 		return usageErr("%s: %v", path, err)
 	}

@@ -2,8 +2,7 @@
 // (flags or a JSON file) over a base scenario, fans the runs across worker
 // goroutines — and, with --shard k/m, across independent processes covering
 // disjoint contiguous slices of the row-major index space — streams
-// progress, and emits a JSON report in the same committed-snapshot style as
-// BENCH_net.json. With --minimize, the first failure is shrunk to a minimal
+// progress, and emits a JSON report. With --minimize, the first failure is shrunk to a minimal
 // reproducer (scenario.Minimize) before the report is written. Detector
 // quality is part of the detector spec (-detectors 'omega-sigma{suspect:10}'),
 // which also labels the report's per-class column.

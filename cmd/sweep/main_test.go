@@ -50,6 +50,59 @@ func TestGridTypoExitsTwo(t *testing.T) {
 	}
 }
 
+// sweepCLI runs the sweep command in-process with args and returns its exit
+// code.
+func sweepCLI(t *testing.T, args ...string) int {
+	t.Helper()
+	osArgs, cmdline := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = osArgs, cmdline }()
+	os.Args = append([]string{"sweep"}, args...)
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	return run()
+}
+
+// sweepReport runs the sweep command with args into dir/name and returns the
+// report's bytes, failing the test unless it exits 0.
+func sweepReport(t *testing.T, dir, name string, args ...string) []byte {
+	t.Helper()
+	out := filepath.Join(dir, name)
+	if code := sweepCLI(t, append(args, "-out", out)...); code != 0 {
+		t.Fatalf("sweep %s exited %d", strings.Join(args, " "), code)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func decodeReport(t *testing.T, data []byte) cliutil.SweepReport {
+	t.Helper()
+	var rep cliutil.SweepReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// withoutTiming is a report with its wall-clock fields dropped: what two
+// runs of the same sweep must agree on byte for byte.
+func withoutTiming(t *testing.T, data []byte) string {
+	t.Helper()
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"generated_by", "elapsed_ms", "runs_per_sec"} {
+		delete(fields, k)
+	}
+	out, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // TestFlagsOverrideGridFile: a -grid file is read over the default table and
 // explicit flags win over its keys — whether the flag comes before or after
 // -grid on the command line.
@@ -59,24 +112,64 @@ func TestFlagsOverrideGridFile(t *testing.T) {
 	if err := os.WriteFile(grid, []byte(`{"proto":"consensus","n":3,"seeds":"1-4","delays":"1ms:2ms"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(dir, "report.json")
-	args, cmdline := os.Args, flag.CommandLine
-	defer func() { os.Args, flag.CommandLine = args, cmdline }()
-	os.Args = []string{"sweep", "-n", "4", "-grid", grid, "-seeds", "2-3", "-out", out}
-	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
-	if code := run(); code != 0 {
-		t.Fatalf("sweep exited %d", code)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep cliutil.SweepReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := decodeReport(t, sweepReport(t, dir, "report.json", "-n", "4", "-grid", grid, "-seeds", "2-3"))
 	want := "grid{base=n=4 seed=1 delay=[0s,200µs] drop=0 det=omega-sigma crashes=[] term=true timeout=30s;seeds=;seedspan=2+2;detectors=;delays=[1ms,2ms];crashes=}"
 	if rep.N != 4 || rep.Runs != 2 || rep.GridFingerprint != want {
 		t.Fatalf("n=%d runs=%d fingerprint %s, want n=4 runs=2 fingerprint %s", rep.N, rep.Runs, rep.GridFingerprint, want)
+	}
+}
+
+// TestDetectorAxisReport: one invocation over four named detector classes
+// plus one degraded-quality spec, with a crash on the highest id only
+// (outside every fallback quorum): the per-spec counts tile the grid and
+// every spec passes every point.
+func TestDetectorAxisReport(t *testing.T) {
+	rep := decodeReport(t, sweepReport(t, t.TempDir(), "detgrid.json", "-proto", "consensus", "-n", "5", "-seeds", "1-4",
+		"-detectors", "omega-sigma,perfect,eventually-perfect{stabilize:50},eventually-strong{stabilize:50},omega-sigma{suspect:10}",
+		"-crashes", "-;4@500us"))
+	if rep.GridSize != 40 || len(rep.Detectors) != 5 {
+		t.Fatalf("grid size %d over %d detectors, want 40 over 5", rep.GridSize, len(rep.Detectors))
+	}
+	runs := 0
+	for _, d := range rep.Detectors {
+		runs += d.Runs
+		if d.Passed != d.Runs {
+			t.Errorf("%s passed %d of %d", d.Spec, d.Passed, d.Runs)
+		}
+	}
+	if runs != rep.Runs {
+		t.Errorf("per-detector runs sum to %d, the report ran %d", runs, rep.Runs)
+	}
+}
+
+// TestProbedReportByteStable: two identical seeded probed invocations write
+// the same report bytes apart from the wall-clock fields; the per-detector
+// probe aggregates partition the overall one, and the mid-run crash shows in
+// the detection-latency histogram.
+func TestProbedReportByteStable(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-proto", "consensus", "-n", "4", "-seeds", "1-6", "-delays", "1ms:10ms",
+		"-detectors", "omega-sigma,perfect", "-crashes", "-;3@2ms", "-probes"}
+	a, b := sweepReport(t, dir, "probes1.json", args...), sweepReport(t, dir, "probes2.json", args...)
+	if withoutTiming(t, a) != withoutTiming(t, b) {
+		t.Fatalf("probed sweep reports differ beyond timing:\n%s\n%s", a, b)
+	}
+	rep := decodeReport(t, a)
+	p := rep.Probes
+	if p == nil || p.Runs != int64(rep.Runs) {
+		t.Fatalf("probe aggregate %+v does not cover the %d runs", p, rep.Runs)
+	}
+	var runs int64
+	for _, d := range rep.Detectors {
+		if d.Probes == nil {
+			t.Fatalf("%s carries no probe aggregate", d.Spec)
+		}
+		runs += d.Probes.Runs
+	}
+	if runs != p.Runs {
+		t.Errorf("per-detector aggregates cover %d runs, the overall one %d", runs, p.Runs)
+	}
+	if p.DetectionLatency.Count == 0 {
+		t.Errorf("the crash schedule left no detection-latency observation")
 	}
 }

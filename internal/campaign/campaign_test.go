@@ -118,8 +118,11 @@ func TestCampaignShardingAndResumeInvariance(t *testing.T) {
 	if ca, cb := mergedA.Canonical(), mergedB.Canonical(); ca != cb {
 		t.Fatalf("sharded+killed+resumed campaign diverged from the 1-shard reference\n--- fleet ---\n%s\n--- reference ---\n%s", ca, cb)
 	}
-	if got := len(mergedA.Explore.Seeds); got != 6 {
-		t.Fatalf("merged %d seeds, want 6", got)
+	if got := len(mergedA.Explore.Seeds); got != 6 || mergedA.Inputs != 6 {
+		t.Fatalf("merged %d seeds from %d inputs, want 6 and 6", got, mergedA.Inputs)
+	}
+	if c := mergedA.Explore.Corpus; c == nil || len(c.Entries) == 0 {
+		t.Fatalf("merged corpus is empty")
 	}
 	if mergedA.Explore.Runs != 6*24 {
 		t.Fatalf("merged runs %d, want %d", mergedA.Explore.Runs, 6*24)

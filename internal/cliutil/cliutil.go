@@ -31,11 +31,11 @@ func ParseSeeds(s string) ([]int64, scenario.SeedSpan, error) {
 		if a, b, ok, err := parseSeedRange(parts[0]); err != nil {
 			return nil, none, err
 		} else if ok {
-			n := b - a + 1
-			if n <= 0 || n > 1<<40 { // <= 0 catches int64 wrap on absurd spans
+			steps := seedSteps(a, b)
+			if steps >= 1<<40 {
 				return nil, none, fmt.Errorf("range %q is too large for one grid", parts[0])
 			}
-			return nil, scenario.SeedSpan{From: a, N: int(n)}, nil
+			return nil, scenario.SeedSpan{From: a, N: int(steps + 1)}, nil
 		}
 	}
 	var out []int64
@@ -50,15 +50,23 @@ func ParseSeeds(s string) ([]int64, scenario.SeedSpan, error) {
 		if !isRange {
 			b = a
 		}
-		if int64(len(out))+(b-a) >= 1<<24 {
-			return nil, none, fmt.Errorf("seed list expands past %d entries — use one contiguous range (kept as an unmaterialised span) instead", 1<<24)
+		steps := seedSteps(a, b)
+		if steps >= maxSeedList-uint64(len(out)) {
+			return nil, none, fmt.Errorf("seed list expands past %d entries — use one contiguous range (kept as an unmaterialised span) instead", maxSeedList)
 		}
-		for v := a; v <= b; v++ {
-			out = append(out, v)
+		for i := uint64(0); i <= steps; i++ {
+			out = append(out, a+int64(i))
 		}
 	}
 	return out, none, nil
 }
+
+// maxSeedList is the most seeds a mixed seed list expands to.
+const maxSeedList = 1 << 24
+
+// seedSteps is b-a for a <= b, exact over the whole int64 range: the
+// subtraction wraps in int64 but not in uint64.
+func seedSteps(a, b int64) uint64 { return uint64(b) - uint64(a) }
 
 // parseSeedRange parses one list element: "a-b" (isRange=true) or a single
 // seed "a" (isRange=false, returned in a). The range separator is the first
@@ -212,15 +220,11 @@ func BuildProtocol(name string, n, rounds, coordinator int) (scenario.Protocol, 
 }
 
 // withParam closes a braced fingerprint with the parameter the protocol
-// reads — the instance count of the multi-instance workloads, the 2PC
-// coordinator — which the descriptors' names do not carry. Fingerprints of
-// parameter-free protocols are unchanged.
+// reads (scenario.ProtocolParam), which the descriptors' names do not
+// carry. Fingerprints of parameter-free protocols are unchanged.
 func withParam(fp string, p scenario.Protocol) string {
-	switch p := p.(type) {
-	case scenario.MultiConsensus:
-		return strings.TrimSuffix(fp, "}") + fmt.Sprintf(";rounds=%d}", max(1, p.Rounds))
-	case scenario.TwoPC:
-		return strings.TrimSuffix(fp, "}") + fmt.Sprintf(";coordinator=%d}", p.Coordinator)
+	if name, v, ok := scenario.ProtocolParam(p); ok {
+		return strings.TrimSuffix(fp, "}") + fmt.Sprintf(";%s=%d}", name, v)
 	}
 	return fp
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,6 +36,19 @@ func TestParseSeedsFormsAndSpan(t *testing.T) {
 	}
 	if _, _, err = ParseSeeds("3-1"); err == nil {
 		t.Fatalf("descending range accepted")
+	}
+	seeds, _, err = ParseSeeds("1,9223372036854775806-9223372036854775807")
+	if err != nil || !reflect.DeepEqual(seeds, []int64{1, math.MaxInt64 - 1, math.MaxInt64}) {
+		t.Fatalf("range ending at MaxInt64 in a list: %v %v", seeds, err)
+	}
+	for _, s := range []string{
+		"1,-9223372036854775808-9223372036854775807",
+		"-9223372036854775808-9223372036854775807",
+		"1,0-16777216",
+	} {
+		if seeds, span, err := ParseSeeds(s); err == nil {
+			t.Errorf("ParseSeeds(%q) = %d seeds, span %+v; want a too-large error", s, len(seeds), span)
+		}
 	}
 }
 
@@ -180,10 +194,9 @@ func TestRetiredConfigFieldsStillLoad(t *testing.T) {
 // TestFixturesReplay re-executes every committed fixture journal
 // (internal/journal/testdata, one per protocol family) and requires a
 // record-for-record match ending on the journal's own trace fingerprint.
-// The fixtures were recorded by cmd/replay -record with its default -rounds
-// and -coordinator, which the journal meta does not store.
+// The fixtures predate the meta's protocol parameter, so they replay at the
+// defaults JournalProtocol reads a parameter-free meta as.
 func TestFixturesReplay(t *testing.T) {
-	const rounds, coordinator = 8, 0
 	paths, err := filepath.Glob("../journal/testdata/*.journal")
 	if err != nil || len(paths) < 8 {
 		t.Fatalf("want the 8 fixture journals, got %v (%v)", paths, err)
@@ -198,7 +211,7 @@ func TestFixturesReplay(t *testing.T) {
 		if err := json.Unmarshal(j.Meta.Config, &cfg); err != nil {
 			t.Fatalf("%s: config: %v", path, err)
 		}
-		proto, err := BuildProtocol(j.Meta.Protocol, cfg.N, rounds, coordinator)
+		proto, err := JournalProtocol(j.Meta, cfg.N)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

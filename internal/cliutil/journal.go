@@ -7,8 +7,25 @@ import (
 	"os"
 	"path/filepath"
 
+	"weakestfd/internal/journal"
 	"weakestfd/internal/scenario"
 )
+
+// JournalProtocol rebuilds the protocol a journal recorded: its name and
+// parameter from the meta, over n processes. A journal without a parameter
+// reads as the recorder's historical defaults, 8 rounds and coordinator 0:
+// journals recorded before the meta carried the parameter were recorded at
+// them.
+func JournalProtocol(m journal.Meta, n int) (scenario.Protocol, error) {
+	rounds, coordinator := 8, 0
+	if v, ok := m.Params["rounds"]; ok {
+		rounds = v
+	}
+	if v, ok := m.Params["coordinator"]; ok {
+		coordinator = v
+	}
+	return BuildProtocol(m.Protocol, n, rounds, coordinator)
+}
 
 // JournalFlags is the shared journal-dump flag of the failure-retaining CLIs
 // (cmd/sweep, cmd/explore, cmd/campaign): -journals <dir> makes every

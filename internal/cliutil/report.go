@@ -16,7 +16,7 @@ import (
 )
 
 // Shared report I/O: cmd/sweep, cmd/explore and the campaign layer all emit
-// and ingest the same BENCH_net.json-styled JSON artifacts. The structs live
+// and ingest the same JSON artifacts. The structs live
 // here, exactly once, so a report written by any driver is readable by every
 // other — campaign unit reports are these very shapes with the campaign
 // provenance fields filled in and the wall-clock fields left zero.

@@ -13,8 +13,8 @@ import (
 // perturbation live here exactly once, for every detector class.
 //
 // Bind is a value type and its query path performs no allocation of its own
-// (internal/bench pins this at 0 allocs/op); whatever the source allocates to
-// produce V is the source's business.
+// (TestBindSampleZeroAllocs pins this at 0 allocs/op); whatever the source
+// allocates to produce V is the source's business.
 type Bind[V any] struct {
 	Proc  model.ProcessID
 	Src   Source[V]

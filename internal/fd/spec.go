@@ -3,6 +3,7 @@ package fd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -190,7 +191,8 @@ func (s DetectorSpec) String() string {
 
 // ParseSpec parses the registry grammar: a class name, optionally followed by
 // "{key:value,...}" quality parameters. Keys are suspect, detect, stabilize,
-// switch (logical-tick integers) and policy (omega-sigma | fs-on-failure).
+// switch (logical-tick integers) and policy (omega-sigma | fs-on-failure),
+// each at most once: a repeated key is refused, not overwritten.
 // Examples:
 //
 //	omega-sigma
@@ -221,12 +223,17 @@ func ParseSpec(s string) (DetectorSpec, error) {
 	if strings.TrimSpace(body) == "" {
 		return spec, fmt.Errorf("detector spec %q: empty parameter block", s)
 	}
+	var seen []string
 	for _, kv := range strings.Split(body, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), ":")
 		if !ok {
 			return spec, fmt.Errorf("detector spec %q: bad parameter %q (want key:value)", s, kv)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		if slices.Contains(seen, key) {
+			return spec, fmt.Errorf("detector spec %q: parameter %q given twice", s, key)
+		}
+		seen = append(seen, key)
 		if key == "policy" {
 			switch val {
 			case "omega-sigma", "os":

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"weakestfd/internal/model"
@@ -51,6 +52,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"perfect{policy:maybe}",
 		"perfect{suspect:1",
 		"perfect{}",
+		"perfect{suspect:5,suspect:6}",
+		"omega-sigma{policy:os,policy:fs}",
 	} {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", s)
@@ -236,4 +239,40 @@ func TestSpecParamLookup(t *testing.T) {
 	if again := MustParseSpec(spec.String()); again != spec {
 		t.Fatalf("round trip: %+v != %+v", again, spec)
 	}
+}
+
+// FuzzParseSpec: whatever ParseSpec accepts, String renders as a spec that
+// parses back to the same value and renders the same bytes — parse∘print is
+// a fixed point after one step — and a parameter given twice is refused,
+// never silently overwritten.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "omega-sigma", "perfect{suspect:10}", "eventually-perfect{ stabilize:50 , suspect:10 }",
+		"omega-sigma{suspect:3,detect:7,switch:40,policy:fs-on-failure}", "heartbeat{interval:500,timeout:5000}",
+		"perfect{suspect:5,suspect:6}", "x{suspect:0}", "a}{suspect:1}", "perfect {suspect:+1}", "{}", "p{",
+		"omega-sigma{policy:os}", "p{suspect:9223372036854775807}",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v, whose rendering %q does not parse: %v", s, spec, spec.String(), err)
+		}
+		if again != spec || again.String() != spec.String() {
+			t.Fatalf("ParseSpec(%q) = %+v renders %q, which parses to %+v", s, spec, spec.String(), again)
+		}
+		if i := strings.IndexByte(s, '{'); i >= 0 && strings.HasSuffix(s, "}") {
+			if kv, _, _ := strings.Cut(s[i+1:len(s)-1], ","); kv != "" {
+				twice := s[:len(s)-1] + "," + kv + "}"
+				if _, err := ParseSpec(twice); err == nil {
+					t.Fatalf("ParseSpec(%q) accepted parameter %q given twice", twice, kv)
+				}
+			}
+		}
+	})
 }

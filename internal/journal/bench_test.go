@@ -4,8 +4,8 @@ import "testing"
 
 // The journal layer benchmarks: Encode, Decode and Verify of one synthetic
 // 40 000-record journal, the length of an n=100 consensus run's. ns/op is
-// per journal; divide by 40 000 for the per-record cost. TestEmitBenchJSON
-// (internal/bench) snapshots them into BENCH_net.json.
+// per journal; divide by 40 000 for the per-record cost. bench/ prices the
+// same operations over real runs' journals (journal.*_ns_per_record).
 
 const benchRecords = 40_000
 

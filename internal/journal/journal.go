@@ -75,6 +75,10 @@ type Meta struct {
 	// Protocol is the run's protocol name (scenario.Protocol.Name) — the
 	// registry key replay rebuilds the protocol from.
 	Protocol string `json:"protocol,omitempty"`
+	// Params is the protocol's parameter by its flag name ("rounds",
+	// "coordinator"; scenario.ProtocolParam), recorded only by the
+	// protocols that read one, so replay rebuilds the protocol that ran.
+	Params map[string]int `json:"params,omitempty"`
 	// Config is the run's scenario configuration, embedded verbatim so a
 	// journal is a self-contained reproducer (the journaling knobs
 	// themselves are zeroed: replaying attaches a checker, not a recorder).

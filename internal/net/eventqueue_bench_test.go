@@ -8,7 +8,8 @@ import (
 
 // The event-queue layer benchmarks: the queue driven directly, no dispatcher
 // goroutine, so the figures are the heap and the slabs and nothing else.
-// TestEmitBenchJSON (internal/bench) snapshots them into BENCH_net.json.
+// bench/ prices the same layers inside whole runs (net.timer_ns,
+// net.ticker_rearm_ns, net.send_deliver_ns.*).
 
 // benchQueue returns a queue of n processes whose heap holds depth resident
 // keys an hour out — crash events, which carry nothing — that never pop while

@@ -34,6 +34,22 @@ var (
 	_ Runner = (*register.Register[int])(nil)
 )
 
+// ProtocolParam reports the one parameter a protocol descriptor reads beyond
+// its name, under its flag name: the instance count of the multi-instance
+// workloads ("rounds", at least 1) and the 2PC coordinator ("coordinator").
+// ok is false for the parameter-free protocols. Run fingerprints and journal
+// metas both record the parameter through here, so this is the one place
+// that decides which protocol reads which parameter.
+func ProtocolParam(p Protocol) (name string, value int, ok bool) {
+	switch p := p.(type) {
+	case MultiConsensus:
+		return "rounds", p.rounds(), true
+	case TwoPC:
+		return "coordinator", int(p.Coordinator), true
+	}
+	return "", 0, false
+}
+
 // Instance is a wired run of a protocol on a cluster: one Runner and input
 // per process (nil Runner = the process takes no step), the spec checker for
 // the outcomes they produce, and the teardown hook.

@@ -527,7 +527,7 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 			res.Probes = p
 		}
 		if jrec != nil {
-			res.Journal = res.buildJournal(jrec)
+			res.Journal = res.buildJournal(jrec, proto)
 		}
 	}
 
@@ -560,8 +560,9 @@ func (t teeRecorder) Record(r net.TraceRecord) {
 // buildJournal assembles the captured record stream into a self-contained
 // journal: the config is embedded with its journaling knobs zeroed (a
 // journal reproduces the plain run; replay attaches its own checker), and
-// the trace integrity fields come from the finished run.
-func (r *Result) buildJournal(rec *journal.Recorder) *journal.Journal {
+// the trace integrity fields come from the finished run, and the protocol's
+// parameter (ProtocolParam), if it reads one, is recorded beside its name.
+func (r *Result) buildJournal(rec *journal.Recorder, proto Protocol) *journal.Journal {
 	cc := r.Config.Clone()
 	cc.Journal = 0
 	cc.Recorder = nil
@@ -572,9 +573,14 @@ func (r *Result) buildJournal(rec *journal.Recorder) *journal.Journal {
 		// for inspection even if it somehow does.
 		cfgJSON = nil
 	}
+	var params map[string]int
+	if name, v, ok := ProtocolParam(proto); ok {
+		params = map[string]int{name: v}
+	}
 	st := r.TraceSummary
 	return rec.Journal(journal.Meta{
 		Protocol:         r.Protocol,
+		Params:           params,
 		Config:           cfgJSON,
 		TraceFingerprint: r.TraceFingerprint,
 		TaintReason:      st.TaintReason,
