@@ -30,6 +30,10 @@
 //
 //	replay -record -proto consensus -n 5 -seed 7 -o run.journal
 //
+// The point flags (-proto, -n, -seed, -delays, -crashes, -detectors,
+// -rounds, -coordinator, -timeout, -o) belong to -record alone; the other
+// modes refuse them (exit 2).
+//
 // Examples:
 //
 //	replay runs/journals/failure-000041.journal
@@ -72,6 +76,7 @@ func run() int {
 	flag.IntVar(&sp.N, "n", 5, "-record: number of processes")
 	flag.StringVar(&sp.Delays, "delays", "", "-record: delay range min:max (scenario default when empty)")
 	flag.StringVar(&sp.Crashes, "crashes", "", "-record: crash schedule, entries p@time")
+	flag.StringVar(&sp.Detectors, "detectors", "", "-record: detector spec, one registry class (scenario default when empty)")
 	var (
 		verify  = flag.Bool("verify", false, "verify the journal offline: recompute the record hash against the recorded trace fingerprint (no re-execution)")
 		diff    = flag.Bool("diff", false, "compare two journals, reporting the first meta or record difference (no re-execution)")
@@ -97,6 +102,19 @@ func run() int {
 	for _, m := range []bool{*verify, *diff, *stats, *record} {
 		if m {
 			modes++
+		}
+	}
+	if !*record {
+		// The point flags describe a run to record; the other modes read
+		// everything from their journals, so a point flag there is a mistake.
+		var misused string
+		flag.Visit(func(f *flag.Flag) {
+			if misused == "" && recordOnly[f.Name] {
+				misused = f.Name
+			}
+		})
+		if misused != "" {
+			return usageErr("-%s is a -record flag; replay, -verify, -stats and -diff read the run from the journal", misused)
 		}
 	}
 	switch {
@@ -132,6 +150,12 @@ func run() int {
 		}
 		return runReplay(args[0], *window)
 	}
+}
+
+// recordOnly names the flags that only -record reads.
+var recordOnly = map[string]bool{
+	"proto": true, "n": true, "seed": true, "delays": true, "crashes": true, "detectors": true,
+	"rounds": true, "coordinator": true, "timeout": true, "o": true,
 }
 
 // runReplay re-executes the journal's run — the protocol rebuilt from the
@@ -190,7 +214,7 @@ func runRecord(sp cliutil.GridSpec, out string) int {
 		return usageErr("-record: %v", err)
 	}
 	if size := grid.Size(); size != 1 {
-		return usageErr("-record: want exactly one scenario point (one delay range, one crash schedule), got %d", size)
+		return usageErr("-record: want exactly one scenario point (one delay range, one crash schedule, one detector), got %d", size)
 	}
 	cfg := grid.ConfigAt(base.Config(), 0)
 	cfg.Journal = scenario.JournalAll

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"weakestfd/internal/fd"
 	"weakestfd/internal/journal"
 	"weakestfd/internal/scenario"
 )
@@ -97,9 +98,25 @@ func TestRecordOnePoint(t *testing.T) {
 		t.Errorf("replay of the recorded journal exited %d", code)
 	}
 
+	// -detectors picks the point's detector class.
+	path = record(t, dir, "perfect.journal", "-proto", "consensus", "-n", "5", "-seed", "7", "-detectors", "perfect")
+	got = []byte(readFile(t, path))
+	res = scenario.New(5,
+		scenario.WithSeed(7),
+		scenario.WithDetector(fd.DetectorSpec{Class: "perfect"}),
+		scenario.WithJournal(scenario.JournalAll),
+	).Run(context.Background(), scenario.Consensus{})
+	if want, err = res.Journal.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-detectors perfect: recorded journal differs from the scenario builder's")
+	}
+
 	for name, flags := range map[string][]string{
 		"two crash schedules": {"-crashes", "0@1ms;1@2ms"},
 		"two delay ranges":    {"-delays", "0:1ms,1ms:2ms"},
+		"two detectors":       {"-detectors", "omega-sigma,perfect"},
 	} {
 		args := append([]string{"-record", "-o", filepath.Join(dir, "many.journal")}, flags...)
 		if code, _, _ := replayCLI(t, args...); code != 2 {
@@ -161,6 +178,18 @@ func TestReplayExitCodes(t *testing.T) {
 	}
 	if code, stdout, _ := replayCLI(t, path); code != 0 || !strings.Contains(stdout, j.Meta.TraceFingerprint) {
 		t.Fatalf("replay exited %d, want 0 and the fingerprint %s in:\n%s", code, j.Meta.TraceFingerprint, stdout)
+	}
+	// A -record flag in another mode is refused, naming the flag.
+	for flagName, args := range map[string][]string{
+		"-rounds":  {"-rounds", "2", path},
+		"-seed":    {"-verify", "-seed", "3", path},
+		"-n":       {"-stats", "-n", "5", path},
+		"-proto":   {"-diff", "-proto", "qc", path, path},
+		"-timeout": {"-timeout", "1s", path},
+	} {
+		if code, _, stderr := replayCLI(t, args...); code != 2 || !strings.Contains(stderr, flagName+" is a -record flag") {
+			t.Errorf("replay %v exited %d, want 2 naming %s: %s", args, code, flagName, stderr)
+		}
 	}
 
 	idx := len(j.Records) / 2

@@ -7,6 +7,7 @@ package cliutil
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -110,7 +111,9 @@ func ParseDelays(s string) ([]scenario.DelayRange, error) {
 }
 
 // ParseCrashes parses ';'-separated crash schedules of ','-separated p@time
-// entries; "-" (or an empty schedule) is the explicit crash-free point.
+// entries; "-" (or an empty schedule) is the explicit crash-free point. A
+// schedule names each process at most once: under crash-stop a second crash
+// of a process is a no-op, so it would only give one point two identities.
 func ParseCrashes(s string, n int) ([][]scenario.Crash, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -135,6 +138,9 @@ func ParseCrashes(s string, n int) ([][]scenario.Crash, error) {
 			t, err := time.ParseDuration(strings.TrimSpace(at))
 			if err != nil || t < 0 {
 				return nil, fmt.Errorf("bad crash time %q", at)
+			}
+			if slices.ContainsFunc(crashes, func(c scenario.Crash) bool { return int(c.P) == pid }) {
+				return nil, fmt.Errorf("crash schedule %q crashes process %d twice", sched, pid)
 			}
 			crashes = append(crashes, scenario.Crash{P: model.ProcessID(pid), At: t})
 		}

@@ -64,6 +64,14 @@ func TestParseDelaysAndCrashes(t *testing.T) {
 	if _, err = ParseCrashes("5@1ms", 3); err == nil {
 		t.Fatalf("out-of-range crash process accepted")
 	}
+	// One process twice in a schedule is refused; in separate schedules it
+	// is two points.
+	if _, err = ParseCrashes("1@1ms,1@2ms", 3); err == nil || !strings.Contains(err.Error(), "process 1 twice") {
+		t.Fatalf("a process crashed twice in one schedule: err = %v", err)
+	}
+	if _, err = ParseCrashes("1@1ms;1@2ms", 3); err != nil {
+		t.Fatalf("one process in two schedules: %v", err)
+	}
 }
 
 func TestParseDetectorsValidatesRegistry(t *testing.T) {

@@ -1,11 +1,15 @@
 package cliutil
 
-import "testing"
+import (
+	"testing"
+
+	"weakestfd/internal/model"
+)
 
 // The flag-value parsers refuse garbage with an error: whatever the input,
-// they return an error or a value, never panic, and a seed list never
-// expands past maxSeedList. The seed corpora run as plain tests; explore
-// further with
+// they return an error or a value, never panic, a seed list never expands
+// past maxSeedList, and a crash schedule names no process twice. The seed
+// corpora run as plain tests; explore further with
 //
 //	go test ./internal/cliutil -run '^$' -fuzz FuzzParseSeeds -fuzztime 10s
 
@@ -54,7 +58,7 @@ func FuzzParseDelays(f *testing.F) {
 }
 
 func FuzzParseCrashes(f *testing.F) {
-	for _, s := range []string{"", "-", "-;2@300us", "-;2@300us;0@0s,1@2ms", "5@1ms", "@", "1@", "@1ms", ";;", "0@-1ms", "x@1ms", "1@1ms,,"} {
+	for _, s := range []string{"", "-", "-;2@300us", "-;2@300us;0@0s,1@2ms", "5@1ms", "1@1ms,1@2ms", "@", "1@", "@1ms", ";;", "0@-1ms", "x@1ms", "1@1ms,,"} {
 		f.Add(s, 3)
 	}
 	f.Fuzz(func(t *testing.T, s string, n int) {
@@ -63,10 +67,15 @@ func FuzzParseCrashes(f *testing.F) {
 			return
 		}
 		for _, sched := range scheds {
+			seen := make(map[model.ProcessID]bool, len(sched))
 			for _, c := range sched {
 				if int(c.P) < 0 || int(c.P) >= n || c.At < 0 {
 					t.Fatalf("ParseCrashes(%q, %d) accepted %+v", s, n, c)
 				}
+				if seen[c.P] {
+					t.Fatalf("ParseCrashes(%q, %d) accepted process %d twice in one schedule", s, n, c.P)
+				}
+				seen[c.P] = true
 			}
 		}
 	})

@@ -82,11 +82,11 @@ type BallotConsensus struct {
 	attempt *attempt
 	scratch *attempt // the one attempt struct a proposer reuses across phases and ballots
 
-	// waiter is the proposer task blocked in Propose/awaitAttempt: the
-	// acceptor handler, which runs on the dispatch goroutine, wakes it so the
-	// scheduler sees the handoff. At most one Propose runs per participant,
-	// so one slot is enough.
-	waiter net.TaskWaiter
+	// waiter is the proposer task blocked in Propose/awaitAttempt (nil when
+	// none): the acceptor handler, which runs on the dispatch goroutine,
+	// wakes it so the scheduler sees the handoff. At most one Propose runs
+	// per participant, so one slot is enough.
+	waiter *net.Task
 
 	stop *stopper
 }
@@ -192,14 +192,17 @@ func (c *BallotConsensus) Decision() (Value, bool) {
 // the process crashes. All waiting rides the network's virtual clock, so a
 // blocked Propose costs no wall-clock time.
 func (c *BallotConsensus) Propose(ctx context.Context, v Value) (Value, error) {
-	// Submit to the step scheduler: if the caller brought no task, the calling
-	// goroutine is adopted for the span of this Propose, so raw-network
-	// callers (benchmarks, package tests) take steps under the same
-	// deterministic discipline as scenario runners.
-	ctx, release := net.AdoptTask(ctx, c.ep, "consensus.propose")
-	defer release()
-	c.waiter.Set(net.TaskFrom(ctx))
-	defer c.waiter.Clear()
+	// Submit to the step scheduler: if the caller brought no task, this
+	// Propose runs in a task of its own, so raw-network callers (benchmarks,
+	// package tests) take steps under the same deterministic discipline as
+	// scenario runners.
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, c.ep, "consensus.propose", func(ctx context.Context) (Value, error) {
+			return c.Propose(ctx, v)
+		})
+	}
+	c.waiter = net.TaskFrom(ctx)
+	defer func() { c.waiter = nil }()
 	// One poll serves the whole call: the non-leader wait below and the
 	// leader's quorum waits inside awaitAttempt share its ticker lease, so a
 	// Propose costs one lease however many ballots it leads. The lease is

@@ -91,10 +91,13 @@ func NewRegisterConsensus(cfg RegisterConsensusConfig) *RegisterConsensus {
 
 // Propose runs the protocol with proposal v and returns the decided value.
 func (c *RegisterConsensus) Propose(ctx context.Context, v Value) (Value, error) {
-	// Adopt the caller. Every wait below — register Read/Write round-trips
-	// and the poll Sleep — finds the task in the ctx.
-	ctx, release := net.AdoptTask(ctx, c.ep, "consensus.register")
-	defer release()
+	// Run in a task. Every wait below — register Read/Write round-trips and
+	// the poll Sleep — finds the task in the ctx.
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, c.ep, "consensus.register", func(ctx context.Context) (Value, error) {
+			return c.Propose(ctx, v)
+		})
+	}
 	for {
 		// Has someone already decided?
 		d, err := c.dec.Read(ctx)

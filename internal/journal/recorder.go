@@ -8,8 +8,8 @@ import "weakestfd/internal/net"
 // always-on capture, at the price of producing a suffix journal once it
 // wraps.
 //
-// Record needs no locking: the step scheduler serializes recorder calls by
-// its token handoff (see net.TraceRecorder). Reading the journal back is
+// Record needs no locking: the step scheduler makes every recorder call
+// from its dispatcher (see net.TraceRecorder). Reading the journal back is
 // only valid after the run's trace group has exited.
 type Recorder struct {
 	max   int // ring capacity; <= 0 keeps all

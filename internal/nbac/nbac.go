@@ -88,11 +88,14 @@ type voteMsg struct {
 
 // Vote runs Figure 4 with vote v and returns Commit or Abort.
 func (a *QCNBAC) Vote(ctx context.Context, v Vote) (Outcome, error) {
-	// Adopt the caller so the vote wait and the embedded QC step run as
-	// scheduler tasks (a no-op when the ctx already carries a task,
-	// e.g. when the FS emulation drives successive instances from one task).
-	ctx, release := net.AdoptTask(ctx, a.ep, "nbac.vote")
-	defer release()
+	// Run in a task so the vote wait and the embedded QC step are scheduler
+	// steps (the ctx already carries one when, e.g., the FS emulation drives
+	// successive instances from one task).
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, a.ep, "nbac.vote", func(ctx context.Context) (Outcome, error) {
+			return a.Vote(ctx, v)
+		})
+	}
 
 	// Line 1: send the vote to all.
 	a.ep.Broadcast(a.instance, "vote", voteMsg{Vote: v})
@@ -206,9 +209,12 @@ func (q *NBACQC) Propose(ctx context.Context, v qc.Value) (qc.Decision, error) {
 	if !ok {
 		return qc.Decision{}, fmt.Errorf("nbac-based qc: proposal must be int, got %T", v)
 	}
-	// Adopt the caller; the embedded NBAC vote reuses the task.
-	ctx, release := net.AdoptTask(ctx, q.ep, "nbacqc.propose")
-	defer release()
+	// Run in a task; the embedded NBAC vote reuses it.
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, q.ep, "nbacqc.propose", func(ctx context.Context) (qc.Decision, error) {
+			return q.Propose(ctx, v)
+		})
+	}
 
 	// Line 1: send the proposal to all.
 	q.ep.Broadcast(q.instance, "proposal", proposalMsg{Value: value})

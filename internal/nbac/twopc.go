@@ -38,11 +38,14 @@ type twopcDecision struct {
 // if any process crashes at an inconvenient time — that is the point of the
 // baseline.
 func (t *TwoPC) Vote(ctx context.Context, v Vote) (Outcome, error) {
-	// Adopt the caller. Blocking forever on a crashed peer is the point of the
+	// Run in a task. Blocking forever on a crashed peer is the point of the
 	// baseline; a parked task that is never woken again simply stays quiescent
-	// until the run's deadline escapes it.
-	ctx, release := net.AdoptTask(ctx, t.ep, "twopc.vote")
-	defer release()
+	// until the run's deadline aborts it.
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, t.ep, "twopc.vote", func(ctx context.Context) (Outcome, error) {
+			return t.Vote(ctx, v)
+		})
+	}
 	in := t.ep.Instance(t.instance)
 	in.Watch(net.TaskFrom(ctx))
 	defer in.Watch(nil)

@@ -400,17 +400,17 @@ const (
 // timestamp. Because the network is provably quiescent whenever the ready
 // queue is empty, registered tasks need no pause before the clock jumps to a
 // timer deadline: there is no runnable task to outrun. One pause remains, for
-// goroutines the quiescence proof cannot see — those that have not yet
-// reached AdoptTask: on GOMAXPROCS=1 the grant handshake's channel handoffs keep reinstalling
-// dispatcher/task as the scheduler's next-run goroutine, which can starve a
-// runnable-but-unadopted caller for a whole preemption timeslice (~10ms wall)
-// while virtual time gallops through its poll ticks — so before jumping the
-// clock the dispatcher yields a few times to let such callers run and
-// register. Message events need no pause: a message popping at now+delay
-// cannot leapfrog anything a running goroutine would still schedule, because
-// later sends are stamped from the later clock. Adoption order by racing
-// plain goroutines is wall-clock nondeterministic either way (such callers
-// are never part of a trace group), so the yield costs nothing from the trace
+// goroutines the quiescence proof cannot see — callers outside any task that
+// have not yet reached RunInTask: the dispatcher resumes its tasks on its own
+// thread without ever blocking, which on GOMAXPROCS=1 can starve such a
+// runnable caller for a whole preemption timeslice (~10ms wall) while
+// virtual time gallops through its poll ticks — so before jumping the clock
+// the dispatcher yields a few times to let such callers run and spawn their
+// task. Message events need no pause: a message popping at now+delay cannot
+// leapfrog anything a running goroutine would still schedule, because later
+// sends are stamped from the later clock. Spawn order by racing plain
+// goroutines is wall-clock nondeterministic either way (such callers are
+// never part of a trace group), so the yield costs nothing from the trace
 // contract. popStep must only be called by the single dispatcher goroutine.
 func (q *eventQueue) popStep(s *stepper, ev *event) stepResult {
 	yields := 0

@@ -16,9 +16,9 @@
 // dispatcher goroutine. The scheduler runs in virtual time — the injected
 // delay determines the delivery order exactly as it would in real time, but
 // waiting for it costs zero wall-clock time, so a run executes as fast as the
-// hardware allows. Between deliveries the dispatcher grants the goroutines a
-// delivery woke (Tasks; see step.go) one at a time, so a seeded run laid out
-// under Freeze/Thaw is deterministic down to its full trace. Timers
+// hardware allows. Between deliveries the dispatcher resumes the tasks a
+// delivery woke (coroutines; see step.go) one at a time, so a seeded run laid
+// out under Freeze/Thaw is deterministic down to its full trace. Timers
 // (Endpoint.NewTicker, Endpoint.NewTimer) ride the same event heap, which is
 // how heartbeat-style failure detectors stay meaningful when time is virtual.
 // See ARCHITECTURE.md for the scheduler's design and its determinism
@@ -271,15 +271,15 @@ func (nw *Network) Close() {
 	if nw.closed.Swap(true) {
 		return
 	}
+	// Abort before cancelling: a task that observes its cancelled process
+	// from here on exits aborted, never cleanly into the trace. The
+	// dispatcher drains every task before it exits.
+	nw.stepper.aborted.Store(true)
 	for i := range nw.endpoints {
 		ep := &nw.endpoints[i]
 		ep.ctx.cancel()
 		ep.stopTimers()
 	}
-	// Release every task blocked on a grant (parked, or waiting its first
-	// step) so their goroutines can observe cancellation and exit; the
-	// dispatcher never waits on an aborted task.
-	nw.stepper.abortAll()
 	if dropped := nw.q.close(); dropped > 0 {
 		nw.cDropped.Add(int64(dropped))
 	}
@@ -349,12 +349,14 @@ func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, au
 
 // dispatch is the single delivery goroutine. It runs the run-to-quiescence
 // loop: deliver ONE event, then grant every task that delivery woke —
-// serially, in deterministic FIFO wake order — until the network is quiescent
-// again, then pop the next event. popStep prioritises ready tasks over due
-// events, so an event delivery's entire wake cascade (including wakes issued
-// by granted tasks themselves) settles before the next event is popped — the
-// quiescence handshake. No goroutine is ever spawned per message, and no lock
-// or lookup beyond the destination mailbox's own mutex is taken per delivery.
+// serially, in deterministic FIFO wake order, each a coroutine resumed on
+// this goroutine — until the network is quiescent again, then pop the next
+// event. popStep prioritises ready tasks over due events, so an event
+// delivery's entire wake cascade (including wakes issued by granted tasks
+// themselves) settles before the next event is popped — the quiescence
+// handshake. After Close it drains every task to its exit. No goroutine is
+// ever spawned per message, and no lock or lookup beyond the destination
+// mailbox's own mutex is taken per delivery.
 func (nw *Network) dispatch() {
 	defer nw.wg.Done()
 	s := nw.stepper
@@ -362,6 +364,7 @@ func (nw *Network) dispatch() {
 	for {
 		switch nw.q.popStep(s, &ev) {
 		case stepClosed:
+			s.drain(nw.endpoints)
 			return
 		case stepGrant:
 			s.runReady()

@@ -36,9 +36,10 @@ func (ep *Endpoint) NewWait(ctx context.Context) Poll {
 
 // Until takes steps until cond reports done or fails. Each step checks, in
 // this order: the process has not crashed (a crashed process takes no
-// step), ctx is live, cond. If cond is not done, a banked tick is consumed
-// as a nop step — the clock ticks and the next cond call sees tick=true —
-// otherwise the task parks until its next wake. A tickless poll has no tick
+// step), ctx is live (a cancelled ctx aborts the task, see Task.Await),
+// cond. If cond is not done, a banked tick is consumed as a nop step — the
+// clock ticks and the next cond call sees tick=true — otherwise the task
+// parks until its next wake. A tickless poll has no tick
 // to consume and always parks. Until returns cond's error, or the crash or
 // ctx error unwrapped.
 func (p *Poll) Until(ctx context.Context, cond func(tick bool) (bool, error)) error {
@@ -48,6 +49,8 @@ func (p *Poll) Until(ctx context.Context, cond func(tick bool) (bool, error)) er
 			return err
 		}
 		if err := ctx.Err(); err != nil {
+			// A cancelled ctx is wall-clock time entering the schedule.
+			p.task.abort()
 			return err
 		}
 		if done, err := cond(tick); done || err != nil {
@@ -57,7 +60,7 @@ func (p *Poll) Until(ctx context.Context, cond func(tick bool) (bool, error)) er
 			p.ep.Clock().Tick()
 			continue
 		}
-		p.task.Await(ctx)
+		p.task.Await(nil)
 	}
 }
 

@@ -239,17 +239,17 @@ func TestWaitNeverCallsCondAfterCrash(t *testing.T) {
 	}
 }
 
-// A tickless wait parked past its ctx's deadline escapes and returns the
+// A tickless wait parked past its ctx's deadline is aborted and returns the
 // ctx error, not the crash error.
 func TestWaitReturnsCtxErrorOnCancel(t *testing.T) {
 	nw := NewNetwork(1, WithSeed(1))
 	defer nw.Close()
-	var err error
-	inTask(t, nw, nw.Endpoint(0), func(task *Task) {
-		ctx, cancel := context.WithTimeout(WithTask(context.Background(), task), 10*time.Millisecond)
-		defer cancel()
-		wait := nw.Endpoint(0).NewWait(ctx)
-		err = wait.Until(ctx, func(bool) (bool, error) { return false, nil })
+	ep := nw.Endpoint(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	_, err := RunInTask(ctx, ep, "test", func(ctx context.Context) (struct{}, error) {
+		wait := ep.NewWait(ctx)
+		return struct{}{}, wait.Until(ctx, func(bool) (bool, error) { return false, nil })
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wait under a cancelled ctx returned %v, want context.DeadlineExceeded", err)

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,60 +15,75 @@ import (
 )
 
 // This file implements run-to-quiescence stepping, the deterministic
-// goroutine-step scheduler that extends the byte-reproducibility contract
-// from schedule-determined outcomes to full traces.
+// task-step scheduler that extends the byte-reproducibility contract from
+// schedule-determined outcomes to full traces.
 //
-// Every scheduler-visible goroutine in the network is a Task, and exactly one
-// of the dispatcher or a single granted task runs at any moment. The
+// Every scheduler-visible goroutine in the network is a Task, and every task
+// body runs as a coroutine (iter.Pull) owned by the dispatcher, so exactly one
+// of the dispatcher or a single granted task runs at any moment — on the
+// dispatcher's thread, handing control over by a direct coroutine switch. The
 // dispatcher pops ONE event, delivers it, then grants every task the delivery
-// woke — in deterministic FIFO wake order, one at a time, waiting for each to
-// park or exit — before popping the next event. Quiescence is a positive
-// handshake: a task is either parked in Await (having returned the scheduling
-// token) or running with the token; the ready queue being empty IS the proof
-// that every goroutine is parked on a runtime primitive.
+// woke — in deterministic FIFO wake order, one at a time, each by resuming it
+// until it parks or exits — before popping the next event. Quiescence is
+// structural: a task is either parked in Await (suspended, having yielded
+// back to the dispatcher) or running on the dispatcher's call, so the ready
+// queue being empty IS the proof that every task is parked on a runtime
+// primitive.
 //
 // Because task execution is serialized, every event-queue push (sequence
 // number, RNG draw) and every logical-clock tick happens in an order that is
 // a pure function of the seed and the initial schedule — which is what makes
 // the trace fingerprint below byte-reproducible, crash events included.
+//
+// A parked task cannot resume itself; wall-clock interruption reaches it
+// through the dispatcher as an abort. Network.Close aborts every task, and
+// the dispatcher resumes each live one before it exits (scenario.Run closes
+// the network when its ctx is cancelled); RunInTask aborts its task when the
+// caller's ctx is cancelled, and a running task that finds its ctx cancelled
+// in Poll.Until aborts itself. An aborted task taints the trace, and every
+// later Await returns at once, so its condition loops observe the
+// cancellation and unwind.
 
-// taskState is the lifecycle of a Task with respect to the scheduling token.
+// taskState is the lifecycle of a Task with respect to the dispatcher.
 type taskState uint8
 
 const (
 	// taskReady: woken (or newly spawned) and queued for a grant.
 	taskReady taskState = iota + 1
-	// taskGranted: running — the stepper committed the token to it. An
-	// escaped task also carries this state (it runs without the token, on a
-	// teardown path where determinism is already forfeit).
+	// taskGranted: running — resumed by the dispatcher and not yet parked.
 	taskGranted
-	// taskParked: blocked in Await, token returned to the dispatcher.
+	// taskParked: suspended in Await, control back with the dispatcher.
 	taskParked
 	// taskDone: exited.
 	taskDone
 )
 
-// Task is one scheduler-visible goroutine: a protocol runner, a detector
+// Task is one scheduler-visible coroutine: a protocol runner, a detector
 // loop, a register server — anything that takes steps between event
-// deliveries. Tasks are created with Network.Go / Network.GoGroup (spawned
-// goroutines) or AdoptTask (the calling goroutine submits to the step
-// discipline for the duration of one operation).
+// deliveries. Tasks are created with Network.Go / Network.GoGroup, and by
+// RunInTask for a protocol operation whose caller runs outside the step
+// discipline. Only the dispatcher resumes a task (next); the body hands
+// control back by parking (yield).
 //
-// Protocol code never holds a nil task: entry points adopt when their ctx
-// carries none, and Go always hands its function a real one. A nil *Task only
-// ever means "nobody to wake" — an unwatched mailbox, an empty TaskWaiter, an
-// unbound timer — so Wake is nil-safe; every other method needs a real task.
+// Protocol code never holds a nil task: entry points run in a task when
+// their ctx carries none, and Go always hands its function a real one. A nil
+// *Task only ever means "nobody to wake" — an unwatched mailbox, an idle
+// waiter slot, an unbound timer — so Wake is nil-safe; every other method
+// needs a real task.
 type Task struct {
 	id    uint64
 	name  string
 	ep    *Endpoint
 	s     *stepper
 	group bool
-	grant chan struct{} // stepper -> task, capacity 1
+	next  func() (struct{}, bool) // resumes the body to its next park or exit; the dispatcher's
+	yield func(struct{}) bool     // parks the body; the body's
 
+	// mu guards the fields below against wakers outside the dispatcher's
+	// steps: Service.Stop, a Crash called from outside any task, an abort.
 	mu      sync.Mutex
 	state   taskState
-	escaped bool
+	aborted bool
 	wakes   uint64 // wake credits issued
 	seen    uint64 // wake credits consumed by Await
 }
@@ -93,21 +109,22 @@ func (t *Task) Wake() {
 	t.s.enqueue(t)
 }
 
-// Await is the park point: it returns the scheduling token to the dispatcher
-// and blocks until the next Wake is granted. If a wake credit is already
+// Await is the park point: it yields to the dispatcher and returns when the
+// dispatcher next resumes the task, after a Wake. If a wake credit is already
 // pending (issued while the task was running) it returns immediately without
 // yielding. Its callers are the condition-recheck loops of Poll.Until and
 // the Service kinds, which re-check their exit conditions after every wake.
 //
-// ctx is the escape hatch for wall-clock teardown (the scenario timeout): if
-// it fires while the task is parked, the task resumes WITHOUT the token,
-// marks the trace tainted, and every subsequent Await returns immediately so
-// the caller's next condition check can observe ctx.Err() and unwind. A nil
-// ctx is allowed; the network-close abort remains as the final escape.
-func (t *Task) Await(ctx context.Context) {
+// Once the task is aborted (Network.Close, or a cancelled ctx: RunInTask's,
+// or the one Poll.Until checks) every Await returns immediately, so the caller's next condition check
+// observes the cancellation and unwinds. The ctx argument is not consulted
+// — a parked task resumes only when the dispatcher resumes it — and is kept
+// for source compatibility; pass nil.
+func (t *Task) Await(_ context.Context) {
 	t.mu.Lock()
-	if t.escaped {
+	if t.aborted || t.s.aborted.Load() {
 		t.mu.Unlock()
+		t.s.taint(t)
 		return
 	}
 	if t.seen < t.wakes {
@@ -117,73 +134,17 @@ func (t *Task) Await(ctx context.Context) {
 	}
 	t.state = taskParked
 	t.mu.Unlock()
-	t.s.yieldCh <- struct{}{}
-	t.block(ctx)
+	t.yield(struct{}{})
 }
 
-// block waits for the grant that follows a wake (or for an escape). It is
-// also the initial wait of a freshly spawned or adopted task, which is why it
-// is separate from Await: a new task has no token to yield yet.
-func (t *Task) block(ctx context.Context) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case <-t.grant:
-		t.mu.Lock()
-		t.seen = t.wakes
-		t.mu.Unlock()
-	case <-done:
-		t.escape()
-	case <-t.s.abort:
-		t.escape()
-	}
-}
-
-// escape resumes the task without a grant. It taints the trace (the cut
-// point of a wall-clock interruption is not reproducible) and, if the
-// stepper had already committed a grant, consumes the token and hands it
-// straight back so the dispatcher never waits on an escaped task.
-func (t *Task) escape() {
-	t.s.taint(t)
+// abort marks the task aborted, tainting the trace, and wakes it, so the
+// dispatcher resumes it even though no event will.
+func (t *Task) abort() {
 	t.mu.Lock()
-	switch t.state {
-	case taskParked, taskReady:
-		t.escaped = true
-		t.state = taskGranted
-		t.mu.Unlock()
-	case taskGranted:
-		t.escaped = true
-		t.mu.Unlock()
-		<-t.grant
-		t.s.yieldCh <- struct{}{}
-	default:
-		t.mu.Unlock()
-	}
-}
-
-// exit ends the task. A cleanly exiting task still holds the token: its exit
-// is recorded into the trace and the token is returned; an escaped exit only
-// updates the group countdown (it must not touch the digest, which the
-// dispatcher may be writing concurrently).
-func (t *Task) exit() {
-	t.mu.Lock()
-	if t.state == taskDone {
-		t.mu.Unlock()
-		return
-	}
-	escaped := t.escaped
-	t.state = taskDone
+	t.aborted = true
 	t.mu.Unlock()
-	if escaped {
-		t.s.taint(t)
-		t.s.groupExit(t, false)
-		return
-	}
-	t.s.recordExit(t)
-	t.s.groupExit(t, true)
-	t.s.yieldCh <- struct{}{}
+	t.s.taint(t)
+	t.Wake()
 }
 
 // done reports whether the task has exited.
@@ -199,14 +160,14 @@ func (t *Task) done() bool {
 type taskCtxKey struct{}
 
 // WithTask returns a context carrying t. scenario.Run uses it to hand each
-// runner goroutine its task; AdoptTask uses it so nested protocol calls share
-// the adopter's task instead of adopting again.
+// runner its task; RunInTask uses it so nested protocol calls share the
+// operation's task instead of spawning another.
 func WithTask(ctx context.Context, t *Task) context.Context {
 	return context.WithValue(ctx, taskCtxKey{}, t)
 }
 
 // TaskFrom returns the task carried by ctx, or nil for a caller outside the
-// step discipline (who must AdoptTask before waiting).
+// step discipline (whose operations RunInTask runs).
 func TaskFrom(ctx context.Context) *Task {
 	if ctx == nil {
 		return nil
@@ -215,57 +176,31 @@ func TaskFrom(ctx context.Context) *Task {
 	return t
 }
 
-// AdoptTask submits the calling goroutine to the step discipline for the
-// duration of one operation: it blocks until the dispatcher grants it a
-// first step, returns a context carrying the new task plus a release
-// function that must be called (deferred) when the operation returns. When
-// ctx already carries a task it is a no-op.
+// RunInTask runs op as a task at ep, named name, with a ctx carrying the
+// task, and returns its results once the task has exited. Protocol entry
+// points call it when their ctx carries no task, passing themselves as op:
+//
+//	if net.TaskFrom(ctx) == nil {
+//		return net.RunInTask(ctx, c.ep, "consensus.propose", func(ctx context.Context) (Value, error) {
+//			return c.Propose(ctx, v)
+//		})
+//	}
 //
 // This is what keeps raw-network callers (benchmarks, package tests calling
-// Propose from plain goroutines) inside the deterministic protocol: without
-// adoption their sends would race the dispatcher's steps.
-func AdoptTask(ctx context.Context, ep *Endpoint, name string) (context.Context, func()) {
-	nw := ep.net
-	if TaskFrom(ctx) != nil {
-		return ctx, func() {}
-	}
-	t := nw.stepper.newTask(ep, name, false)
-	ep.registerTask(t)
-	nw.stepper.enqueue(t)
-	t.block(ctx)
-	return WithTask(ctx, t), t.exit
-}
-
-// TaskWaiter is the single-waiter wake registration protocol code pairs with
-// its capacity-1 notification channels: the waiting side registers its task
-// around the wait loop, the notifying side (typically a Handle-mode handler
-// running on the dispatcher) calls Wake. All methods are safe under
-// concurrent use.
-type TaskWaiter struct {
-	mu sync.Mutex
-	t  *Task
-}
-
-// Set registers t as the waiter.
-func (w *TaskWaiter) Set(t *Task) {
-	w.mu.Lock()
-	w.t = t
-	w.mu.Unlock()
-}
-
-// Clear unregisters the waiter.
-func (w *TaskWaiter) Clear() {
-	w.mu.Lock()
-	w.t = nil
-	w.mu.Unlock()
-}
-
-// Wake wakes the registered waiter, if any.
-func (w *TaskWaiter) Wake() {
-	w.mu.Lock()
-	t := w.t
-	w.mu.Unlock()
-	t.Wake()
+// Propose from plain goroutines) inside the deterministic protocol: every
+// send and wait of the operation is a step the dispatcher grants. A
+// cancellation of ctx aborts the task, so its waits return ctx's error.
+func RunInTask[T any](ctx context.Context, ep *Endpoint, name string, op func(context.Context) (T, error)) (T, error) {
+	var v T
+	var err error
+	done := make(chan struct{})
+	t := ep.net.Go(ep, name, func(t *Task) {
+		v, err = op(WithTask(ctx, t))
+		close(done)
+	})
+	defer context.AfterFunc(ctx, t.abort)()
+	<-done
+	return v, err
 }
 
 // TraceStats are the step-trace shape counters: cheap, schedule-determined
@@ -369,51 +304,50 @@ func (r *TraceRecord) AppendHash(b []byte) []byte {
 
 // TraceRecorder observes the step trace record-by-record, beside the digest:
 // every record the trace hash sees is passed to Record, in hash order,
-// before delivery/grant takes effect. Calls are serialized by the scheduling
-// token (the dispatcher writes event and grant records, a cleanly exiting
-// task writes its exit record while still holding the token), so
-// implementations need no locking — but Record runs on the scheduler's
+// before delivery/grant takes effect. Every call is made by the dispatcher
+// (event, grant and exit records alike), so implementations need no locking — but Record runs on the scheduler's
 // critical path and must not block.
 type TraceRecorder interface {
 	Record(TraceRecord)
 }
 
 // stepper is the run-to-quiescence scheduler state owned by a Network: the
-// deterministic ready queue, the grant/yield token protocol and the streaming
-// trace digest.
+// deterministic ready queue, the abort state and the streaming trace digest.
 type stepper struct {
 	q *eventQueue
 
+	// mu guards the ready queue against wakers and spawners outside the
+	// dispatcher's serialized steps. drained is set once the dispatcher has
+	// run every task to its exit after Close; a task spawned later runs at
+	// once on its spawner (see spawn).
 	mu        sync.Mutex
 	ready     []*Task
 	readyHead int
 	nextID    uint64
+	drained   bool
 
-	yieldCh chan struct{} // granted task -> dispatcher: parked or exited
-	abort   chan struct{} // closed on Network.Close; releases every blocked task
-	abortMu sync.Mutex
-	aborted bool
+	// aborted is set by Network.Close: every task resumed or parking from
+	// then on is aborted.
+	aborted atomic.Bool
 
-	// Trace digest. Writers are the dispatcher (event and grant records) and
-	// cleanly exiting tasks (exit records, written while still holding the
-	// token), so all writes are serialized by the token handoff; no lock.
-	// rec, when non-nil, observes the same serialized record stream.
+	// Trace digest. Its writers are the dispatcher and the tasks it resumes,
+	// so every write is serialized by the coroutine handoff; no lock. rec,
+	// when non-nil, observes the same serialized record stream.
 	tracing   atomic.Bool
 	finalized atomic.Bool
-	tainted   atomic.Bool
 	digest    hash.Hash
-	buf       [64]byte
+	buf       []byte // AppendHash scratch, kept at its high-water size
 	stats     TraceStats
 	rec       TraceRecorder
 
-	// taintReason is the first escape's description (first-wins: later
-	// escapes are downstream of the first cut). Guarded by taintMu because
-	// escapes happen off the token discipline by definition.
-	taintMu     sync.Mutex
-	taintReason string
+	// taintReason is the first abort's description (first-wins: later
+	// aborts are downstream of the first cut); nil while the trace is clean.
+	taintReason atomic.Pointer[string]
 
-	groupMu    sync.Mutex
-	groupLeft  int
+	// The trace group's countdown and its result. final, finalStats and
+	// finalAt are written once, before groupDone is closed, and read only
+	// after it.
+	groupLeft  atomic.Int64
 	groupDone  chan struct{}
 	final      string
 	finalStats TraceStats
@@ -423,8 +357,6 @@ type stepper struct {
 func newStepper(q *eventQueue, rec TraceRecorder) *stepper {
 	return &stepper{
 		q:         q,
-		yieldCh:   make(chan struct{}, 1),
-		abort:     make(chan struct{}),
 		digest:    sha256.New(),
 		groupDone: make(chan struct{}),
 		rec:       rec,
@@ -432,15 +364,14 @@ func newStepper(q *eventQueue, rec TraceRecorder) *stepper {
 }
 
 // taint forfeits the trace, recording why (first-wins). The reason names the
-// escaping task and its process — the diagnostic a tainted journal surfaces
+// aborted task and its process — the diagnostic a tainted journal surfaces
 // instead of a confusing divergence.
 func (s *stepper) taint(t *Task) {
-	s.tainted.Store(true)
-	s.taintMu.Lock()
-	if s.taintReason == "" {
-		s.taintReason = fmt.Sprintf("wall-clock escape: task %q (process %d) resumed outside the step discipline (context cancelled or network closed)", t.name, int(t.ep.id))
+	if s.taintReason.Load() != nil {
+		return
 	}
-	s.taintMu.Unlock()
+	reason := fmt.Sprintf("wall-clock escape: task %q (process %d) resumed outside the step discipline (context cancelled or network closed)", t.name, int(t.ep.id))
+	s.taintReason.CompareAndSwap(nil, &reason)
 }
 
 func (s *stepper) newTask(ep *Endpoint, name string, group bool) *Task {
@@ -454,18 +385,23 @@ func (s *stepper) newTask(ep *Endpoint, name string, group bool) *Task {
 		ep:    ep,
 		s:     s,
 		group: group,
-		grant: make(chan struct{}, 1),
 		state: taskReady,
 	}
 }
 
 // enqueue appends t to the ready queue and pokes the dispatcher, which may be
-// idle-waiting for work.
-func (s *stepper) enqueue(t *Task) {
+// idle-waiting for work. It reports false, queuing nothing, once the
+// dispatcher has drained.
+func (s *stepper) enqueue(t *Task) bool {
 	s.mu.Lock()
+	if s.drained {
+		s.mu.Unlock()
+		return false
+	}
 	s.ready = append(s.ready, t)
 	s.mu.Unlock()
 	s.q.poke(s.q.notify)
+	return true
 }
 
 // readyPending reports whether any task awaits a grant.
@@ -493,40 +429,82 @@ func (s *stepper) popReady() *Task {
 	return t
 }
 
-// runReady grants every ready task, one at a time, in FIFO order, waiting for
-// each to park or exit before the next — the quiescence handshake. It returns
-// only when the ready queue is empty, i.e. every scheduler-visible goroutine
-// is parked on a runtime primitive and it is sound to pop the next event.
-// Called only by the dispatcher.
+// runReady grants every ready task, one at a time, in FIFO order, resuming
+// each until it parks or exits — the quiescence handshake. It returns only
+// when the ready queue is empty, i.e. every task is parked on a runtime
+// primitive and it is sound to pop the next event. Called only by the
+// dispatcher.
 func (s *stepper) runReady() {
-	for {
-		t := s.popReady()
-		if t == nil {
-			return
-		}
-		t.mu.Lock()
-		if t.state != taskReady {
-			// Escaped (or exited) between wake and grant: skip without
-			// committing the token.
-			t.mu.Unlock()
-			continue
-		}
-		t.state = taskGranted
-		t.mu.Unlock()
-		s.recordGrant(t)
-		t.grant <- struct{}{}
-		<-s.yieldCh
+	for t := s.popReady(); t != nil; t = s.popReady() {
+		s.resume(t)
 	}
 }
 
-// abortAll releases every task blocked in block(); called by Network.Close.
-func (s *stepper) abortAll() {
-	s.abortMu.Lock()
-	if !s.aborted {
-		s.aborted = true
-		close(s.abort)
+// resume grants t one step: it runs the body from its park (or its start)
+// to its next park or its exit. An aborted task's step taints the trace in
+// place of a grant record. A task that is no longer ready — it exited, or a
+// drain already ran it — is skipped. Called by the dispatcher, or by the
+// spawner of a task born after the drain.
+func (s *stepper) resume(t *Task) {
+	t.mu.Lock()
+	if t.state != taskReady && t.state != taskParked {
+		t.mu.Unlock()
+		return
 	}
-	s.abortMu.Unlock()
+	t.state = taskGranted
+	t.seen = t.wakes
+	aborted := t.aborted || s.aborted.Load()
+	t.mu.Unlock()
+	if aborted {
+		s.taint(t)
+	} else {
+		s.recordGrant(t)
+	}
+	if _, parked := t.next(); !parked {
+		s.exit(t)
+	}
+}
+
+// exit ends the task once its body has returned. A clean exit is recorded
+// into the trace; an aborted one only taints it. Either way the group
+// countdown moves.
+func (s *stepper) exit(t *Task) {
+	t.mu.Lock()
+	t.state = taskDone
+	clean := !t.aborted && !s.aborted.Load()
+	t.mu.Unlock()
+	if clean {
+		s.recordExit(t)
+	} else {
+		s.taint(t)
+	}
+	s.groupExit(t, clean)
+}
+
+// drain runs every remaining task to its exit after Close: it resumes each
+// live task once, aborted, so each Await returns at once and the body
+// unwinds — and repeats until no task is left, not even one spawned by an
+// unwinding body. Called by the dispatcher as its last act.
+func (s *stepper) drain(endpoints []Endpoint) {
+	for {
+		s.runReady()
+		for i := range endpoints {
+			ep := &endpoints[i]
+			ep.mu.Lock()
+			tasks := slices.Clone(ep.tasks)
+			ep.mu.Unlock()
+			for _, t := range tasks {
+				s.resume(t)
+			}
+		}
+		s.mu.Lock()
+		if s.readyHead == len(s.ready) {
+			s.drained = true
+			s.mu.Unlock()
+			return
+		}
+		s.mu.Unlock()
+	}
 }
 
 // beginTraceGroup arms trace recording and declares that n group tasks
@@ -536,46 +514,27 @@ func (s *stepper) abortAll() {
 // the driver goroutine happened to look", which would cut the digest at a
 // wall-clock race.
 func (s *stepper) beginTraceGroup(n int) {
-	s.groupMu.Lock()
-	s.groupLeft = n
-	s.groupMu.Unlock()
+	s.groupLeft.Store(int64(n))
 	s.tracing.Store(true)
 }
 
 // groupExit retires one group task. When the last one exits the trace is
-// finalized: if every exit was clean and no escape tainted the run, the
-// digest and the virtual clock are snapshotted (the exiting task still holds
-// the token, so the reads cannot race the dispatcher); otherwise the
-// fingerprint stays empty and the clock is read off the token discipline.
-// groupDone is closed either way, releasing TraceResult.
+// finalized: if every exit was clean and no abort tainted the run, the
+// digest and the virtual clock are snapshotted; otherwise the fingerprint
+// stays empty and only the taint reason is kept. groupDone is closed either
+// way, releasing TraceResult.
 func (s *stepper) groupExit(t *Task, clean bool) {
-	if !t.group {
+	if !t.group || s.groupLeft.Add(-1) != 0 {
 		return
 	}
-	s.groupMu.Lock()
-	s.groupLeft--
-	last := s.groupLeft == 0
-	s.groupMu.Unlock()
-	if !last {
-		return
-	}
-	at := s.q.virtualNow()
-	s.groupMu.Lock()
-	s.finalAt = at
-	if clean && !s.tainted.Load() {
+	s.finalAt = s.q.virtualNow()
+	if reason := s.taintReason.Load(); clean && reason == nil {
 		s.final = hex.EncodeToString(s.digest.Sum(nil))
 		s.finalStats = s.stats
 	} else {
 		// A tainted trace keeps nothing but the reason it was forfeited.
-		s.taintMu.Lock()
-		reason := s.taintReason
-		s.taintMu.Unlock()
-		if reason == "" {
-			reason = "trace tainted: a group task exited on an escape path"
-		}
-		s.finalStats = TraceStats{TaintReason: reason}
+		s.finalStats = TraceStats{TaintReason: *reason}
 	}
-	s.groupMu.Unlock()
 	s.finalized.Store(true)
 	close(s.groupDone)
 }
@@ -584,7 +543,8 @@ func (s *stepper) groupExit(t *Task, clean bool) {
 // if any. The digest and the recorder consume the identical record by
 // construction — AppendHash is the single encoding definition.
 func (s *stepper) record(r *TraceRecord) {
-	s.digest.Write(r.AppendHash(s.buf[:0]))
+	s.buf = r.AppendHash(s.buf[:0])
+	s.digest.Write(s.buf)
 	if s.rec != nil {
 		s.rec.Record(*r)
 	}
@@ -627,8 +587,8 @@ func (s *stepper) recordGrant(t *Task) {
 	s.record(&TraceRecord{Op: TraceOpGrant, Task: t.id, Proc: uint64(t.ep.id)})
 }
 
-// recordExit hashes a clean task exit. Called by the exiting task while it
-// still holds the token.
+// recordExit hashes a clean task exit. Called by the dispatcher once the
+// task's body has returned.
 func (s *stepper) recordExit(t *Task) {
 	if !s.tracing.Load() || s.finalized.Load() {
 		return
@@ -636,8 +596,8 @@ func (s *stepper) recordExit(t *Task) {
 	s.record(&TraceRecord{Op: TraceOpExit, Task: t.id, Proc: uint64(t.ep.id), Group: t.group})
 }
 
-// Go spawns fn as a scheduler-visible task owned by ep: the goroutine takes
-// steps only when granted by the dispatcher, parking in Await between them.
+// Go spawns fn as a scheduler-visible task owned by ep: a coroutine the
+// dispatcher resumes for each step, parking in Await between them.
 func (nw *Network) Go(ep *Endpoint, name string, fn func(*Task)) *Task {
 	return nw.spawn(ep, name, false, fn)
 }
@@ -648,15 +608,20 @@ func (nw *Network) GoGroup(ep *Endpoint, name string, fn func(*Task)) *Task {
 	return nw.spawn(ep, name, true, fn)
 }
 
+// spawn creates the task and queues its first step. A task spawned after
+// the dispatcher drained has nobody to resume it, so its spawner runs it,
+// aborted, to its exit.
 func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) *Task {
-	t := nw.stepper.newTask(ep, name, group)
-	ep.registerTask(t)
-	nw.stepper.enqueue(t)
-	go func() {
-		t.block(nil)
+	s := nw.stepper
+	t := s.newTask(ep, name, group)
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		fn(t)
-		t.exit()
-	}()
+	})
+	ep.registerTask(t)
+	if !s.enqueue(t) {
+		s.resume(t)
+	}
 	return t
 }
 
@@ -672,28 +637,26 @@ func (nw *Network) TraceGroup(n int) {
 // The fingerprint is the hex SHA-256 over the (event, grant, exit) record
 // stream up to the last group task's exit — byte-identical across runs of an
 // identical seeded configuration, as is the boundary time. The fingerprint is
-// empty when the run was tainted by a wall-clock escape (a timeout cut the
+// empty when the run was tainted by a wall-clock abort (a timeout cut the
 // run at a nondeterministic point) — the returned stats then carry only
-// TaintReason, naming the escape, and the time is wherever the clock stood
-// at the last exit — and everything is immediately zero when no trace group
-// was declared.
+// TaintReason, naming the aborted task, and the time is wherever the clock
+// stood at the last exit — and everything is immediately zero when no trace
+// group was declared.
 func (nw *Network) TraceResult() (string, TraceStats, time.Duration) {
 	s := nw.stepper
 	if !s.tracing.Load() {
 		return "", TraceStats{}, 0
 	}
 	<-s.groupDone
-	s.groupMu.Lock()
-	defer s.groupMu.Unlock()
 	return s.final, s.finalStats, s.finalAt
 }
 
-// registerTask records t on its endpoint so a crash (or close) can wake it:
-// the woken task observes Context().Err() != nil on its next granted step and
-// unwinds deterministically — crashes at decision moments replay exactly.
-// Exited tasks are compacted away on each registration (order-preserving, as
-// adoptTimer does for dead timers), so per-operation adopted tasks do not
-// accumulate for the network's lifetime.
+// registerTask records t on its endpoint so a crash can wake it (and Close
+// drain it): the woken task observes its process's cancellation on its next
+// granted step and unwinds deterministically — crashes at decision moments
+// replay exactly. Exited tasks are compacted away on each registration
+// (order-preserving, as adoptTimer does for dead timers), so per-operation
+// tasks do not accumulate for the network's lifetime.
 func (ep *Endpoint) registerTask(t *Task) {
 	ep.mu.Lock()
 	ep.tasks = append(slices.DeleteFunc(ep.tasks, (*Task).done), t)

@@ -2,6 +2,7 @@ package net
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -81,26 +82,27 @@ func TestStepTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestEscapeTaintsTrace: a wall-clock escape (context cancellation while
-// parked) resumes the task without the token and forfeits the fingerprint —
-// the cut point is not reproducible, so the trace must not pretend it is.
+// TestEscapeTaintsTrace: a wall-clock escape (Network.Close while the task
+// is parked) has the dispatcher resume the task aborted and forfeits the
+// fingerprint — the cut point is not reproducible, so the trace must not
+// pretend it is.
 func TestEscapeTaintsTrace(t *testing.T) {
 	nw := NewNetwork(1, WithSeed(1))
 	defer nw.Close()
 	nw.Freeze()
 	nw.TraceGroup(1)
-	ctx, cancel := context.WithCancel(context.Background())
+	ep := nw.Endpoint(0)
 	parked := make(chan struct{})
-	nw.GoGroup(nw.Endpoint(0), "waiter", func(task *Task) {
+	nw.GoGroup(ep, "waiter", func(task *Task) {
 		close(parked)
-		for ctx.Err() == nil {
-			task.Await(ctx)
+		for ep.ctx.Err() == nil {
+			task.Await(nil)
 		}
 	})
 	nw.Thaw()
 	<-parked
 	time.Sleep(10 * time.Millisecond) // let it park with no wake pending
-	cancel()
+	nw.Close()
 	fp, st, _ := nw.TraceResult()
 	if fp != "" {
 		t.Fatalf("escaped run kept a fingerprint: %q", fp)
@@ -143,7 +145,7 @@ func TestWakeCreditNotLost(t *testing.T) {
 }
 
 // Exited tasks leave their endpoint's wake list: a long-lived network that
-// adopts one task per operation does not accumulate them.
+// runs one task per operation does not accumulate them.
 func TestExitedTasksDoNotAccumulate(t *testing.T) {
 	nw := NewNetwork(1)
 	defer nw.Close()
@@ -158,5 +160,23 @@ func TestExitedTasksDoNotAccumulate(t *testing.T) {
 	ep.mu.Unlock()
 	if n > 2 {
 		t.Fatalf("endpoint holds %d tasks after 1000 finished sleeps", n)
+	}
+}
+
+// A task spawned after Close has no dispatcher to resume it: its spawner
+// runs it, aborted, so an operation on a closed network returns its
+// process's cancellation instead of hanging.
+func TestSpawnAfterCloseRunsAborted(t *testing.T) {
+	nw := NewNetwork(1)
+	nw.Close()
+	done := make(chan error, 1)
+	go func() { done <- nw.Endpoint(0).Sleep(context.Background(), time.Hour) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("sleep on a closed network returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sleep on a closed network never returned")
 	}
 }

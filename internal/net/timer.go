@@ -128,9 +128,13 @@ func (ep *Endpoint) NewTicker(d time.Duration) *Timer {
 // process never finishes a sleep).
 func (ep *Endpoint) Sleep(ctx context.Context, d time.Duration) error {
 	// The sleep is a park point the scheduler can see; a caller outside the
-	// task discipline is adopted for its span.
-	ctx, release := AdoptTask(ctx, ep, "net.sleep")
-	defer release()
+	// task discipline sleeps in a task of its own.
+	if TaskFrom(ctx) == nil {
+		_, err := RunInTask(ctx, ep, "net.sleep", func(ctx context.Context) (struct{}, error) {
+			return struct{}{}, ep.Sleep(ctx, d)
+		})
+		return err
+	}
 	t := ep.NewTimer(d)
 	defer t.Stop()
 	wait := ep.NewWait(ctx)

@@ -40,10 +40,10 @@ type Runner struct {
 func (r *Runner) Run(ctx context.Context) (any, error) {
 	instance := "netrun." + r.Instance
 	ep := r.Endpoint
-	// Adopt the caller so the message/λ-step loop below runs as a scheduler
-	// task.
-	ctx, release := net.AdoptTask(ctx, ep, "netrun.run")
-	defer release()
+	// Run in a task so the message/λ-step loop below is scheduler steps.
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, ep, "netrun.run", r.Run)
+	}
 	stepCtx := sim.StepContext{Self: ep.ID(), N: ep.N()}
 	state := r.Automaton.InitialState(ep.ID(), ep.N(), r.Input)
 

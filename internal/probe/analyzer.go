@@ -6,7 +6,7 @@ import (
 )
 
 // Analyzer folds the step scheduler's record stream into StreamProbes,
-// implementing net.TraceRecorder. It rides the token-serialized recorder
+// implementing net.TraceRecorder. It rides the dispatcher-serialized recorder
 // tee beside the trace digest (and any journal capture), so it needs no
 // locking, and Record does bounded arithmetic plus amortized slice growth —
 // nothing that blocks the scheduler's critical path.
@@ -73,8 +73,8 @@ func (a *Analyzer) Record(r net.TraceRecord) {
 		if r.Group {
 			// A group task's clean exit is a protocol runner's decision
 			// point. Its virtual time is the At of the last delivered event:
-			// the exiting task holds the token, so the clock has not moved
-			// since that delivery.
+			// the dispatcher records the exit before it pops anything else,
+			// so the clock has not moved since that delivery.
 			a.s.Decisions++
 			at := int64(0)
 			if a.haveLast {
@@ -116,7 +116,7 @@ func (a *Analyzer) Finish() StreamProbes {
 // suspicion predates the crash.
 //
 // The join is deterministic on the trace tier: detector queries are
-// token-serialized, so the sample stream — including which
+// serialized by the step scheduler, so the sample stream — including which
 // samples a bounded history ring drops — is a pure function of
 // (seed, config). A dropped prefix can only delay or miss a detection,
 // never invent one, and does so identically across runs.

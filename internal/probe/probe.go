@@ -1,6 +1,6 @@
 // Package probe is the streaming trace-analytics layer over the step
 // scheduler's record stream: a set of allocation-light analyzers that fold
-// the same token-serialized net.TraceRecorder stream the journal captures
+// the same dispatcher-serialized net.TraceRecorder stream the journal captures
 // into a structured, byte-stable set of run shapes — log-bucketed
 // virtual-time histograms (message delay, decision latency, inter-event
 // quiescence gaps), per-process grant/delivery/send counts, decision depth,

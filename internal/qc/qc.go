@@ -73,8 +73,11 @@ func (q *PsiQC) Stop() { q.cons.Stop() }
 
 // Propose runs Figure 2 with proposal v.
 func (q *PsiQC) Propose(ctx context.Context, v Value) (Decision, error) {
-	ctx, release := net.AdoptTask(ctx, q.ep, "qc.propose")
-	defer release()
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, q.ep, "qc.propose", func(ctx context.Context) (Decision, error) {
+			return q.Propose(ctx, v)
+		})
+	}
 
 	// Line 1: wait until Ψ leaves ⊥, re-sampling every 1ms of virtual time.
 	// Each poll tick is a "nop" step of Figure 2 and, like every step,

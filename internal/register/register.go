@@ -112,7 +112,7 @@ type pending[V any] struct {
 	acked   model.ProcessSet
 	bestTs  Timestamp
 	bestVal V
-	waiter  net.TaskWaiter // client task parked in await
+	waiter  *net.Task // client task parked in await
 }
 
 // New creates the register replica and client handle for the process behind
@@ -213,7 +213,7 @@ func (r *Register[V]) dropPending(id int64) {
 // step that keeps the logical clock, and with it Σ's suspicion horizon,
 // moving.
 func (r *Register[V]) await(ctx context.Context, p *pending[V]) (model.ProcessSet, error) {
-	p.waiter.Set(net.TaskFrom(ctx))
+	p.waiter = net.TaskFrom(ctx)
 	poll := r.ep.NewPoll(ctx, time.Millisecond)
 	defer poll.Stop()
 	var acked model.ProcessSet
@@ -265,8 +265,9 @@ func (r *Register[V]) storePhase(ctx context.Context, ts Timestamp, val V) (mode
 // quorum and writes it back to a quorum before returning, so that any later
 // read observes a value at least as fresh.
 func (r *Register[V]) Read(ctx context.Context) (V, error) {
-	ctx, release := net.AdoptTask(ctx, r.ep, "register.read")
-	defer release()
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, r.ep, "register.read", r.Read)
+	}
 	ts, val, _, err := r.queryPhase(ctx)
 	if err != nil {
 		var zero V
@@ -316,8 +317,11 @@ func (r *Register[V]) Run(ctx context.Context, input any) (any, error) {
 // later read served entirely by other processes could miss the value, which
 // the quorum intersection property forbids).
 func (r *Register[V]) WriteTracked(ctx context.Context, val V) (model.ProcessSet, error) {
-	ctx, release := net.AdoptTask(ctx, r.ep, "register.write")
-	defer release()
+	if net.TaskFrom(ctx) == nil {
+		return net.RunInTask(ctx, r.ep, "register.write", func(ctx context.Context) (model.ProcessSet, error) {
+			return r.WriteTracked(ctx, val)
+		})
+	}
 	ts, _, queryAcks, err := r.queryPhase(ctx)
 	if err != nil {
 		return model.NewProcessSet(), fmt.Errorf("register write (query phase): %w", err)

@@ -313,11 +313,10 @@ type Result struct {
 	Pattern *model.FailurePattern
 	// Metrics is the network's counter snapshot.
 	Metrics map[string]int64
-	// VirtualEnd is the virtual clock at the trace boundary, read by the
-	// last runner to exit while it holds the step token, so it is a pure
-	// function of (seed, config) like TraceFingerprint. In a tainted run
-	// that runner exits without the token and the value is only where the
-	// clock stood when the wall-clock cut landed: not reproducible. Zero
+	// VirtualEnd is the virtual clock at the trace boundary, read when the
+	// last runner exits, so it is a pure function of (seed, config) like
+	// TraceFingerprint. In a tainted run the value is only where the clock
+	// stood when the wall-clock cut landed: not reproducible. Zero
 	// when the protocol launched no runner. Its ratio to Wall is the
 	// speedup virtual time buys.
 	VirtualEnd time.Duration
@@ -409,6 +408,10 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 	}
 	nw := net.NewNetwork(cfg.N, netOpts...)
 	defer nw.Close()
+	// A cancelled ctx (the Timeout backstop) reaches the parked tasks as an
+	// abort: Close has the dispatcher resume every task aborted, tainting
+	// the trace, so the runners unwind.
+	defer context.AfterFunc(ctx, nw.Close)()
 
 	var hist *model.History
 	if cfg.HistoryLimit > 0 {
@@ -509,16 +512,10 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 	}
 	if launched > 0 {
 		res.TraceFingerprint, res.TraceSummary, res.VirtualEnd = nw.TraceResult()
+		// The capture is complete: every record is written by the
+		// dispatcher, and recording stops when the last runner's exit
+		// finalizes the trace, tainted or not.
 		tainted := res.TraceSummary.TaintReason != ""
-		if tainted && (jrec != nil || analyzer != nil) {
-			// A wall-clock escape means the runners exited without the
-			// token, so the dispatcher may still be delivering — and
-			// recording. Quiesce it before reading any capture: Close is
-			// idempotent and waits for the dispatcher goroutine. (A clean
-			// finalization needs no such barrier — the last exiting task
-			// holds the token, and recording stops at finalization.)
-			nw.Close()
-		}
 		if analyzer != nil && !tainted {
 			p := &probe.Probes{SchemaVersion: probe.Version, Stream: analyzer.Finish()}
 			if hist != nil {
@@ -549,7 +546,7 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 
 // teeRecorder fans one trace stream out to two recorders (journal capture
 // plus a caller-supplied observer). Calls stay serialized — the tee runs on
-// the same token-serialized path as any single recorder.
+// the same dispatcher-serialized path as any single recorder.
 type teeRecorder struct{ a, b net.TraceRecorder }
 
 func (t teeRecorder) Record(r net.TraceRecord) {

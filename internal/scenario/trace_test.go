@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -72,6 +73,51 @@ func TestTraceDeterministic(t *testing.T) {
 			if got.Fingerprint() != want.Fingerprint() {
 				t.Fatalf("%s: outcome fingerprint diverged on round %d", tc.name, round)
 			}
+		}
+	}
+}
+
+// TestTraceDeterministicAcrossGOMAXPROCS: the schedule is the dispatcher's
+// decision alone, so the trace of a seeded run does not depend on how many
+// processors the Go runtime schedules on. A handful of points — a crashy
+// consensus, heartbeat detectors, qc, nbac and registers — give the same
+// TraceFingerprint and TraceSummary at GOMAXPROCS 1, 2 and 4, and a run cut
+// by its wall-clock backstop is tainted, with a reason, at every setting.
+func TestTraceDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	ctx := context.Background()
+	points := []struct {
+		name  string
+		s     *Scenario
+		proto Protocol
+	}{
+		{"consensus-crashy", New(10, WithSeed(201), WithDelays(time.Millisecond, 20*time.Millisecond),
+			WithCrash(3, 2*time.Millisecond), WithCrash(7, 5*time.Millisecond)), Consensus{}},
+		{"heartbeat", New(8, WithSeed(202), WithDetector(fd.MustParseSpec("heartbeat{interval:500,timeout:4000}"))), Consensus{}},
+		{"qc", New(4, WithSeed(203)), QC{}},
+		{"nbac", New(4, WithSeed(204)), NBAC{}},
+		{"registers", New(3, WithSeed(205)), Registers{Values: []int{4, 5, 6}}},
+	}
+	cut := New(3, WithSeed(126), WithDropRate(1), WithSafetyOnly(), WithTimeout(200*time.Millisecond))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := make([]Result, len(points))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i, pt := range points {
+			got := pt.s.Run(ctx, pt.proto)
+			if !got.Verdict.OK || got.TraceFingerprint == "" {
+				t.Fatalf("GOMAXPROCS=%d %s: verdict %v, fingerprint %q", procs, pt.name, got.Verdict, got.TraceFingerprint)
+			}
+			if procs == 1 {
+				want[i] = got
+				continue
+			}
+			if got.TraceFingerprint != want[i].TraceFingerprint || got.TraceSummary != want[i].TraceSummary {
+				t.Fatalf("%s: trace at GOMAXPROCS=%d differs from GOMAXPROCS=1:\n%s %+v\n%s %+v", pt.name, procs,
+					got.TraceFingerprint, got.TraceSummary, want[i].TraceFingerprint, want[i].TraceSummary)
+			}
+		}
+		if res := cut.Run(ctx, Consensus{}); res.TraceFingerprint != "" || res.TraceSummary.TaintReason == "" {
+			t.Fatalf("GOMAXPROCS=%d: cut run not tainted: fingerprint %q, summary %+v", procs, res.TraceFingerprint, res.TraceSummary)
 		}
 	}
 }
