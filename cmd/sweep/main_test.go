@@ -23,31 +23,49 @@ func TestGridTypoExitsTwo(t *testing.T) {
 			if err := os.WriteFile(grid, []byte(spec), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			stderr, err := os.Create(filepath.Join(dir, "stderr"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer stderr.Close()
-			args, cmdline, errOut := os.Args, flag.CommandLine, os.Stderr
-			defer func() { os.Args, flag.CommandLine, os.Stderr = args, cmdline, errOut }()
-			os.Args = []string{"sweep", "-grid", grid, "-out", filepath.Join(dir, "report.json")}
-			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
-			os.Stderr = stderr
-
-			code := run()
-			os.Stderr = errOut
-			msg, err := os.ReadFile(stderr.Name())
-			if err != nil {
-				t.Fatal(err)
-			}
+			code, msg := sweepStderr(t, "-grid", grid, "-out", filepath.Join(dir, "report.json"))
 			if code != 2 {
 				t.Fatalf("sweep -grid with key %q exited %d, want 2 (stderr: %s)", key, code, msg)
 			}
-			if !strings.Contains(string(msg), `"`+key+`"`) {
+			if !strings.Contains(msg, `"`+key+`"`) {
 				t.Fatalf("usage error does not name the key %q: %s", key, msg)
 			}
 		})
 	}
+}
+
+// Each detector class has one spelling: a retired alternate name is a usage
+// error naming the registered classes, not a second fingerprint for the
+// same detector.
+func TestRetiredDetectorNamesExitTwo(t *testing.T) {
+	for _, name := range []string{"p", "oracle", "diamond-p", "<>s"} {
+		code, msg := sweepStderr(t, "-proto", "consensus", "-n", "3", "-seeds", "1", "-detectors", name,
+			"-out", filepath.Join(t.TempDir(), "report.json"))
+		if code != 2 || !strings.Contains(msg, "registered: ") || !strings.Contains(msg, "eventually-perfect") {
+			t.Errorf("sweep -detectors %s exited %d, want 2 naming the registered classes: %s", name, code, msg)
+		}
+	}
+}
+
+// sweepStderr runs the sweep command in-process with args and returns its
+// exit code and what it wrote to stderr.
+func sweepStderr(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	errOut := os.Stderr
+	defer func() { os.Stderr = errOut }()
+	os.Stderr = stderr
+	code := sweepCLI(t, args...)
+	os.Stderr = errOut
+	msg, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(msg)
 }
 
 // sweepCLI runs the sweep command in-process with args and returns its exit

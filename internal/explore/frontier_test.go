@@ -129,8 +129,8 @@ func TestFrontierValidatesAxes(t *testing.T) {
 			t.Errorf("ValidateAxis(%+v) = %v, want %q", tc.axis, err, tc.want)
 		}
 	}
-	if err := ValidateAxis(Axis{Spec: fd.DetectorSpec{Class: "diamond-p"}, Param: "stabilize", Max: 10}); err != nil {
-		t.Errorf("aliased axis rejected: %v", err)
+	if err := ValidateAxis(Axis{Spec: fd.DetectorSpec{Class: fd.ClassEventuallyPerfect}, Param: "stabilize", Max: 10}); err != nil {
+		t.Errorf("eventually-perfect axis rejected: %v", err)
 	}
 	// The heartbeat pacing parameters invert the weakening convention
 	// (0 = default, larger timeout = stronger); they are searchable as

@@ -200,8 +200,8 @@ func (s DetectorSpec) String() string {
 //	eventually-perfect{suspect:10,stabilize:50}
 //	omega-sigma{switch:40,policy:fs-on-failure}
 //
-// Class aliases are resolved by the registry at build time, not here, so a
-// parsed spec round-trips through String unchanged.
+// The class is checked by the registry at build time, not here; a parsed
+// spec round-trips through String unchanged.
 func ParseSpec(s string) (DetectorSpec, error) {
 	var spec DetectorSpec
 	s = strings.TrimSpace(s)
@@ -394,17 +394,6 @@ const (
 	ClassEventuallyStrong = "eventually-strong"
 )
 
-// classAliases maps accepted alternate names onto registered classes.
-var classAliases = map[string]string{
-	"":          ClassOmegaSigma,
-	"oracle":    ClassOmegaSigma,
-	"p":         ClassPerfect,
-	"diamond-p": ClassEventuallyPerfect,
-	"<>p":       ClassEventuallyPerfect,
-	"diamond-s": ClassEventuallyStrong,
-	"<>s":       ClassEventuallyStrong,
-}
-
 // classEntry is one registered class: its builder plus the grammar keys its
 // builder consumes.
 type classEntry struct {
@@ -444,12 +433,11 @@ func (r *Registry) Register(class string, b Builder, params ...string) {
 	r.classes[class] = classEntry{build: b, params: params}
 }
 
-// Params returns the spec-grammar keys the class's builder consumes (aliases
-// resolved), in the order they were registered; nil for an unknown class.
+// Params returns the spec-grammar keys the class's builder consumes (the
+// empty class is the default), in the order they were registered; nil for
+// an unknown class.
 func (r *Registry) Params(class string) []string {
-	if canon, ok := classAliases[class]; ok {
-		class = canon
-	}
+	class = DetectorSpec{Class: class}.className()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return append([]string(nil), r.classes[class].params...)
@@ -467,12 +455,10 @@ func (r *Registry) Classes() []string {
 	return out
 }
 
-// Resolve canonicalises a class name (default and aliases applied) and
-// reports whether it is registered.
+// Resolve applies the default to a class name (the empty class is
+// omega-sigma) and reports whether it is registered.
 func (r *Registry) Resolve(class string) (string, bool) {
-	if canon, ok := classAliases[class]; ok {
-		class = canon
-	}
+	class = DetectorSpec{Class: class}.className()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	_, ok := r.classes[class]

@@ -160,22 +160,25 @@ func TestRegistryBuildsAllClasses(t *testing.T) {
 	}
 }
 
+// TestRegistryAliasesAndUnknown: each class has one spelling. The empty
+// class is the default; the alternate names once accepted are refused like
+// any unknown class, so one detector never runs under two fingerprints.
 func TestRegistryAliasesAndUnknown(t *testing.T) {
 	r := DefaultRegistry()
-	for alias, want := range map[string]string{
-		"":          ClassOmegaSigma,
-		"oracle":    ClassOmegaSigma,
-		"p":         ClassPerfect,
-		"diamond-p": ClassEventuallyPerfect,
-		"<>s":       ClassEventuallyStrong,
-	} {
-		got, ok := r.Resolve(alias)
-		if !ok || got != want {
-			t.Fatalf("Resolve(%q) = %q, %v", alias, got, ok)
-		}
+	if got, ok := r.Resolve(""); !ok || got != ClassOmegaSigma {
+		t.Fatalf(`Resolve("") = %q, %v`, got, ok)
 	}
-	if _, err := Build(model.NewFailurePattern(2), &fakeClock{}, DetectorSpec{Class: "nope"}); err == nil {
-		t.Fatalf("unknown class built")
+	for _, class := range []string{"oracle", "p", "diamond-p", "<>p", "diamond-s", "<>s", "nope"} {
+		if got, ok := r.Resolve(class); ok {
+			t.Errorf("Resolve(%q) = %q, registered", class, got)
+		}
+		if got := r.Params(class); got != nil {
+			t.Errorf("Params(%q) = %v, want nil", class, got)
+		}
+		_, err := Build(model.NewFailurePattern(2), &fakeClock{}, DetectorSpec{Class: class})
+		if err == nil || !strings.Contains(err.Error(), "registered: "+strings.Join(r.Classes(), ", ")) {
+			t.Errorf("Build(%q) = %v, want an error naming the registered classes", class, err)
+		}
 	}
 }
 
@@ -199,7 +202,8 @@ func TestRegistryParamsPerClass(t *testing.T) {
 		ClassOmegaSigma:        {"suspect", "detect", "switch"},
 		ClassPerfect:           {"suspect"},
 		ClassEventuallyPerfect: {"suspect", "stabilize"},
-		"diamond-s":            {"suspect", "stabilize"}, // aliases resolve
+		ClassEventuallyStrong:  {"suspect", "stabilize"},
+		"":                     {"suspect", "detect", "switch"}, // the default class
 	} {
 		if got := r.Params(class); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Params(%s) = %v, want %v", class, got, want)

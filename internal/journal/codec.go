@@ -7,22 +7,80 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"weakestfd/internal/net"
 )
 
-// The record line codec. A record line is exactly what encoding/json (with
-// SetEscapeHTML(false)) makes of a Record: its keys in declaration order,
-// zero-valued optional fields omitted. appendRecord prints that line without
-// reflection and parseRecord reads back only lines in that form, so a loaded
-// journal re-encodes to its input byte for byte and a hand-edited line that
-// merely means the same record (keys reordered, spaces, "at":0) is refused
-// instead of silently normalised. The Record struct tags stay the reference
-// definition; FuzzRecordCodec holds both functions to it.
+// The record line codec. A record line is one JSON object with the keys op,
+// kind, at, seq, from, to, inst, type, tid, task, sent, proc and group, in
+// that order: the Record fields (inst is Instance, sent is SentAt), each
+// present only when the record's op and kind carry it and it is not zero.
+// op and kind are text — "E", "G", "X"; "message", "timer", "crash" — and
+// these are their only spellings in the package. An event always names its
+// kind, even a message, whose kind byte is zero.
+//
+// The bytes are what encoding/json (with SetEscapeHTML(false)) prints for
+// that object; codec_test.go keeps the reference struct and FuzzRecordCodec
+// holds both functions to it. appendRecord prints a line without reflection
+// and parseRecord reads back only lines in that form, so a loaded journal
+// re-encodes to its input byte for byte, and a hand-edited line is refused,
+// not normalised: one that merely means the same record (keys reordered,
+// spaces, "at":0), an unknown op or kind, or a field its op and kind do not
+// carry.
+
+// opName is the text form of a record op; "" for an unknown one.
+func opName(op byte) string {
+	switch op {
+	case net.TraceOpEvent:
+		return "E"
+	case net.TraceOpGrant:
+		return "G"
+	case net.TraceOpExit:
+		return "X"
+	}
+	return ""
+}
+
+// kindName is the text form of an event kind; "" for an unknown one.
+func kindName(kind byte) string {
+	switch kind {
+	case net.TraceKindMessage:
+		return "message"
+	case net.TraceKindTimer:
+		return "timer"
+	case net.TraceKindCrash:
+		return "crash"
+	}
+	return ""
+}
+
+// String renders the record compactly for divergence reports: every field
+// the replay checker compares, so two records that differ never print alike.
+func (r Record) String() string {
+	switch {
+	case r.Op == net.TraceOpEvent && r.Kind == net.TraceKindMessage:
+		return fmt.Sprintf("E message at=%d seq=%d %d->%d %s/%s sent=%d", r.At, r.Seq, r.From, r.To, r.Instance, r.Type, r.SentAt)
+	case r.Op == net.TraceOpEvent && r.Kind == net.TraceKindTimer:
+		return fmt.Sprintf("E timer at=%d seq=%d tid=%d", r.At, r.Seq, r.Tid)
+	case r.Op == net.TraceOpEvent && r.Kind == net.TraceKindCrash:
+		return fmt.Sprintf("E crash at=%d seq=%d p=%d", r.At, r.Seq, r.To)
+	case r.Op == net.TraceOpGrant:
+		return fmt.Sprintf("G task=%d proc=%d", r.Task, r.Proc)
+	case r.Op == net.TraceOpExit:
+		return fmt.Sprintf("X task=%d proc=%d group=%t", r.Task, r.Proc, r.Group)
+	}
+	return string(appendRecord(nil, &r))
+}
 
 // appendRecord appends r's canonical line, without the newline, to dst.
+// A record built by hand with an unknown op or kind, or with a non-zero
+// field its op and kind do not carry, encodes to a line Decode refuses.
 func appendRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, `{"op":`...)
-	dst = appendString(dst, r.Op)
-	dst = appendStringField(dst, `,"kind":`, r.Kind)
+	dst = appendString(dst, opName(r.Op))
+	if r.Op == net.TraceOpEvent {
+		dst = appendString(append(dst, `,"kind":`...), kindName(r.Kind))
+	}
 	dst = appendIntField(dst, `,"at":`, r.At)
 	dst = appendUintField(dst, `,"seq":`, r.Seq)
 	dst = appendUintField(dst, `,"from":`, r.From)
@@ -31,7 +89,7 @@ func appendRecord(dst []byte, r *Record) []byte {
 	dst = appendStringField(dst, `,"type":`, r.Type)
 	dst = appendUintField(dst, `,"tid":`, r.Tid)
 	dst = appendUintField(dst, `,"task":`, r.Task)
-	dst = appendIntField(dst, `,"sent":`, r.Sent)
+	dst = appendIntField(dst, `,"sent":`, r.SentAt)
 	dst = appendUintField(dst, `,"proc":`, r.Proc)
 	if r.Group {
 		dst = append(dst, `,"group":true`...)
@@ -91,8 +149,8 @@ func escapeString(dst []byte, s string) []byte {
 }
 
 // interner keeps one copy of each distinct record string of a decoded
-// journal: a stream's op, kind, inst and type values come from a small
-// vocabulary, so decoding allocates per distinct name, not per record.
+// journal: a stream's inst and type values come from a small vocabulary,
+// so decoding allocates per distinct name, not per record.
 type interner map[string]string
 
 func (in interner) get(b []byte) string {
@@ -120,6 +178,16 @@ const (
 	keySent
 	keyProc
 	keyGroup
+)
+
+// The keys each record shape carries, as bit sets over the key indices.
+const (
+	eventKeys   = 1<<keyKind | 1<<keyAt | 1<<keySeq
+	messageKeys = eventKeys | 1<<keyFrom | 1<<keyTo | 1<<keyInst | 1<<keyType | 1<<keySent
+	timerKeys   = eventKeys | 1<<keyTid
+	crashKeys   = eventKeys | 1<<keyTo
+	grantKeys   = 1<<keyTask | 1<<keyProc
+	exitKeys    = grantKeys | 1<<keyGroup
 )
 
 func keyIndex(k []byte) int {
@@ -157,8 +225,9 @@ func keyIndex(k []byte) int {
 var errTruncated = errors.New("record line ends early")
 
 // parseRecord decodes one record line into *r, accepting exactly the lines
-// appendRecord writes: canonical key order, no duplicate or unknown keys, no
-// whitespace, optional fields present only when non-zero, integers without
+// appendRecord writes for a record of a known op and kind: canonical key
+// order, no duplicate or unknown keys, no key the op and kind do not carry,
+// no whitespace, optional fields present only when non-zero, integers without
 // sign or leading zeros beyond what strconv prints, strings escaped only where
 // encoding/json escapes them, nothing after the closing brace. The U+FFFD
 // escape the writer puts for invalid UTF-8 is refused too: it decodes to a
@@ -169,11 +238,31 @@ func parseRecord(line []byte, r *Record, strs interner) error {
 	if !p.lit(`{"op":`) {
 		return p.errorf(`want {"op":`)
 	}
-	var err error
-	if r.Op, err = p.str(); err != nil {
-		return err
+	var carried, last int
+	switch {
+	case p.lit(`"E","kind":`):
+		r.Op, last = net.TraceOpEvent, keyKind
+		switch {
+		case p.lit(`"message"`):
+			r.Kind, carried = net.TraceKindMessage, messageKeys
+		case p.lit(`"timer"`):
+			r.Kind, carried = net.TraceKindTimer, timerKeys
+		case p.lit(`"crash"`):
+			r.Kind, carried = net.TraceKindCrash, crashKeys
+		default:
+			return p.unknown("event kind")
+		}
+	case p.lit(`"E"`):
+		return p.errorf(`want ,"kind": (an event names its kind)`)
+	case p.lit(`"G"`):
+		r.Op, carried = net.TraceOpGrant, grantKeys
+	case p.lit(`"X"`):
+		r.Op, carried = net.TraceOpExit, exitKeys
+	default:
+		return p.unknown("record op")
 	}
-	for last := keyOp; ; {
+	var err error
+	for {
 		if p.lit("}") {
 			break
 		}
@@ -195,14 +284,14 @@ func parseRecord(line []byte, r *Record, strs interner) error {
 			return fmt.Errorf("byte %d: unknown key %q", at, key)
 		case k <= last:
 			return fmt.Errorf("byte %d: key %q out of canonical order (duplicate or reordered)", at, key)
+		case carried&(1<<k) == 0:
+			return fmt.Errorf("byte %d: key %q is not a field of this op and kind", at, key)
 		}
 		last = k
 		if !p.lit(":") {
 			return p.errorf("want : after key")
 		}
 		switch k {
-		case keyKind:
-			r.Kind, err = p.nonEmptyStr()
 		case keyAt:
 			r.At, err = p.int()
 		case keySeq:
@@ -220,7 +309,7 @@ func parseRecord(line []byte, r *Record, strs interner) error {
 		case keyTask:
 			r.Task, err = p.uint()
 		case keySent:
-			r.Sent, err = p.int()
+			r.SentAt, err = p.int()
 		case keyProc:
 			r.Proc, err = p.uint()
 		case keyGroup:
@@ -251,6 +340,17 @@ func (p *recordParser) errorf(want string) error {
 		return errTruncated
 	}
 	return fmt.Errorf("byte %d: %s", p.i, want)
+}
+
+// unknown reports the string at the cursor as an unknown value of what, or
+// why it is no canonical string.
+func (p *recordParser) unknown(what string) error {
+	at := p.i
+	s, err := p.str()
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("byte %d: unknown %s %q", at, what, s)
 }
 
 // lit consumes s if the line continues with it.

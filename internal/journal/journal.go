@@ -4,10 +4,10 @@
 // The trace tier (internal/net's step scheduler) already makes the full
 // record stream — deliveries, task grants, clean exits, logical clocks — a
 // byte-reproducible pure function of (seed, config), but by itself keeps only
-// its SHA-256 (the TraceFingerprint). A journal keeps the records: every
-// field the trace hash sees, nothing it does not, captured through the
+// its SHA-256 (the TraceFingerprint). A journal keeps the records as they
+// are — a Record is a net.TraceRecord — captured through the
 // net.TraceRecorder hook that sits beside the digest. On top of the stored
-// stream sit three operations:
+// stream sit four operations:
 //
 //   - Verify recomputes the SHA-256 over the journal's records through the
 //     same net.TraceRecord.AppendHash encoding the live digest uses and
@@ -16,6 +16,7 @@
 //   - Checker re-checks a live run against the journal record-by-record
 //     (scenario.Replay wires it in as the run's recorder), stopping at the
 //     first mismatch with a precise Divergence.
+//   - RecomputeProbes folds the records through the probe analyzer offline.
 //   - IsPrefix compares two journals for prefix containment, the acceptance
 //     relation trace-minimisation uses.
 //
@@ -34,13 +35,16 @@
 // each subsequent line one Record. Loaders reject future schema versions, the
 // same policy as cliutil reports, and version 1 (see Version). Encoding is
 // canonical: the meta line is encoding/json over the Meta struct, and each
-// record line is printed by a hand-written codec (codec.go) as the exact
-// bytes encoding/json would give the Record struct — fixed key order, zero
-// fields omitted — without reflection. Decode accepts exactly what Encode
-// writes: a record line that is valid JSON for the same record but not in
-// that form (keys reordered, whitespace, an explicit zero) is refused with
-// its line number. So load → re-encode is byte-identity, which the
-// round-trip tests and the committed testdata journals pin.
+// record line is printed by a hand-written codec (codec.go, which also
+// holds the text forms of ops and kinds) — fixed key order, only the fields
+// the record's op and kind carry, zero fields omitted — without reflection.
+// Decode accepts exactly what Encode writes: a line that is valid JSON for
+// the same journal but not in that form (keys reordered, whitespace, an
+// explicit zero), an unknown op or kind, a field its op and kind do not
+// carry, or a process the run does not have is refused with its line
+// number. So load → re-encode is byte-identity, less skipped blank lines,
+// which the round-trip tests, FuzzDecodeJournal and the committed testdata
+// journals pin.
 package journal
 
 import (
@@ -82,6 +86,7 @@ type Meta struct {
 	// Config is the run's scenario configuration, embedded verbatim so a
 	// journal is a self-contained reproducer (the journaling knobs
 	// themselves are zeroed: replaying attaches a checker, not a recorder).
+	// Its N, the run's process count, bounds the process ids records name.
 	Config json.RawMessage `json:"config,omitempty"`
 	// TraceFingerprint is the run's trace digest — the hex SHA-256 the
 	// records must hash back to (Verify). Empty for tainted runs.
@@ -120,122 +125,13 @@ const (
 	ModeRing = "ring"
 )
 
-// Record is one trace record in journal form — net.TraceRecord with the op
-// and kind bytes rendered as strings for greppability. The zero values of
-// optional fields are omitted, so a grant line is just
-// {"op":"G","task":7}.
-type Record struct {
-	Op       string `json:"op"`             // "E", "G", "X"
-	Kind     string `json:"kind,omitempty"` // "message", "timer", "crash" (events only)
-	At       int64  `json:"at,omitempty"`
-	Seq      uint64 `json:"seq,omitempty"`
-	From     uint64 `json:"from,omitempty"`
-	To       uint64 `json:"to,omitempty"`
-	Instance string `json:"inst,omitempty"`
-	Type     string `json:"type,omitempty"`
-	Tid      uint64 `json:"tid,omitempty"`
-	Task     uint64 `json:"task,omitempty"`
-	// Sent, Proc and Group are the schema-v2 observational fields (message
-	// enqueue time; granting/exiting task's process; trace-group exit flag).
-	// They ride outside the trace hash, so Verify is version-independent.
-	Sent  int64  `json:"sent,omitempty"`
-	Proc  uint64 `json:"proc,omitempty"`
-	Group bool   `json:"group,omitempty"`
-}
+// Record is one trace record as the journal stores it: net.TraceRecord
+// itself, so capture, replay checking, verification and the probe refold
+// convert it for free. Its line form is codec.go's.
+type Record net.TraceRecord
 
-// FromNet converts a live trace record to journal form.
-func FromNet(tr net.TraceRecord) Record {
-	var r Record
-	switch tr.Op {
-	case net.TraceOpEvent:
-		r.Op = "E"
-		r.At = tr.At
-		r.Seq = tr.Seq
-		switch tr.Kind {
-		case net.TraceKindMessage:
-			r.Kind = "message"
-			r.From, r.To = tr.From, tr.To
-			r.Instance, r.Type = tr.Instance, tr.Type
-			r.Sent = tr.SentAt
-		case net.TraceKindTimer:
-			r.Kind = "timer"
-			r.Tid = tr.Tid
-		case net.TraceKindCrash:
-			r.Kind = "crash"
-			r.To = tr.To
-		}
-	case net.TraceOpGrant, net.TraceOpExit:
-		r.Op = "G"
-		if tr.Op == net.TraceOpExit {
-			r.Op = "X"
-		}
-		r.Task = tr.Task
-		r.Proc = tr.Proc
-		r.Group = tr.Group
-	}
-	return r
-}
-
-// ToNet converts back to the net-level record, the form AppendHash is
-// defined on. It rejects unknown ops and kinds (a corrupted or
-// hand-mangled journal) rather than hashing garbage.
-func (r Record) ToNet() (net.TraceRecord, error) {
-	tr := net.TraceRecord{}
-	switch r.Op {
-	case "E":
-		tr.Op = net.TraceOpEvent
-	case "G":
-		tr.Op = net.TraceOpGrant
-	case "X":
-		tr.Op = net.TraceOpExit
-	default:
-		return tr, fmt.Errorf("journal: unknown record op %q", r.Op)
-	}
-	if tr.Op == net.TraceOpEvent {
-		switch r.Kind {
-		case "message":
-			tr.Kind = net.TraceKindMessage
-			tr.From, tr.To = r.From, r.To
-			tr.Instance, tr.Type = r.Instance, r.Type
-			tr.SentAt = r.Sent
-		case "timer":
-			tr.Kind = net.TraceKindTimer
-			tr.Tid = r.Tid
-		case "crash":
-			tr.Kind = net.TraceKindCrash
-			tr.To = r.To
-		default:
-			return tr, fmt.Errorf("journal: unknown event kind %q", r.Kind)
-		}
-		tr.At, tr.Seq = r.At, r.Seq
-	} else {
-		tr.Task = r.Task
-		tr.Proc = r.Proc
-		tr.Group = r.Group
-	}
-	return tr, nil
-}
-
-// String renders the record compactly for divergence reports: every field
-// the replay checker compares, so two records that differ never print alike.
-func (r Record) String() string {
-	switch r.Op {
-	case "E":
-		switch r.Kind {
-		case "message":
-			return fmt.Sprintf("E message at=%d seq=%d %d->%d %s/%s sent=%d", r.At, r.Seq, r.From, r.To, r.Instance, r.Type, r.Sent)
-		case "timer":
-			return fmt.Sprintf("E timer at=%d seq=%d tid=%d", r.At, r.Seq, r.Tid)
-		case "crash":
-			return fmt.Sprintf("E crash at=%d seq=%d p=%d", r.At, r.Seq, r.To)
-		}
-	case "G":
-		return fmt.Sprintf("G task=%d proc=%d", r.Task, r.Proc)
-	case "X":
-		return fmt.Sprintf("X task=%d proc=%d group=%t", r.Task, r.Proc, r.Group)
-	}
-	return string(appendRecord(nil, &r))
-}
+// ToNet returns the record as a net.TraceRecord; the error is always nil.
+func (r Record) ToNet() (net.TraceRecord, error) { return net.TraceRecord(r), nil }
 
 // Journal is one run's captured record stream plus its header.
 type Journal struct {
@@ -248,19 +144,29 @@ type Journal struct {
 // byte-for-byte (the round-trip tests pin this), so journals can be
 // compared, hashed and diffed as files.
 func (j *Journal) Encode() ([]byte, error) {
-	var meta bytes.Buffer
-	enc := json.NewEncoder(&meta)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(j.Meta); err != nil {
-		return nil, fmt.Errorf("journal: encode meta: %w", err)
+	meta, err := encodeMeta(&j.Meta)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]byte, 0, meta.Len()+recordsSize(j.Records))
-	out = append(out, meta.Bytes()...)
+	out := make([]byte, 0, len(meta)+recordsSize(j.Records))
+	out = append(out, meta...)
 	for i := range j.Records {
 		out = appendRecord(out, &j.Records[i])
 		out = append(out, '\n')
 	}
 	return out, nil
+}
+
+// encodeMeta renders the meta line, newline included: encoding/json without
+// HTML escaping.
+func encodeMeta(m *Meta) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(m); err != nil {
+		return nil, fmt.Errorf("journal: encode meta: %w", err)
+	}
+	return b.Bytes(), nil
 }
 
 // recordsSize estimates the encoded size of recs, with an eighth to spare,
@@ -284,14 +190,21 @@ func recordsSize(recs []Record) int {
 	return size * len(recs) / sampled * 9 / 8
 }
 
+// maxProcesses bounds a journal's process count: far above any run the
+// harness can finish (a run's message count grows as the square of it), and
+// low enough that a mangled count cannot make a loader allocate gigabytes.
+const maxProcesses = 1 << 16
+
 // shortestRecordLine is the shortest line a record encodes to, newline
 // included; it bounds how many records a byte count can hold.
-const shortestRecordLine = len(`{"op":""}` + "\n")
+const shortestRecordLine = len(`{"op":"G"}` + "\n")
 
 // Decode parses a journal, rejecting schema versions this build cannot read
-// faithfully: future ones, and version 1. Record lines must be exactly as
-// Encode writes them (see parseRecord); blank lines are skipped. Errors name
-// the 1-based line of the input, the meta line being line 1.
+// faithfully: future ones, and version 1. Every line must be exactly as
+// Encode writes it (see parseRecord for the record lines); blank lines are
+// skipped. A record may name only processes of the run, whose count is the
+// N of the meta line's config (at most 65 536). Errors name the 1-based line of the input,
+// the meta line being line 1.
 func Decode(data []byte) (*Journal, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("journal: empty input")
@@ -307,6 +220,15 @@ func Decode(data []byte) (*Journal, error) {
 	if j.Meta.SchemaVersion < 2 {
 		return nil, fmt.Errorf("journal: schema_version %d predates the record fields replay and probes need (sent/proc/group landed in 2); re-record the run", j.Meta.SchemaVersion)
 	}
+	if canon, err := encodeMeta(&j.Meta); err != nil || !bytes.Equal(canon[:len(canon)-1], head) {
+		return nil, fmt.Errorf("journal: line 1: the meta line is not as Encode writes it (keys reordered or unknown, spaces, or a value in another form)")
+	}
+	// The process count bounds the ids records name, so a mangled id cannot
+	// size the probe fold's per-process vector.
+	var cfg struct{ N uint64 }
+	if err := json.Unmarshal(j.Meta.Config, &cfg); err != nil || cfg.N == 0 || cfg.N > maxProcesses {
+		return nil, fmt.Errorf("journal: line 1: the meta line's config names no process count between 1 and %d", maxProcesses)
+	}
 	// One slot per line, but never more than the bytes could hold records:
 	// a run of blank lines must not size a huge slice.
 	lines := bytes.Count(rest, []byte{'\n'}) + 1
@@ -319,8 +241,12 @@ func Decode(data []byte) (*Journal, error) {
 			continue
 		}
 		j.Records = append(j.Records, Record{})
-		if err := parseRecord(text, &j.Records[len(j.Records)-1], strs); err != nil {
+		r := &j.Records[len(j.Records)-1]
+		if err := parseRecord(text, r, strs); err != nil {
 			return nil, fmt.Errorf("journal: line %d: %w", line, err)
+		}
+		if p := max(r.From, r.To, r.Proc); p >= cfg.N {
+			return nil, fmt.Errorf("journal: line %d: process %d is not one of the run's %d", line, p, cfg.N)
 		}
 	}
 	return j, nil
@@ -369,13 +295,10 @@ func (j *Journal) Verify() error {
 		return j.suffixErr("verification")
 	}
 	h := sha256.New()
-	var buf [64]byte
+	var buf []byte // kept at its high-water size: message records outgrow a small array
 	for i := range j.Records {
-		tr, err := j.Records[i].ToNet()
-		if err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-		h.Write(tr.AppendHash(buf[:0]))
+		buf = (*net.TraceRecord)(&j.Records[i]).AppendHash(buf[:0])
+		h.Write(buf)
 	}
 	got := hex.EncodeToString(h.Sum(nil))
 	if got != j.Meta.TraceFingerprint {
@@ -399,11 +322,7 @@ func (j *Journal) RecomputeProbes() (probe.StreamProbes, error) {
 	}
 	a := probe.NewAnalyzer(0)
 	for i := range j.Records {
-		tr, err := j.Records[i].ToNet()
-		if err != nil {
-			return none, fmt.Errorf("record %d: %w", i, err)
-		}
-		a.Record(tr)
+		a.Record(net.TraceRecord(j.Records[i]))
 	}
 	return a.Finish(), nil
 }

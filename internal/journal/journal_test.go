@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,15 +83,16 @@ func TestRoundTripByteStability(t *testing.T) {
 }
 
 // TestRecordConversionRoundTrip: every record shape survives the
-// net → journal → net conversion exactly, so the recomputed hash sees the
-// same bytes the live digest saw.
+// net → journal line → net round trip exactly, so the recomputed hash sees
+// the same bytes the live digest saw.
 func TestRecordConversionRoundTrip(t *testing.T) {
 	for i, tr := range sampleStream(10) {
-		back, err := FromNet(tr).ToNet()
-		if err != nil {
+		rec := Record(tr)
+		var got Record
+		if err := parseRecord(appendRecord(nil, &rec), &got, interner{}); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if back != tr {
+		if back, _ := got.ToNet(); back != tr {
 			t.Fatalf("record %d: round-trip changed the record: %+v vs %+v", i, back, tr)
 		}
 	}
@@ -131,9 +133,11 @@ func TestVerify(t *testing.T) {
 	if err := mut.Verify(); err == nil || !strings.Contains(err.Error(), "hash to") {
 		t.Fatalf("mutated journal passed verification: %v", err)
 	}
+	// Decode refuses an unknown op; a record built with one by hand hashes
+	// to nothing, so it fails as any other mutation does.
 	bad := capture(t, sampleStream(5), KeepAll)
-	bad.Records[0].Op = "Z"
-	if err := bad.Verify(); err == nil || !strings.Contains(err.Error(), "unknown record op") {
+	bad.Records[0].Op = 'Z'
+	if err := bad.Verify(); err == nil || !strings.Contains(err.Error(), "hash to") {
 		t.Fatalf("mangled op not rejected: %v", err)
 	}
 	tainted := capture(t, sampleStream(5), KeepAll)
@@ -157,7 +161,7 @@ func TestRingSuffix(t *testing.T) {
 		t.Fatalf("ring retained %d records, want 10", len(j.Records))
 	}
 	for i, tr := range stream[20:] {
-		if j.Records[i] != FromNet(tr) {
+		if j.Records[i] != Record(tr) {
 			t.Fatalf("ring record %d is not stream record %d: %+v", i, 20+i, j.Records[i])
 		}
 	}
@@ -314,6 +318,91 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesNonCanonicalMeta: the meta line, too, must be exactly
+// as Encode writes it, and its config must name the run's process count.
+func TestDecodeRefusesNonCanonicalMeta(t *testing.T) {
+	data, err := capture(t, sampleStream(6), KeepAll).Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	meta, records, _ := strings.Cut(string(data), "\n")
+	for name, bad := range map[string]string{
+		"space after colon": strings.Replace(meta, `"mode":"full"`, `"mode": "full"`, 1),
+		"reordered keys":    strings.Replace(meta, `"mode":"full","first_index":0`, `"first_index":0,"mode":"full"`, 1),
+		"unknown key":       strings.Replace(meta, `"mode":"full"`, `"mode":"full","bogus":1`, 1),
+		"spaced config":     strings.Replace(meta, `{"n":4,`, `{"n": 4,`, 1),
+		"no process count":  strings.Replace(meta, `{"n":4,`, `{`, 1),
+		"zero processes":    strings.Replace(meta, `{"n":4,`, `{"n":0,`, 1),
+		"too many":          strings.Replace(meta, `{"n":4,`, `{"n":65537,`, 1),
+		"fewer than named":  strings.Replace(meta, `{"n":4,`, `{"n":2,`, 1),
+	} {
+		if bad == meta {
+			t.Fatalf("%s: the mutation did not apply to %s", name, meta)
+		}
+		_, err := Decode([]byte(bad + "\n" + records))
+		if err == nil || !strings.Contains(err.Error(), "line ") {
+			t.Errorf("%s: want an error naming a line, got %v", name, err)
+		}
+	}
+}
+
+// FuzzDecodeJournal holds Decode to what its callers rely on, over the
+// fixture journals and mangled copies of them: it never panics; a journal
+// it accepts re-encodes to its input, less the blank lines it skips; and
+// Verify and RecomputeProbes never panic on an accepted journal.
+func FuzzDecodeJournal(f *testing.F) {
+	paths, err := filepath.Glob("testdata/*.journal")
+	if err != nil || len(paths) < 8 {
+		f.Fatalf("want the 8 fixture journals, got %v (%v)", paths, err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	data, err := os.ReadFile("testdata/consensus.journal")
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	for _, mangle := range []func([]string){
+		func(l []string) { l[2] = `{"op":"Z"}` },
+		func(l []string) { l[2] = `{"op":"G","from":3,"task":1}` },
+		func(l []string) { l[3] = strings.Replace(l[3], `"proc":`, `"proc":9`, 1) },
+		func(l []string) { l[0] = strings.Replace(l[0], `"N":5`, `"N":500000`, 1) },
+		func(l []string) { l[1] = l[1][:len(l[1])/2] },
+		func(l []string) { l[4] = "  " },
+		func(l []string) { l[len(l)-2] += `{"op":"X"}` },
+	} {
+		l := slices.Clone(lines)
+		mangle(l)
+		f.Add([]byte(strings.Join(l, "\n")))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := Decode(data)
+		if err != nil {
+			return
+		}
+		again, err := j.Encode()
+		if err != nil {
+			t.Fatalf("an accepted journal does not encode: %v", err)
+		}
+		var want []byte
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			if len(bytes.TrimSpace(line)) > 0 {
+				want = append(append(want, line...), '\n')
+			}
+		}
+		if !bytes.Equal(again, want) {
+			t.Fatalf("an accepted journal re-encodes differently:\n%q\nvs\n%q", again, want)
+		}
+		_ = j.Verify()
+		_, _ = j.RecomputeProbes()
+	})
+}
+
 // nonCanonicalLines are record lines that encoding/json would read (or
 // nearly) but Encode never writes. Decode refuses each with its line number.
 var nonCanonicalLines = map[string]string{
@@ -335,6 +424,14 @@ var nonCanonicalLines = map[string]string{
 	"uint overflow":        `{"op":"G","task":18446744073709551616}`,
 	"int overflow":         `{"op":"E","kind":"timer","at":9223372036854775808,"seq":1}`,
 	"needless escape":      `{"op":"\u0047","task":2}`,
+	"unknown op":           `{"op":"Z"}`,
+	"unknown kind":         `{"op":"E","kind":"signal","at":5,"seq":1}`,
+	"event without kind":   `{"op":"E","at":5,"seq":1,"tid":1}`,
+	"grant with kind":      `{"op":"G","kind":"timer","task":1}`,
+	"grant with from":      `{"op":"G","from":3,"task":1}`,
+	"timer with inst":      `{"op":"E","kind":"timer","at":5,"seq":1,"inst":"a","tid":1}`,
+	"grant with group":     `{"op":"G","task":1,"group":true}`,
+	"process outside run":  `{"op":"G","task":1,"proc":4}`,
 	"escaped slash":        `{"op":"E","kind":"message","at":5,"seq":1,"inst":"a\/b","type":"t"}`,
 	"string for number":    `{"op":"G","task":"2"}`,
 	"missing op":           `{"task":2}`,

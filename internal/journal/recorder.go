@@ -32,10 +32,10 @@ func NewRecorder(max int) *Recorder {
 func (r *Recorder) Record(tr net.TraceRecord) {
 	r.total++
 	if r.max <= 0 || len(r.recs) < r.max {
-		r.recs = append(r.recs, FromNet(tr))
+		r.recs = append(r.recs, Record(tr))
 		return
 	}
-	r.recs[r.next] = FromNet(tr)
+	r.recs[r.next] = Record(tr)
 	r.next++
 	if r.next == r.max {
 		r.next = 0

@@ -31,7 +31,7 @@ func (c *Checker) Record(tr net.TraceRecord) {
 	if c.div != nil {
 		return
 	}
-	actual := FromNet(tr)
+	actual := Record(tr)
 	if c.next >= len(c.j.Records) {
 		c.div = &Divergence{Index: c.next, Actual: &actual,
 			Reason: "the run produced a record past the journal's end"}

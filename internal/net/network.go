@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"weakestfd/internal/model"
-	"weakestfd/internal/trace"
 )
 
 // Option configures a Network.
@@ -96,7 +95,6 @@ type Network struct {
 	n        int
 	clock    *Clock
 	pattern  *model.FailurePattern
-	metrics  *trace.Metrics
 	minDelay time.Duration
 	maxDelay time.Duration
 	seed     int64
@@ -107,10 +105,8 @@ type Network struct {
 
 	q *eventQueue
 
-	cSent      *trace.Counter
-	cDelivered *trace.Counter
-	cDropped   *trace.Counter
-	cCrashes   *trace.Counter
+	// The message counters Metrics reads.
+	sent, delivered, dropped, crashes atomic.Int64
 
 	instMu    sync.RWMutex
 	instances map[string]*instState
@@ -126,7 +122,7 @@ type Network struct {
 // receivers never look an instance up again.
 type instState struct {
 	name  string
-	sent  *trace.Counter
+	sent  atomic.Int64
 	boxes []mailbox // indexed by ProcessID
 }
 
@@ -142,7 +138,6 @@ func NewNetwork(n int, opts ...Option) *Network {
 		n:        n,
 		clock:    NewClock(),
 		pattern:  model.NewFailurePattern(n),
-		metrics:  trace.NewMetrics(),
 		minDelay: 0,
 		maxDelay: 200 * time.Microsecond,
 		seed:     1,
@@ -150,10 +145,6 @@ func NewNetwork(n int, opts ...Option) *Network {
 	for _, o := range opts {
 		o(nw)
 	}
-	nw.cSent = nw.metrics.Counter("msgs.sent")
-	nw.cDelivered = nw.metrics.Counter("msgs.delivered")
-	nw.cDropped = nw.metrics.Counter("msgs.dropped")
-	nw.cCrashes = nw.metrics.Counter("crashes")
 	nw.q = newEventQueue(n, nw.seed, nw.minDelay, nw.maxDelay, nw.dropRate)
 	nw.stepper = newStepper(nw.q, nw.traceRec)
 	nw.instances = make(map[string]*instState)
@@ -178,8 +169,33 @@ func (nw *Network) Clock() *Clock { return nw.clock }
 // far. Oracle failure detectors and specification checkers read it.
 func (nw *Network) Pattern() *model.FailurePattern { return nw.pattern }
 
-// Metrics returns the network's metrics sink.
-func (nw *Network) Metrics() *trace.Metrics { return nw.metrics }
+// Metrics returns a live view of the network's message counters.
+func (nw *Network) Metrics() Metrics { return Metrics{nw} }
+
+// Metrics reads a network's message counters by name: "msgs.sent",
+// "msgs.delivered", "msgs.dropped", "crashes", and "msgs.sent.<instance>"
+// for every instance used so far. The values are live: a read taken while
+// the network runs sees whatever the dispatcher has counted by then.
+type Metrics struct{ nw *Network }
+
+// Get returns the named counter's current value, zero for an unknown name.
+func (m Metrics) Get(name string) int64 { return m.Snapshot()[name] }
+
+// Snapshot returns every counter's current value by name.
+func (m Metrics) Snapshot() map[string]int64 {
+	nw := m.nw
+	nw.instMu.RLock()
+	defer nw.instMu.RUnlock()
+	out := make(map[string]int64, 4+len(nw.instances))
+	out["msgs.sent"] = nw.sent.Load()
+	out["msgs.delivered"] = nw.delivered.Load()
+	out["msgs.dropped"] = nw.dropped.Load()
+	out["crashes"] = nw.crashes.Load()
+	for name, st := range nw.instances {
+		out["msgs.sent."+name] = st.sent.Load()
+	}
+	return out
+}
 
 // Endpoint returns process p's endpoint.
 func (nw *Network) Endpoint(p model.ProcessID) *Endpoint {
@@ -199,11 +215,7 @@ func (nw *Network) intern(name string) *instState {
 	}
 	nw.instMu.Lock()
 	if st = nw.instances[name]; st == nil {
-		st = &instState{
-			name:  name,
-			sent:  nw.metrics.Counter("msgs.sent." + name),
-			boxes: make([]mailbox, nw.n),
-		}
+		st = &instState{name: name, boxes: make([]mailbox, nw.n)}
 		if nw.closed.Load() {
 			for i := range st.boxes {
 				st.boxes[i].stop()
@@ -225,7 +237,7 @@ func (nw *Network) Crash(p model.ProcessID) {
 		return
 	}
 	nw.pattern.Crash(p, nw.clock.Tick())
-	nw.cCrashes.Inc()
+	nw.crashes.Add(1)
 	ep.ctx.cancel()
 	ep.stopTimers()
 	// Wake the crashed process's tasks: each observes its cancelled context
@@ -281,7 +293,7 @@ func (nw *Network) Close() {
 		ep.stopTimers()
 	}
 	if dropped := nw.q.close(); dropped > 0 {
-		nw.cDropped.Add(int64(dropped))
+		nw.dropped.Add(int64(dropped))
 	}
 	nw.wg.Wait()
 	nw.instMu.RLock()
@@ -309,18 +321,18 @@ func (nw *Network) Thaw() { nw.q.setHeld(false) }
 // the network is closed or the sender has crashed.
 func (nw *Network) sendTo(st *instState, from, to model.ProcessID, typ string, aux, aux2 int64, payload any) {
 	if nw.closed.Load() || nw.Crashed(from) {
-		nw.cDropped.Inc()
+		nw.dropped.Add(1)
 		return
 	}
 	if int(to) < 0 || int(to) >= nw.n {
 		panic(fmt.Sprintf("net: send to out-of-range process %v", to))
 	}
 	sentAt := nw.clock.Tick()
-	nw.cSent.Inc()
-	st.sent.Inc()
+	nw.sent.Add(1)
+	st.sent.Add(1)
 	msg := Message{From: from, To: to, Instance: st.name, Type: typ, Payload: payload, Aux: aux, Aux2: aux2, SentAt: sentAt}
 	if !nw.q.pushMessage(msg, st.boxes) {
-		nw.cDropped.Inc()
+		nw.dropped.Add(1)
 	}
 }
 
@@ -331,11 +343,11 @@ func (nw *Network) sendTo(st *instState, from, to model.ProcessID, typ string, a
 // order — see pushBroadcast for the contract.
 func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, aux, aux2 int64, payload any) {
 	if nw.closed.Load() || nw.Crashed(from) {
-		nw.cDropped.Add(int64(nw.n))
+		nw.dropped.Add(int64(nw.n))
 		return
 	}
 	first := nw.clock.TickN(nw.n)
-	nw.cSent.Add(int64(nw.n))
+	nw.sent.Add(int64(nw.n))
 	st.sent.Add(int64(nw.n))
 	tmpl := Message{From: from, Instance: st.name, Type: typ, Payload: payload, Aux: aux, Aux2: aux2, SentAt: first}
 	enqueued, ok := nw.q.pushBroadcast(tmpl, st.boxes)
@@ -343,7 +355,7 @@ func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, au
 		enqueued = 0
 	}
 	if d := nw.n - enqueued; d > 0 {
-		nw.cDropped.Add(int64(d))
+		nw.dropped.Add(int64(d))
 	}
 }
 
@@ -380,7 +392,7 @@ func (nw *Network) deliver(ev *event) {
 	switch ev.kind {
 	case evMessage:
 		if nw.closed.Load() || nw.Crashed(ev.msg.To) {
-			nw.cDropped.Inc()
+			nw.dropped.Add(1)
 		} else {
 			nw.clock.Tick()
 			ev.box.push(ev.msg)
@@ -388,7 +400,7 @@ func (nw *Network) deliver(ev *event) {
 			// (sent == delivered + dropped) every message really is
 			// in its mailbox, so quiescence is observable from the
 			// counters alone.
-			nw.cDelivered.Inc()
+			nw.delivered.Add(1)
 		}
 	case evTimer:
 		ev.tm.fired(ev.at)

@@ -2,6 +2,7 @@ package net
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,49 @@ func TestMetricsCountsSends(t *testing.T) {
 	}
 	if m.Get("msgs.delivered") != 3 {
 		t.Fatalf("msgs.delivered = %d", m.Get("msgs.delivered"))
+	}
+}
+
+// TestMetricsSnapshotNamesEveryCounter pins the counter names a run's
+// Result.Metrics carries — the four network counters, present from the
+// start, and one sent counter per instance used — and their values, read
+// while plain goroutines send.
+func TestMetricsSnapshotNamesEveryCounter(t *testing.T) {
+	nw := NewNetwork(3, WithDelays(0, 0))
+	defer nw.Close()
+	m := nw.Metrics()
+	if got, want := m.Snapshot(), map[string]int64{"msgs.sent": 0, "msgs.delivered": 0, "msgs.dropped": 0, "crashes": 0}; !maps.Equal(got, want) {
+		t.Fatalf("fresh Snapshot = %v, want %v", got, want)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				nw.Endpoint(0).Send(1, "a", "t", nil)
+				m.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	nw.Endpoint(1).Broadcast("b", "t", nil)
+	waitQuiesced(t, nw)
+	nw.Crash(2)
+	nw.Endpoint(2).Send(0, "a", "t", nil) // dropped: the sender crashed
+	want := map[string]int64{"msgs.sent": 203, "msgs.delivered": 203, "msgs.dropped": 1, "crashes": 1, "msgs.sent.a": 200, "msgs.sent.b": 3}
+	if got := m.Snapshot(); !maps.Equal(got, want) {
+		t.Fatalf("Snapshot = %v, want %v", got, want)
+	}
+	for name, v := range want {
+		if got := m.Get(name); got != v {
+			t.Errorf("Get(%q) = %d, want %d", name, got, v)
+		}
+	}
+	for _, name := range []string{"msgs.sent.c", "msgs", "rounds"} {
+		if got := m.Get(name); got != 0 {
+			t.Errorf("Get(%q) = %d, want 0", name, got)
+		}
 	}
 }
 

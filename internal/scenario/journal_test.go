@@ -148,7 +148,7 @@ func TestReplayDivergesOnMutation(t *testing.T) {
 		}
 		// Bump a field the record actually carries, whatever its shape.
 		r := &j.Records[at]
-		if r.Op == "E" {
+		if r.Op == net.TraceOpEvent {
 			r.Seq += 97
 		} else {
 			r.Task += 97

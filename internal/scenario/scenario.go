@@ -463,8 +463,6 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 	}
 
 	outs := make([]Outcome, cfg.N)
-	done := make(chan int, cfg.N)
-	launched := 0
 	runOne := func(runCtx context.Context, i int, r Runner, input any) {
 		o := &outs[i]
 		o.Start = nw.Clock().Now()
@@ -472,7 +470,6 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 		o.End = nw.Clock().Now()
 		o.Value, o.Err = v, err
 		o.Returned = err == nil
-		done <- i
 	}
 	type launch struct {
 		i     int
@@ -492,13 +489,12 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 		outs[i].Input = input
 		launches = append(launches, launch{i: i, r: inst.Runners[i], input: input})
 	}
-	launched = len(launches)
-	if launched > 0 {
+	if len(launches) > 0 {
 		// Spawn the runners as trace-group tasks while dispatch is still
 		// frozen: registration order — and with it every task id, the initial
 		// ready order and the whole grant schedule — is fixed by this loop,
 		// not by the Go scheduler. The trace ends when the last runner exits.
-		nw.TraceGroup(launched)
+		nw.TraceGroup(len(launches))
 		for _, l := range launches {
 			l := l
 			nw.GoGroup(nw.Endpoint(model.ProcessID(l.i)), "scn.runner", func(t *net.Task) {
@@ -507,10 +503,9 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 		}
 	}
 	nw.Thaw()
-	for i := 0; i < launched; i++ {
-		<-done
-	}
-	if launched > 0 {
+	if len(launches) > 0 {
+		// TraceResult returns once the last runner has exited, so it is
+		// also the barrier after which outs is complete.
 		res.TraceFingerprint, res.TraceSummary, res.VirtualEnd = nw.TraceResult()
 		// The capture is complete: every record is written by the
 		// dispatcher, and recording stops when the last runner's exit

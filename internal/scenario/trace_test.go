@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"maps"
 	"runtime"
 	"testing"
 	"time"
@@ -118,6 +119,33 @@ func TestTraceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		if res := cut.Run(ctx, Consensus{}); res.TraceFingerprint != "" || res.TraceSummary.TaintReason == "" {
 			t.Fatalf("GOMAXPROCS=%d: cut run not tainted: fingerprint %q, summary %+v", procs, res.TraceFingerprint, res.TraceSummary)
+		}
+	}
+}
+
+// TestResultMetricsPinned pins Result.Metrics, keys and values, for a crashy
+// consensus run and a heartbeat run: the counters the network kept in a
+// string-keyed registry, read back under the same names and with the same
+// values now that they are plain fields. The snapshot is taken while the
+// dispatcher may still deliver past the trace's end, so only with one P is
+// the point it reads deterministic; the test runs at GOMAXPROCS=1.
+func TestResultMetricsPinned(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		s    *Scenario
+		want map[string]int64
+	}{
+		{"consensus-crashy", New(10, WithSeed(201), WithDelays(time.Millisecond, 20*time.Millisecond),
+			WithCrash(3, 2*time.Millisecond), WithCrash(7, 5*time.Millisecond)),
+			map[string]int64{"crashes": 2, "msgs.delivered": 49, "msgs.dropped": 7, "msgs.sent": 116, "msgs.sent.cons.scn": 116}},
+		{"heartbeat", New(8, WithSeed(202), WithDetector(fd.MustParseSpec("heartbeat{interval:500,timeout:4000}"))),
+			map[string]int64{"crashes": 0, "msgs.delivered": 544, "msgs.dropped": 0, "msgs.sent": 544, "msgs.sent.cons.scn": 96,
+				"msgs.sent.fdimpl.fs": 128, "msgs.sent.fdimpl.omega": 128, "msgs.sent.fdimpl.sigma": 192}},
+	} {
+		if got := tc.s.Run(ctx, Consensus{}).Metrics; !maps.Equal(got, tc.want) {
+			t.Errorf("%s: Metrics = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
