@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -226,5 +227,24 @@ func TestExplorePlanReadsExploreDefaults(t *testing.T) {
 	}
 	if !strings.HasSuffix(unit.SpaceFingerprint, ";rounds=8}") {
 		t.Errorf("unit fingerprint does not name the 8 default rounds: %s", unit.SpaceFingerprint)
+	}
+}
+
+// TestPlanRefusesValuesTheRuntimeCannotHonour: a grid drop rate outside
+// [0, 1] and a negative timeout in either spec kind are refused at plan
+// time, naming the key, not by a panic or a second fingerprint in runshard.
+func TestPlanRefusesValuesTheRuntimeCannotHonour(t *testing.T) {
+	dir := t.TempDir()
+	for i, c := range []struct{ kind, body, key string }{
+		{"-grid", `{"proto":"consensus","n":3,"seeds":"1-2","drop":2}`, "drop:"},
+		{"-grid", `{"proto":"consensus","n":3,"seeds":"1-2","drop":-1}`, "drop:"},
+		{"-grid", `{"proto":"consensus","n":3,"seeds":"1-2","timeout":"-1s"}`, "timeout:"},
+		{"-explore", `{"proto":"consensus","n":3,"runs":4,"timeout":"-1s"}`, "timeout:"},
+	} {
+		file := writeFile(t, dir, "spec.json", c.body)
+		code, msg := campaignCLI(t, "plan", "-dir", filepath.Join(dir, strconv.Itoa(i)), c.kind, file, "-units", "1")
+		if code != 2 || !strings.Contains(msg, c.key) || strings.Contains(msg, "goroutine") {
+			t.Errorf("plan %s %s exited %d, want 2 naming %s: %s", c.kind, c.body, code, c.key, msg)
+		}
 	}
 }

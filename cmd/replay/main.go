@@ -125,7 +125,7 @@ func run() int {
 			return usageErr("-record wants no positional arguments and a -o path")
 		}
 		sp.Seeds = strconv.FormatInt(*seed, 10)
-		if *timeout > 0 {
+		if *timeout != 0 {
 			sp.Timeout = timeout.String()
 		}
 		return runRecord(sp, *out)

@@ -117,6 +117,7 @@ func TestRecordOnePoint(t *testing.T) {
 		"two crash schedules": {"-crashes", "0@1ms;1@2ms"},
 		"two delay ranges":    {"-delays", "0:1ms,1ms:2ms"},
 		"two detectors":       {"-detectors", "omega-sigma,perfect"},
+		"negative timeout":    {"-timeout", "-1s"},
 	} {
 		args := append([]string{"-record", "-o", filepath.Join(dir, "many.journal")}, flags...)
 		if code, _, _ := replayCLI(t, args...); code != 2 {

@@ -32,6 +32,17 @@ func TestGridTypoExitsTwo(t *testing.T) {
 			}
 		})
 	}
+	// A value the runtime cannot honour is refused at the loader, not by a
+	// panic in a sweep worker.
+	for _, c := range []struct{ flag, value string }{
+		{"drop", "2"}, {"drop", "-1"}, {"drop", "NaN"}, {"timeout", "-1s"},
+	} {
+		code, msg := sweepStderr(t, "-proto", "consensus", "-n", "3", "-seeds", "1-2", "-"+c.flag, c.value,
+			"-out", filepath.Join(t.TempDir(), "report.json"))
+		if code != 2 || !strings.Contains(msg, c.flag+":") || strings.Contains(msg, "goroutine") {
+			t.Errorf("sweep -%s %s exited %d, want 2 naming %s without a goroutine trace: %s", c.flag, c.value, code, c.flag, msg)
+		}
+	}
 }
 
 // Each detector class has one spelling: a retired alternate name is a usage

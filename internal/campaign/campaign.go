@@ -30,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"weakestfd/internal/cliutil"
 	"weakestfd/internal/explore"
@@ -116,7 +115,7 @@ func (sp ExploreSpec) Options(seed int64) (explore.Options, error) {
 	if err != nil || len(delayRanges) != 1 {
 		return opts, fmt.Errorf("explore spec: delays: want exactly one min:max range (got %q)", delays)
 	}
-	timeout, err := time.ParseDuration(orDefault(sp.Timeout, def.Timeout))
+	timeout, err := cliutil.ParseTimeout(orDefault(sp.Timeout, def.Timeout))
 	if err != nil {
 		return opts, fmt.Errorf("explore spec: timeout: %v", err)
 	}

@@ -110,6 +110,16 @@ func ParseDelays(s string) ([]scenario.DelayRange, error) {
 	return out, nil
 }
 
+// ParseTimeout parses a run's wall-clock backstop. Zero is the one spelling
+// of "none": a negative one would run alike under a second fingerprint.
+func ParseTimeout(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %v (0 means no backstop)", d)
+	}
+	return d, err
+}
+
 // ParseCrashes parses ';'-separated crash schedules of ','-separated p@time
 // entries; "-" (or an empty schedule) is the explicit crash-free point. A
 // schedule names each process at most once: under crash-stop a second crash

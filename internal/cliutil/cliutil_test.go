@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -332,7 +333,9 @@ func TestFingerprintsCoverProtocolParams(t *testing.T) {
 }
 
 // TestBuildGridEmptyTimeout: a spec without a timeout keeps the scenario's
-// default backstop instead of failing to parse.
+// default backstop instead of failing to parse. A drop rate the network
+// cannot honour (outside [0, 1], or NaN) and a negative timeout (a second
+// spelling of "no backstop") are refused by the loader, naming the key.
 func TestBuildGridEmptyTimeout(t *testing.T) {
 	base, _, _, err := BuildGrid(GridSpec{Proto: "consensus", N: 3})
 	if err != nil {
@@ -340,5 +343,30 @@ func TestBuildGridEmptyTimeout(t *testing.T) {
 	}
 	if got, want := base.Config().Timeout, scenario.New(3).Config().Timeout; got != want {
 		t.Fatalf("timeout %v, want the scenario default %v", got, want)
+	}
+	for _, c := range []struct {
+		drop    float64
+		timeout string
+		refuse  string
+	}{
+		{drop: 0}, {drop: 0.5}, {drop: 1}, {timeout: "0s"}, {timeout: "1ms"},
+		{drop: 2, refuse: "drop:"},
+		{drop: -1, refuse: "drop:"},
+		{drop: math.NaN(), refuse: "drop:"},
+		{drop: math.Inf(1), refuse: "drop:"},
+		{drop: math.Copysign(0, -1)},
+		{timeout: "-1s", refuse: "timeout:"},
+		{timeout: "-1ns", refuse: "timeout:"},
+	} {
+		sp := GridSpec{Proto: "consensus", N: 3, Drop: c.drop, Timeout: c.timeout}
+		base, _, _, err := BuildGrid(sp)
+		switch {
+		case c.refuse == "" && err != nil:
+			t.Errorf("drop %v timeout %q refused: %v", c.drop, c.timeout, err)
+		case c.refuse != "" && (err == nil || !strings.HasPrefix(err.Error(), c.refuse)):
+			t.Errorf("drop %v timeout %q: error %v, want one starting %q", c.drop, c.timeout, err, c.refuse)
+		case c.refuse == "" && !strings.Contains(base.Config().Key(), fmt.Sprintf(" drop=%g ", math.Abs(c.drop))):
+			t.Errorf("drop %v built as %s", c.drop, base.Config().Key())
+		}
 	}
 }

@@ -1,9 +1,15 @@
 package cliutil
 
 import (
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"weakestfd/internal/model"
+	"weakestfd/internal/scenario"
 )
 
 // The flag-value parsers refuse garbage with an error: whatever the input,
@@ -79,4 +85,78 @@ func FuzzParseCrashes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzBuildGrid: a grid file decoded over the default table, as sweep -grid
+// and campaign plan -grid read it, either is refused by BuildGrid or builds
+// a grid whose spec re-encodes and rebuilds to the same fingerprint; and a
+// small accepted grid's first point runs without panicking. That last
+// property is what a drop rate outside [0, 1] once broke, mid-sweep.
+func FuzzBuildGrid(f *testing.F) {
+	def, err := json.Marshal(DefaultGridSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(def)
+	for _, s := range []string{
+		// what cmd/sweep's and cmd/campaign's tests write
+		`{"proto":"consensus","n":3,"seeds":"1-2","timeout":"5s"}`,
+		`{"proto":"consensus","n":3,"seeds":"1-4","delays":"1ms:2ms"}`,
+		`{"proto":"consensus/multi","seeds":"1-4"}`,
+		`{"proto":"consensus/multi","seeds":"1-3","detectors":"eventually-strong{stabilize:50}","crashes":"0@0","timeout":"50ms"}`,
+		`{"proto":"consensus/multi","n":3,"seeds":"1-4","timeout":"5s"}`,
+		`{"proto":"twopc","n":4,"rounds":8,"coordinator":3,"seeds":"1-4","timeout":"30s","keep":8,"shard":"2/2"}`,
+		// values the runtime cannot honour
+		`{"drop":2}`, `{"drop":-1}`, `{"drop":-0}`, `{"drop":1e999}`, `{"timeout":"-1s"}`, `{"timeout":"0s"}`,
+		// mangled keys and documents
+		`{"seed":1}`, `{"Drop":0}`, `{"psi_switch":1}`, `{"n":"3"}`, `{"n":0}`, `{"proto":"qc"} {}`, `[]`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp := DefaultGridSpec()
+		if readSpecBytes(t, data, &sp) != nil {
+			return
+		}
+		base, grid, p, err := BuildGrid(sp)
+		if err != nil {
+			return
+		}
+		fp := GridFingerprint(base, grid, p)
+		again, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not re-encode: %v", sp, err)
+		}
+		sp2 := DefaultGridSpec()
+		if err := readSpecBytes(t, again, &sp2); err != nil {
+			t.Fatalf("re-encoded spec %s does not decode: %v", again, err)
+		}
+		base2, grid2, p2, err := BuildGrid(sp2)
+		if err != nil {
+			t.Fatalf("re-encoded spec %s refused: %v", again, err)
+		}
+		if fp2 := GridFingerprint(base2, grid2, p2); fp2 != fp {
+			t.Fatalf("spec %s rebuilt to\n%s\nwant\n%s", again, fp2, fp)
+		}
+		// MultiConsensus stands up one consensus group per round before its
+		// first step, so the run is kept to few rounds as well as few
+		// processes.
+		if sp.N > 8 || sp.Rounds > 16 || grid.Size() == 0 {
+			return
+		}
+		cfg := grid.ConfigAt(base.Config(), 0)
+		if cfg.Timeout <= 0 || cfg.Timeout > time.Second {
+			cfg.Timeout = time.Second
+		}
+		scenario.FromConfig(cfg).Run(context.Background(), p)
+	})
+}
+
+// readSpecBytes reads data as a spec file, through ReadSpec's strict decoder.
+func readSpecBytes(t *testing.T, data []byte, v any) error {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return ReadSpec(path, v)
 }

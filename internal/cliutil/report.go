@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"weakestfd/internal/explore"
 	"weakestfd/internal/probe"
@@ -342,9 +341,14 @@ func BuildGrid(sp GridSpec) (*scenario.Scenario, scenario.Grid, scenario.Protoco
 	if err != nil {
 		return nil, grid, nil, err
 	}
-	opts := []scenario.Option{scenario.WithDropRate(sp.Drop)}
+	// A rate outside [0, 1] panics the network mid-sweep, NaN runs as 0 under
+	// a second fingerprint, and -0 + 0 is the one spelling of 0.
+	if !(sp.Drop >= 0 && sp.Drop <= 1) {
+		return nil, grid, nil, fmt.Errorf("drop: rate %v outside [0, 1]", sp.Drop)
+	}
+	opts := []scenario.Option{scenario.WithDropRate(sp.Drop + 0)}
 	if sp.Timeout != "" {
-		timeout, err := time.ParseDuration(sp.Timeout)
+		timeout, err := ParseTimeout(sp.Timeout)
 		if err != nil {
 			return nil, grid, nil, fmt.Errorf("timeout: %v", err)
 		}

@@ -13,7 +13,8 @@
 // "any algorithm A": no executable artifact can quantify over all algorithms.
 //
 // The other necessity construction, Figure 3's extraction of Ψ from any QC
-// algorithm (the necessity half of Theorem 6), is not implemented.
+// algorithm (the necessity half of Theorem 6), is not implemented: see
+// ROADMAP.md §Parked and git show 0688772:internal/sim/sim.go.
 package extract
 
 import (

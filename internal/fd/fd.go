@@ -29,19 +29,17 @@
 // class ("omega-sigma", "perfect", "eventually-perfect", "eventually-strong")
 // plus quality parameters, and the Registry builds the corresponding Suite of
 // sources over a live model.FailurePattern. The oracle detectors read the
-// live pattern maintained by the runtime (internal/net) or the simulator
-// (internal/sim); they are exact realisations of the definitions in Section 2
-// and Section 6.1 of the paper. The message-passing implementations (which
-// need extra assumptions such as a correct majority or partial synchrony)
-// live in internal/fdimpl.
+// live pattern maintained by the runtime (internal/net); they are exact
+// realisations of the definitions in Section 2 and Section 6.1 of the paper.
+// The message-passing implementations (which need extra assumptions such as
+// a correct majority or partial synchrony) live in internal/fdimpl.
 package fd
 
 import (
 	"weakestfd/internal/model"
 )
 
-// TimeSource provides the current logical time; *net.Clock and the simulator
-// clock satisfy it.
+// TimeSource provides the current logical time; *net.Clock satisfies it.
 type TimeSource interface {
 	Now() model.Time
 }

@@ -5,13 +5,13 @@
 // failure detectors Sigma, Omega, FS and Psi.
 //
 // The package is purely descriptive: it contains no protocol code. It is the
-// shared vocabulary of the simulation kernel (internal/sim), the goroutine
-// runtime (internal/net), the failure-detector implementations (internal/fd,
-// internal/fdimpl) and the specification checkers used by tests and by the
-// extraction constructions (internal/extract).
+// shared vocabulary of the runtime (internal/net), the failure-detector
+// implementations (internal/fd, internal/fdimpl) and the specification
+// checkers used by tests and by the extraction constructions
+// (internal/extract).
 //
 // Times are logical. The paper assumes a discrete global clock that processes
-// cannot read; here Time is an int64 tick used by failure patterns, recorded
-// histories and the simulator. The goroutine runtime maps wall-clock progress
-// onto these ticks only for bookkeeping.
+// cannot read; here Time is an int64 tick used by failure patterns and
+// recorded histories. The runtime advances it on every send and delivery
+// (net.Clock) only for bookkeeping.
 package model

@@ -19,7 +19,7 @@ const NeverCrashes = Time(1<<62 - 1)
 // A FailurePattern can be used in two modes:
 //
 //   - as a static description (a planned crash schedule handed to the
-//     simulator or the runtime before a run), or
+//     runtime before a run), or
 //   - as a live record: the runtime calls Crash(p, t) when it kills a
 //     process, and failure detectors backed by the oracle read CrashedAt.
 //

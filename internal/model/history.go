@@ -95,7 +95,7 @@ type Sample struct {
 
 // History is a finite record of failure-detector samples, the executable
 // counterpart of the paper's failure-detector history H : Π × T → R. Samples
-// are appended by the runtime or the simulator as processes query their
+// are appended by the runtime as processes query their
 // detector modules; the specification checkers in spec.go consume it.
 //
 // By default a history grows without bound — every query of a bound detector

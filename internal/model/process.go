@@ -11,8 +11,8 @@ import (
 type ProcessID int
 
 // Time is a logical instant of the discrete global clock of the paper's
-// model. Processes cannot read it; it is used by failure patterns, recorded
-// failure-detector histories and the simulator.
+// model. Processes cannot read it; it is used by failure patterns and
+// recorded failure-detector histories.
 type Time int64
 
 // String implements fmt.Stringer.

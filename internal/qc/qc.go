@@ -10,7 +10,9 @@
 // (Ω, Σ)-based consensus of internal/consensus on its proposal.
 //
 // The converse construction — extracting Ψ from an arbitrary QC algorithm
-// (Figure 3) — is not implemented. The reduction between QC and NBAC
+// (Figure 3) — is not implemented: ROADMAP.md §Parked rebuilds it over
+// internal/net, and git show 0688772:internal/sim/sim.go holds the deleted
+// step-model kernel once meant to host it. The reduction between QC and NBAC
 // (Figures 4 and 5) lives in internal/nbac.
 package qc
 

@@ -311,7 +311,10 @@ type Result struct {
 	// Pattern is the failure pattern the run actually exhibited (scheduled
 	// crashes that came due after the run completed are absent).
 	Pattern *model.FailurePattern
-	// Metrics is the network's counter snapshot.
+	// Metrics snapshots the network's counters (net.Metrics) after the
+	// trace's end, while the dispatcher may still deliver: above GOMAXPROCS=1
+	// it is not a function of (seed, config), and it enters no fingerprint,
+	// report or signature. ROADMAP item 11 moves them into net.TraceStats.
 	Metrics map[string]int64
 	// VirtualEnd is the virtual clock at the trace boundary, read when the
 	// last runner exits, so it is a pure function of (seed, config) like

@@ -9,7 +9,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/nbac"
 	"weakestfd/internal/qc"
-	"weakestfd/internal/sim"
 )
 
 // ---- single runs: every built-in protocol through the one-call harness ----
@@ -150,36 +149,6 @@ func TestScenarioSuspicionDelay(t *testing.T) {
 	).Run(context.Background(), Consensus{})
 	if !res.Verdict.OK {
 		t.Fatalf("verdict: %v", res.Verdict)
-	}
-}
-
-func TestScenarioAutomatonConsensus(t *testing.T) {
-	// The step-model consensus automaton runs through the same harness as
-	// the native protocols, crash schedule and all.
-	res := New(4,
-		WithSeed(12),
-		WithCrash(0, 2*time.Millisecond),
-	).Run(context.Background(), Automaton{Algorithm: sim.ConsensusAutomaton{}, Label: "consensus"})
-	if !res.Verdict.OK {
-		t.Fatalf("verdict: %v", res.Verdict)
-	}
-}
-
-func TestScenarioAutomatonQC(t *testing.T) {
-	// The QC automaton under Ψ's FS regime (pre-run crash, FS-preferring
-	// policy) must Quit everywhere — checked against the QC spec.
-	res := New(3,
-		WithSeed(13),
-		WithCrash(2, 0),
-		WithDetector(fd.MustParseSpec("omega-sigma{policy:fs-on-failure}")),
-	).Run(context.Background(), Automaton{Algorithm: sim.QCAutomaton{}, Label: "qc", UsePsi: true, QC: true})
-	if !res.Verdict.OK {
-		t.Fatalf("verdict: %v", res.Verdict)
-	}
-	for _, o := range res.Outcomes {
-		if o.Returned && !o.Value.(sim.QCOutcome).Quit {
-			t.Fatalf("%v decided %v, want Quit", o.Process, o.Value)
-		}
 	}
 }
 
