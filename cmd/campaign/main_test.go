@@ -230,6 +230,24 @@ func TestExplorePlanReadsExploreDefaults(t *testing.T) {
 	}
 }
 
+// TestPlanRefusesCaseVariantKeys: a spec key spelled in another letter case
+// than its field's tag is refused at plan time, naming the key, in either
+// spec kind — encoding/json alone would read it as the field.
+func TestPlanRefusesCaseVariantKeys(t *testing.T) {
+	dir := t.TempDir()
+	for i, c := range []struct{ kind, body, key string }{
+		{"-grid", `{"PROTO":"qc","N":3,"Seeds":"1-2"}`, `"N"`},
+		{"-grid", `{"proto":"consensus","n":3,"seeds":"1-2","Timeout":"5s"}`, `"Timeout"`},
+		{"-explore", `{"proto":"consensus","n":3,"Runs":4}`, `"Runs"`},
+	} {
+		file := writeFile(t, dir, "spec.json", c.body)
+		code, msg := campaignCLI(t, "plan", "-dir", filepath.Join(dir, strconv.Itoa(i)), c.kind, file, "-units", "1")
+		if code != 2 || !strings.Contains(msg, c.key) {
+			t.Errorf("plan %s %s exited %d, want 2 naming %s: %s", c.kind, c.body, code, c.key, msg)
+		}
+	}
+}
+
 // TestPlanRefusesValuesTheRuntimeCannotHonour: a grid drop rate outside
 // [0, 1] and a negative timeout in either spec kind are refused at plan
 // time, naming the key, not by a panic or a second fingerprint in runshard.

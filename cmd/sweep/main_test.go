@@ -15,7 +15,8 @@ import (
 // before any run starts, not a silent sweep of the defaults: a misspelt key,
 // and the detector-quality keys the spec grammar replaced.
 func TestGridTypoExitsTwo(t *testing.T) {
-	for _, key := range []string{"seed", "suspicion", "fs_delay", "psi_switch"} {
+	// "N" and "Drop" are keys of the spec in the wrong letter case.
+	for _, key := range []string{"seed", "suspicion", "fs_delay", "psi_switch", "N", "Drop"} {
 		t.Run(key, func(t *testing.T) {
 			dir := t.TempDir()
 			grid := filepath.Join(dir, "grid.json")
@@ -31,6 +32,15 @@ func TestGridTypoExitsTwo(t *testing.T) {
 				t.Fatalf("usage error does not name the key %q: %s", key, msg)
 			}
 		})
+	}
+	// A spec spelled in the wrong case throughout is refused, naming the
+	// first such key in sorted order, not run as a qc grid.
+	grid := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(grid, []byte(`{"PROTO":"qc","N":3,"Seeds":"1-2"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := sweepStderr(t, "-grid", grid, "-out", filepath.Join(t.TempDir(), "report.json")); code != 2 || !strings.Contains(msg, `"N"`) {
+		t.Errorf("sweep -grid with case-variant keys exited %d, want 2 naming \"N\": %s", code, msg)
 	}
 	// A value the runtime cannot honour is refused at the loader, not by a
 	// panic in a sweep worker.

@@ -89,9 +89,10 @@ func FuzzParseCrashes(f *testing.F) {
 
 // FuzzBuildGrid: a grid file decoded over the default table, as sweep -grid
 // and campaign plan -grid read it, either is refused by BuildGrid or builds
-// a grid whose spec re-encodes and rebuilds to the same fingerprint; and a
-// small accepted grid's first point runs without panicking. That last
-// property is what a drop rate outside [0, 1] once broke, mid-sweep.
+// a grid whose spec re-encodes and rebuilds to the same fingerprint; an
+// accepted file spells every key as the encoder does; and a small accepted
+// grid's first point runs without panicking. That last property is what a
+// drop rate outside [0, 1] once broke, mid-sweep.
 func FuzzBuildGrid(f *testing.F) {
 	def, err := json.Marshal(DefaultGridSpec())
 	if err != nil {
@@ -110,13 +111,33 @@ func FuzzBuildGrid(f *testing.F) {
 		`{"drop":2}`, `{"drop":-1}`, `{"drop":-0}`, `{"drop":1e999}`, `{"timeout":"-1s"}`, `{"timeout":"0s"}`,
 		// mangled keys and documents
 		`{"seed":1}`, `{"Drop":0}`, `{"psi_switch":1}`, `{"n":"3"}`, `{"n":0}`, `{"proto":"qc"} {}`, `[]`, ``,
+		// keys in the wrong letter case, which encoding/json alone accepts
+		`{"PROTO":"qc","N":3,"Seeds":"1-2"}`, `{"n":3,"N":4}`,
 	} {
 		f.Add([]byte(s))
+	}
+	// Every spelling the encoder uses: the keys of a spec with every
+	// omitempty field set.
+	full, err := json.Marshal(GridSpec{SchemaVersion: 1, Probes: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var spelled map[string]json.RawMessage
+	if err := json.Unmarshal(full, &spelled); err != nil {
+		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp := DefaultGridSpec()
 		if readSpecBytes(t, data, &sp) != nil {
 			return
+		}
+		var keys map[string]json.RawMessage
+		if json.Unmarshal(data, &keys) == nil {
+			for k := range keys {
+				if _, ok := spelled[k]; !ok {
+					t.Fatalf("accepted spec %q has key %q, which the encoder never writes", data, k)
+				}
+			}
 		}
 		base, grid, p, err := BuildGrid(sp)
 		if err != nil {

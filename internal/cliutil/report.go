@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 
 	"weakestfd/internal/explore"
@@ -196,10 +199,12 @@ func WriteJSON(path string, v any) error {
 	return WriteFileAtomic(path, data)
 }
 
-// ReadSpec strictly decodes the JSON spec file at path into v — the one
-// loader of the CLIs' spec files (sweep -grid, campaign plan -grid and
-// -explore). An unknown key and anything after the first JSON value are
-// errors, so a typo or a second document is refused, never silently dropped.
+// ReadSpec strictly decodes the JSON spec file at path into v, a pointer to
+// a spec struct — the one loader of the CLIs' spec files (sweep -grid,
+// campaign plan -grid and -explore). An unknown key, a key in another letter
+// case than its field's json tag, and anything after the first JSON value
+// are errors, so a typo or a second document is refused, never silently
+// dropped or read as some other spelling.
 func ReadSpec(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -213,7 +218,37 @@ func ReadSpec(path string, v any) error {
 	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("parse %s: trailing data after the spec", path)
 	}
+	if key, ok := unspelledKey(data, v); ok {
+		return fmt.Errorf("parse %s: unknown field %q (field names are case-sensitive)", path, key)
+	}
 	return nil
+}
+
+// unspelledKey returns the first key, in sorted order, of the JSON object
+// data that is not spelled exactly as a json tag of the struct v points to.
+// encoding/json matches keys to fields case-insensitively, and
+// DisallowUnknownFields refuses only keys that match no field at all.
+func unspelledKey(data []byte, v any) (string, bool) {
+	var obj map[string]json.RawMessage
+	if json.Unmarshal(data, &obj) != nil {
+		return "", false
+	}
+	typ := reflect.TypeOf(v).Elem()
+	tags := make(map[string]bool, typ.NumField())
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			name = f.Name
+		}
+		tags[name] = true
+	}
+	for _, key := range slices.Sorted(maps.Keys(obj)) {
+		if !tags[key] {
+			return key, true
+		}
+	}
+	return "", false
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file and

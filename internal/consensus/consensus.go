@@ -216,8 +216,12 @@ func (c *BallotConsensus) Propose(ctx context.Context, v Value) (Value, error) {
 			return false, errStopped
 		}
 		for {
-			if val, ok := c.Decision(); ok {
-				decision = val
+			// The decision's only writer, learn, runs on the step path
+			// (the acceptor handler or this proposer), which the step
+			// discipline serializes with this cond, so the read takes no
+			// lock; c.mu is for Decision's callers outside the network.
+			if c.decided {
+				decision = c.decision
 				return true, nil
 			}
 			if c.omega.Sample() != c.ep.ID() {

@@ -106,19 +106,6 @@ func (f *FailurePattern) CrashedBy(t Time) ProcessSet {
 	return s
 }
 
-// AliveAt returns Π − F(t): the processes that have not crashed by time t.
-func (f *FailurePattern) AliveAt(t Time) ProcessSet {
-	alive := AllProcesses(f.n)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for p, ct := range f.crash {
-		if ct <= t {
-			alive.Remove(p)
-		}
-	}
-	return alive
-}
-
 // MinVisiblyAlive returns the lowest-id process whose crash (if any) is not
 // yet visible at time now given the suspicion delay, and true; or (0, false)
 // if every process's crash is visible. It takes the pattern lock once and

@@ -29,8 +29,9 @@ func TestFailurePatternBasics(t *testing.T) {
 	if got := f.CrashedBy(15); !got.Equal(NewProcessSet(1)) {
 		t.Errorf("CrashedBy(15) = %v", got)
 	}
-	if got := f.AliveAt(25); !got.Equal(NewProcessSet(0, 2, 4)) {
-		t.Errorf("AliveAt(25) = %v", got)
+	// With no suspicion delay the visibly alive set is Π − F(t).
+	if got, next := f.VisiblyAlive(25, 0); !got.Equal(NewProcessSet(0, 2, 4)) || next != NeverCrashes {
+		t.Errorf("VisiblyAlive(25, 0) = %v, %d", got, next)
 	}
 	if first, ok := f.FirstCrashTime(); !ok || first != 10 {
 		t.Errorf("FirstCrashTime = %d, %v", first, ok)
@@ -137,7 +138,8 @@ func TestQuickFailurePatternMonotone(t *testing.T) {
 	}
 }
 
-// Property: alive and crashed partition the process set at every time.
+// Property: alive (VisiblyAlive with no suspicion delay) and crashed
+// partition the process set at every time.
 func TestQuickFailurePatternAliveCrashedPartition(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -149,7 +151,8 @@ func TestQuickFailurePatternAliveCrashedPartition(t *testing.T) {
 			}
 		}
 		for tick := Time(0); tick <= 60; tick += 7 {
-			alive, crashed := f.AliveAt(tick), f.CrashedBy(tick)
+			alive, _ := f.VisiblyAlive(tick, 0)
+			crashed := f.CrashedBy(tick)
 			if alive.Intersects(crashed) {
 				return false
 			}

@@ -15,8 +15,9 @@ import (
 // them through the dedicated no-race test step. The ceilings are the
 // contract the large-n fast path was built to:
 //
-//   - steady-state unicast delivery — enqueue, dispatch, mailbox push,
-//     TryRecv — allocates nothing once the ring and event heap are warm;
+//   - steady-state unicast delivery — enqueue, dispatch, mailbox push, the
+//     reading task's wake and grant, TryRecv — allocates nothing once the
+//     ring, the event heap and the ready queue are warm;
 //   - a broadcast enqueue amortises to at most one allocation per call
 //     (zero in steady state; the budget of one absorbs a late event-heap
 //     doubling when the dispatcher falls behind a sustained storm);
@@ -36,28 +37,32 @@ func warmNetwork(t *testing.T) (*Network, Instance, Instance) {
 	for i := 0; i < 256; i++ {
 		src.SendAux(1, "w", int64(i), 0, nil)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for got := 0; got < 256; {
-		if _, ok := dst.TryRecv(); ok {
-			got++
-			continue
+	inTask(t, nw, dst.ep, func(task *Task) {
+		if got := recvN(task, "guard", 256); len(got) != 256 {
+			t.Errorf("warmup drained %d/256 messages", len(got))
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("warmup never drained")
-		}
-	}
+	})
 	return nw, src, dst
 }
 
+// The reader is a task (TryRecv is for tasks only): each message is sent,
+// delivered into the ring, wakes the watching reader, and is popped on the
+// reader's next grant.
 func TestSteadyStateDeliveryAllocationFree(t *testing.T) {
-	_, src, dst := warmNetwork(t)
-	avg := testing.AllocsPerRun(50, func() {
-		src.SendAux(1, "m", 7, 0, nil)
-		for {
-			if _, ok := dst.TryRecv(); ok {
-				return
+	nw, src, dst := warmNetwork(t)
+	var avg float64
+	inTask(t, nw, dst.ep, func(task *Task) {
+		dst.Watch(task)
+		defer dst.Watch(nil)
+		avg = testing.AllocsPerRun(50, func() {
+			src.SendAux(1, "m", 7, 0, nil)
+			for {
+				if _, ok := dst.TryRecv(); ok {
+					return
+				}
+				task.Await(nil)
 			}
-		}
+		})
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state delivery allocates %v objects per message, want 0", avg)
@@ -98,7 +103,7 @@ func TestBroadcastStormQueueFootprint(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	nw.q.mu.Lock()
-	queued := len(nw.q.heap)
+	queued := nw.q.queued()
 	nw.q.mu.Unlock()
 	if queued != n*n {
 		t.Fatalf("%d deliveries queued, want %d", queued, n*n)

@@ -133,9 +133,14 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// eventQueue is the discrete-event core of the network: a min-heap of
-// (at, seq) keys drained by a single dispatcher goroutine, beside the two
-// slabs holding what the keys name — message bodies and timers.
+// eventQueue is the discrete-event core of the network: two min-heaps of
+// (at, seq) keys drained by a single dispatcher goroutine — one for message
+// and crash keys, one for timer keys — beside the two slabs holding what the
+// keys name: message bodies and timers. Timer fires are most of a run's
+// events, and keeping their keys apart means a tick pops from a heap bounded
+// by the number of live timers, not from under a broadcast wave's n² message
+// keys. seq is unique per queue, so taking whichever head is earlier by
+// (at, seq) pops exactly the order one merged heap would.
 //
 // The queue never waits in wall-clock time: popping an event advances the
 // virtual clock to the event's timestamp, so a 200µs injected delay reorders
@@ -147,11 +152,18 @@ func (s *splitmix64) next() uint64 {
 // deterministic given a seed, independent of goroutine scheduling. Timer
 // events carry absolute virtual deadlines and are what actually moves the
 // virtual clock forward.
+//
+// mu is also the one lock between the step path and the goroutines outside
+// it: the ready queue of tasks awaiting a grant, and the wakes and aborts
+// such goroutines post (see post), live here. Everything else the step path
+// touches — task and timer state, mailboxes — belongs to the dispatcher and
+// the task it is running, and takes no lock.
 type eventQueue struct {
 	mu      sync.Mutex
-	heap    []heapKey     // min-heap by (at, seq); hand-rolled to avoid interface boxing
+	heap    keyHeap       // message and crash keys
+	theap   keyHeap       // timer keys: one per queued fire, so bounded by live timers
 	bodies  slab[msgBody] // envelopes of the queued message keys
-	timers  slab[*Timer]  // timers of the queued timer keys: one slot per key, so bounded by live timers
+	timers  slab[*Timer]  // timers of the queued timer keys
 	seq     uint64
 	leases  uint64 // timer ids handed out by this queue (run-local)
 	rng     splitmix64
@@ -164,14 +176,31 @@ type eventQueue struct {
 	held   bool // dispatch paused by Network.Freeze
 	closed bool
 
+	// ready is the FIFO of tasks awaiting a grant (wake order), posts the
+	// wakes and aborts handed in from outside the step discipline, not yet
+	// applied. drained is set once the dispatcher has run every task to its
+	// exit after close; from then on nothing is queued or posted.
+	ready     []*Task
+	readyHead int
+	posts     []posted
+	drained   bool
+
 	vnowAtomic atomic.Int64  // mirror of vnow for lock-free reads
 	notify     chan struct{} // poked on push
 	quit       chan struct{} // closed on close()
 }
 
+// posted is one wake, or with abort one abort, of a task, handed to the
+// dispatcher by a caller outside the step discipline.
+type posted struct {
+	t     *Task
+	abort bool
+}
+
 func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate float64) *eventQueue {
 	q := &eventQueue{
-		heap:     make([]heapKey, 0, eventHeapCap(n)),
+		heap:     make(keyHeap, 0, eventHeapCap(n)),
+		theap:    make(keyHeap, 0, min(n, eventHeapCap(n))),
 		rng:      splitmix64{x: uint64(seed)},
 		dropRng:  splitmix64{x: uint64(seed) ^ 0xd1b54a32d192ed03},
 		minDelay: int64(minDelay),
@@ -254,7 +283,7 @@ func (q *eventQueue) pushMessage(msg Message, boxes []mailbox) bool {
 	at := base + q.drawDelay()
 	q.seq++
 	ref := q.bodies.put(msgBody{msg: msg, sentAt: base, boxes: boxes, refs: 1})
-	q.heapPush(makeKey(at, q.seq, evMessage, ref, int(msg.To)))
+	q.heap.push(makeKey(at, q.seq, evMessage, ref, int(msg.To)))
 	q.mu.Unlock()
 	q.poke(q.notify)
 	return true
@@ -297,7 +326,7 @@ func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int,
 	enqueued = len(q.heap) - start
 	if enqueued > 0 {
 		q.bodies.slots[ref].refs = uint32(enqueued)
-		q.restoreAppended(start)
+		q.heap.restoreAppended(start)
 	} else {
 		q.bodies.release(ref)
 	}
@@ -306,24 +335,6 @@ func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int,
 		q.poke(q.notify)
 	}
 	return enqueued, true
-}
-
-// restoreAppended re-establishes the heap invariant after a run of keys was
-// appended at index start. For a small run each element sifts up; for a run
-// comparable to the heap size a full bottom-up heapify is cheaper (O(len)
-// versus O(run·log len)). Caller holds q.mu.
-func (q *eventQueue) restoreAppended(start int) {
-	n := len(q.heap)
-	run := n - start
-	if run*bits.Len(uint(n)) > n {
-		for i := n/2 - 1; i >= 0; i-- {
-			q.siftDown(i)
-		}
-		return
-	}
-	for i := start; i < n; i++ {
-		q.siftUp(i)
-	}
 }
 
 // pushCrash enqueues a crash of process p at the absolute virtual time at. The
@@ -337,28 +348,22 @@ func (q *eventQueue) pushCrash(p model.ProcessID, at int64) {
 		return
 	}
 	q.seq++
-	q.heapPush(makeKey(at, q.seq, evCrash, 0, int(p)))
+	q.heap.push(makeKey(at, q.seq, evCrash, 0, int(p)))
 	q.mu.Unlock()
 	q.poke(q.notify)
 }
 
-// scheduleTimer enqueues a fire of t at the absolute virtual time at.
+// scheduleTimer enqueues the first fire of t, into the timer heap, at the
+// absolute virtual time at. A ticker's later fires are queued as each one
+// pops (see materialise).
 func (q *eventQueue) scheduleTimer(t *Timer, at int64) {
-	q.rearmTimer(t, at)
-	q.poke(q.notify)
-}
-
-// rearmTimer is scheduleTimer for the dispatcher goroutine itself (a ticker
-// re-arming inside Timer.fired): the dispatcher is by construction not
-// waiting on q.notify, so the push skips the poke — one channel operation
-// saved per tick. Every other pusher must poke.
-func (q *eventQueue) rearmTimer(t *Timer, at int64) {
 	q.mu.Lock()
 	if !q.closed {
 		q.seq++
-		q.heapPush(makeKey(at, q.seq, evTimer, q.timers.put(t), 0))
+		q.theap.push(makeKey(at, q.seq, evTimer, q.timers.put(t), 0))
 	}
 	q.mu.Unlock()
+	q.poke(q.notify)
 }
 
 // nextLease hands out a run-local timer id: drawn from this queue's own
@@ -389,17 +394,21 @@ type stepResult uint8
 
 const (
 	stepClosed stepResult = iota // queue closed; dispatcher exits
-	stepGrant                    // ready tasks pending; run them to quiescence
-	stepEvent                    // one event popped; deliver it
+	stepGrant                    // a ready task popped; grant it one step
+	stepEvent                    // one event popped; deliver it, then grant the task returned with it, if any
 )
 
 // popStep blocks until there is work and hands the dispatcher exactly one
-// unit of it — a pending task grant (which always takes priority, so a
-// delivery's wake cascade settles before the next event) or a single popped
-// event, materialised into *ev, with the virtual clock advanced to its
-// timestamp. Because the network is provably quiescent whenever the ready
-// queue is empty, registered tasks need no pause before the clock jumps to a
-// timer deadline: there is no runnable task to outrun. One pause remains, for
+// unit of it — a task to grant (which always takes priority, so a delivery's
+// wake cascade settles before the next event; posted wakes and aborts are
+// applied first) or a single popped event, materialised into *ev, with the
+// virtual clock advanced to its timestamp. A timer fire takes effect as its
+// key pops, so the task it woke — the next grant in any case, the ready
+// queue being empty before the fire — comes back with the event, and a tick
+// costs one trip through the lock. Because the network is provably
+// quiescent whenever the ready queue is empty, registered tasks need no
+// pause before the clock jumps to a timer deadline: there is no runnable
+// task to outrun. One pause remains, for
 // goroutines the quiescence proof cannot see — callers outside any task that
 // have not yet reached RunInTask: the dispatcher resumes its tasks on its own
 // thread without ever blocking, which on GOMAXPROCS=1 can starve such a
@@ -412,59 +421,167 @@ const (
 // goroutines is wall-clock nondeterministic either way (such callers are
 // never part of a trace group), so the yield costs nothing from the trace
 // contract. popStep must only be called by the single dispatcher goroutine.
-func (q *eventQueue) popStep(s *stepper, ev *event) stepResult {
+func (q *eventQueue) popStep(s *stepper, ev *event) (*Task, stepResult) {
 	yields := 0
 	for {
 		q.mu.Lock()
 		if q.closed {
 			q.mu.Unlock()
-			return stepClosed
+			return nil, stepClosed
 		}
 		if q.held {
 			q.mu.Unlock()
 			select {
 			case <-q.notify:
 			case <-q.quit:
-				return stepClosed
+				return nil, stepClosed
 			}
 			continue
 		}
-		if s.readyPending() {
+		if t := q.nextReady(s); t != nil {
 			q.mu.Unlock()
-			return stepGrant
+			return t, stepGrant
 		}
-		if len(q.heap) == 0 {
+		h := q.next()
+		if h == nil {
 			q.mu.Unlock()
 			select {
 			case <-q.notify:
 			case <-q.quit:
-				return stepClosed
+				return nil, stepClosed
 			}
 			continue
 		}
-		head := &q.heap[0]
-		if head.at > q.vnow && head.kind() != evMessage && yields < gapYields {
+		if head := &(*h)[0]; head.at > q.vnow && head.kind() != evMessage && yields < gapYields {
 			yields++
 			q.mu.Unlock()
 			runtime.Gosched()
 			continue
 		}
-		q.materialise(q.heapPopHead(), ev)
+		q.materialise(h, ev)
 		if ev.at > q.vnow {
 			q.vnow = ev.at
 			q.vnowAtomic.Store(ev.at)
 		}
+		t := q.popReady()
 		q.mu.Unlock()
-		return stepEvent
+		return t, stepEvent
 	}
 }
 
-// materialise turns a popped key into the event the dispatcher delivers,
-// overwriting *ev, and gives up the key's hold on its slot: a message body is
-// freed when its last recipient pops, a timer slot at once (a ticker's re-arm
-// takes a fresh one). Caller holds q.mu.
-func (q *eventQueue) materialise(k heapKey, ev *event) {
+// next returns the heap whose head is the earliest queued key by (at, seq),
+// or nil when nothing is queued. Caller holds q.mu.
+func (q *eventQueue) next() *keyHeap {
+	if len(q.theap) > 0 && (len(q.heap) == 0 || q.theap[0].less(&q.heap[0])) {
+		return &q.theap
+	}
+	if len(q.heap) > 0 {
+		return &q.heap
+	}
+	return nil
+}
+
+// post hands the dispatcher a wake of t — with abort, an abort: t is marked
+// aborted, tainting the trace, and woken — from a caller outside the step
+// discipline (Service.Stop, RunInTask's cancellation, Network.Crash), which
+// must not touch the task state the dispatcher owns. The dispatcher applies
+// posts in arrival order before it grants the next task. A post after the
+// drain is dropped: every task has exited by then.
+func (q *eventQueue) post(t *Task, abort bool) {
+	q.mu.Lock()
+	if !q.drained {
+		q.posts = append(q.posts, posted{t: t, abort: abort})
+	}
+	q.mu.Unlock()
+	q.poke(q.notify)
+}
+
+// enqueue appends t to the ready queue. It reports false, queuing nothing,
+// once the dispatcher has drained.
+func (q *eventQueue) enqueue(t *Task) bool {
+	q.mu.Lock()
+	ok := !q.drained
+	if ok {
+		q.ready = append(q.ready, t)
+	}
+	q.mu.Unlock()
+	return ok
+}
+
+// nextReady applies the pending posts, then pops the oldest ready task, or
+// returns nil. No task is running while it does: its callers are popStep and
+// the drain, both on the dispatcher between grants. Caller holds q.mu.
+func (q *eventQueue) nextReady(s *stepper) *Task {
+	for i, p := range q.posts {
+		q.posts[i] = posted{}
+		if p.t.state == taskDone {
+			continue
+		}
+		if p.abort {
+			p.t.aborted = true
+			s.taint(p.t)
+		}
+		if p.t.credit() {
+			q.ready = append(q.ready, p.t)
+		}
+	}
+	q.posts = q.posts[:0]
+	return q.popReady()
+}
+
+// popReady pops the oldest ready task, or returns nil. Caller holds q.mu.
+func (q *eventQueue) popReady() *Task {
+	if q.readyHead == len(q.ready) {
+		return nil
+	}
+	t := q.ready[q.readyHead]
+	q.ready[q.readyHead] = nil
+	q.readyHead++
+	if q.readyHead == len(q.ready) {
+		q.ready = q.ready[:0]
+		q.readyHead = 0
+	}
+	return t
+}
+
+// materialise takes the head key of h and turns it into the event the
+// dispatcher delivers, overwriting *ev. A message key gives up its hold on
+// its body, which is freed when its last recipient pops.
+//
+// A timer key takes effect here, under the lock popStep holds: the fire is
+// banked and its owner, if parked, joins the ready queue (Timer.fire). A
+// live ticker's key is re-armed in place: the head becomes its next fire,
+// at+period, stamped with the next seq, and one sift-down does the work of
+// a pop and a push. Nothing the dispatcher does between popping an event
+// and delivering it pushes a key or wakes a task, so firing at the pop
+// gives the same seq and the same ready queue as firing at the delivery. A
+// stopped timer's key only frees its slot: the event is still recorded, and
+// nothing fires. Caller holds q.mu.
+func (q *eventQueue) materialise(h *keyHeap, ev *event) {
+	k := (*h)[0]
 	*ev = event{at: k.at, seq: k.seq, kind: k.kind()}
+	if ev.kind == evTimer {
+		t := q.timers.slots[k.ref]
+		ev.tm = t
+		switch {
+		case t.stopped.Load():
+			h.pop()
+			q.timers.release(k.ref)
+			return
+		case t.period > 0:
+			q.seq++
+			(*h)[0] = makeKey(k.at+t.period, q.seq, evTimer, k.ref, 0)
+			h.siftDown(0)
+		default:
+			h.pop()
+			q.timers.release(k.ref)
+		}
+		if woken := t.fire(); woken != nil {
+			q.ready = append(q.ready, woken)
+		}
+		return
+	}
+	h.pop()
 	switch ev.kind {
 	case evMessage:
 		b := &q.bodies.slots[k.ref]
@@ -477,9 +594,6 @@ func (q *eventQueue) materialise(k heapKey, ev *event) {
 		if b.refs--; b.refs == 0 {
 			q.bodies.release(k.ref)
 		}
-	case evTimer:
-		ev.tm = q.timers.slots[k.ref]
-		q.timers.release(k.ref)
 	case evCrash:
 		ev.msg.To = model.ProcessID(k.proc())
 	}
@@ -497,7 +611,7 @@ func (q *eventQueue) setHeld(held bool) {
 
 // close shuts the queue down and returns the number of message events it
 // discarded, so the caller can keep sent == delivered + dropped balanced. The
-// slabs go with the heap, so no queued payload or timer outlives the queue.
+// slabs go with the heaps, so no queued payload or timer outlives the queue.
 func (q *eventQueue) close() int {
 	q.mu.Lock()
 	if q.closed {
@@ -511,7 +625,7 @@ func (q *eventQueue) close() int {
 			dropped++
 		}
 	}
-	q.heap = nil
+	q.heap, q.theap = nil, nil
 	q.bodies = slab[msgBody]{}
 	q.timers = slab[*Timer]{}
 	q.mu.Unlock()
@@ -519,20 +633,52 @@ func (q *eventQueue) close() int {
 	return dropped
 }
 
-// --- min-heap on []heapKey, ordered by (at, seq) ---
+// --- min-heap of keys, ordered by (at, seq) ---
 //
 // Hand-rolled instead of container/heap so keys stay values in the backing
 // slice: no interface boxing, hence no per-message allocation on the delivery
 // path. Sifts move a hole instead of swapping: the travelling key is held in
 // a local and each level costs one 24-byte copy.
 
-func (q *eventQueue) heapPush(k heapKey) {
-	q.heap = append(q.heap, k)
-	q.siftUp(len(q.heap) - 1)
+type keyHeap []heapKey
+
+func (h *keyHeap) push(k heapKey) {
+	*h = append(*h, k)
+	h.siftUp(len(*h) - 1)
 }
 
-func (q *eventQueue) siftUp(i int) {
-	h := q.heap
+// pop removes and returns the minimum key.
+func (h *keyHeap) pop() heapKey {
+	old := *h
+	head := old[0]
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	if n > 0 {
+		h.siftDown(0)
+	}
+	return head
+}
+
+// restoreAppended re-establishes the heap invariant after a run of keys was
+// appended at index start. For a small run each element sifts up; for a run
+// comparable to the heap size a full bottom-up heapify is cheaper (O(len)
+// versus O(run·log len)).
+func (h keyHeap) restoreAppended(start int) {
+	n := len(h)
+	run := n - start
+	if run*bits.Len(uint(n)) > n {
+		for i := n/2 - 1; i >= 0; i-- {
+			h.siftDown(i)
+		}
+		return
+	}
+	for i := start; i < n; i++ {
+		h.siftUp(i)
+	}
+}
+
+func (h keyHeap) siftUp(i int) {
 	k := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -545,8 +691,7 @@ func (q *eventQueue) siftUp(i int) {
 	h[i] = k
 }
 
-func (q *eventQueue) siftDown(i int) {
-	h := q.heap
+func (h keyHeap) siftDown(i int) {
 	n := len(h)
 	k := h[i]
 	for {
@@ -564,16 +709,4 @@ func (q *eventQueue) siftDown(i int) {
 		i = c
 	}
 	h[i] = k
-}
-
-// heapPopHead removes and returns the minimum key.
-func (q *eventQueue) heapPopHead() heapKey {
-	head := q.heap[0]
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap = q.heap[:n]
-	if n > 0 {
-		q.siftDown(0)
-	}
-	return head
 }

@@ -60,7 +60,7 @@ func BenchmarkQueueBroadcast(b *testing.B) {
 }
 
 // BenchmarkTickerRearm is one tick of one of 200 poll tickers: the pop, the
-// fire and the re-arm the dispatcher performs inside Timer.fired.
+// in-place re-arm and the fire, which popStep performs together.
 func BenchmarkTickerRearm(b *testing.B) {
 	q, s := benchQueue(200, 0)
 	defer q.close()
@@ -70,7 +70,6 @@ func BenchmarkTickerRearm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := popEvent(b, q, s)
-		ev.tm.fired(ev.at)
+		popEvent(b, q, s)
 	}
 }

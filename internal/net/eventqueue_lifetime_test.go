@@ -77,8 +77,8 @@ func TestFullyDroppedBroadcastLeavesNoBody(t *testing.T) {
 	if enq, ok := q.pushBroadcast(Message{Payload: new(int)}, make([]mailbox, 4)); !ok || enq != 0 {
 		t.Fatalf("pushBroadcast at drop rate 1 = %d, %v; want 0, true", enq, ok)
 	}
-	if q.bodies.live() != 0 || len(q.heap) != 0 {
-		t.Fatalf("dropped broadcast left %d body slots, %d keys", q.bodies.live(), len(q.heap))
+	if q.bodies.live() != 0 || q.queued() != 0 {
+		t.Fatalf("dropped broadcast left %d body slots, %d keys", q.bodies.live(), q.queued())
 	}
 	if len(q.bodies.slots) > 0 && q.bodies.slots[0].msg.Payload != nil {
 		t.Fatal("dropped broadcast's slot still references the payload")
@@ -112,8 +112,8 @@ func TestDeadTimersLeaveNoTableSlot(t *testing.T) {
 	q := nw.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.heap) != 0 || q.timers.live() != 0 {
-		t.Fatalf("dead timers left %d queued keys and %d timer-table slots", len(q.heap), q.timers.live())
+	if q.queued() != 0 || q.timers.live() != 0 {
+		t.Fatalf("dead timers left %d queued keys and %d timer-table slots", q.queued(), q.timers.live())
 	}
 	for i, tm := range q.timers.slots {
 		if tm != nil {

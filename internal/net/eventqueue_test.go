@@ -142,8 +142,8 @@ func TestCloseBalancesMessageAccounting(t *testing.T) {
 	if sent != delivered+dropped || delivered < 2 || dropped < n-2 {
 		t.Fatalf("accounting unbalanced: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
 	}
-	if nw.q.heap != nil || nw.q.bodies.slots != nil || nw.q.timers.slots != nil {
-		t.Fatalf("closed queue still holds %d keys, %d bodies, %d timers", len(nw.q.heap), len(nw.q.bodies.slots), len(nw.q.timers.slots))
+	if nw.q.heap != nil || nw.q.theap != nil || nw.q.bodies.slots != nil || nw.q.timers.slots != nil {
+		t.Fatalf("closed queue still holds %d keys, %d bodies, %d timers", nw.q.queued(), len(nw.q.bodies.slots), len(nw.q.timers.slots))
 	}
 }
 

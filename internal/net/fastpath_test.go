@@ -1,9 +1,8 @@
 package net
 
 import (
+	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,12 +45,7 @@ func broadcastSchedule(t *testing.T, seed int64, drop float64, serial bool) [][]
 	waitQuiesced(t, nw)
 	out := make([][]string, n)
 	for p := 0; p < n; p++ {
-		in := nw.Endpoint(model.ProcessID(p)).Instance("sched")
-		for {
-			msg, ok := in.TryRecv()
-			if !ok {
-				break
-			}
+		for _, msg := range drainBox(t, nw, nw.Endpoint(model.ProcessID(p)).Instance("sched")) {
 			out[p] = append(out[p], fmt.Sprintf("%v/%s@%d", msg.From, msg.Type, msg.SentAt))
 		}
 	}
@@ -131,9 +125,8 @@ func TestHandlerNilRestoresBuffering(t *testing.T) {
 	inst.Handle(nil)
 	nw.Endpoint(0).Instance("hb").Send(1, "b", nil)
 	waitQuiesced(t, nw)
-	msg, ok := inst.TryRecv()
-	if !ok || msg.Type != "b" {
-		t.Fatalf("buffered delivery after Handle(nil): ok=%v msg=%v", ok, msg)
+	if got := drainBox(t, nw, inst); len(got) != 1 || got[0].Type != "b" {
+		t.Fatalf("buffered delivery after Handle(nil): %v", got)
 	}
 	if got := len(h.snapshot()); got != 1 {
 		t.Fatalf("handler saw %d messages after unregistering, want 1", got)
@@ -142,61 +135,52 @@ func TestHandlerNilRestoresBuffering(t *testing.T) {
 
 // ---- mailbox fast-path edge cases ----
 
-// Concurrent pushes racing TryRecv from several consumer goroutines must
-// neither lose nor duplicate messages. Run under -race this doubles as the
-// memory-model check of the lock-light push/tryPop pair.
+// Pushes interleaved with TryRecv must neither lose nor duplicate messages:
+// a goroutine outside the network floods one mailbox while its reader task
+// takes at most three messages a step, stepping on a 1µs poll, so the ring
+// wraps and grows between the reader's steps. Run under -race this doubles
+// as the memory-model check of the lock-free push/tryPop pair: the
+// dispatcher and the reader touch the ring only in turn.
 func TestPushRacingTryRecvLosesNothing(t *testing.T) {
 	nw := NewNetwork(2, WithSeed(5), WithDelays(0, 10*time.Microsecond))
 	defer nw.Close()
 	inst := nw.Endpoint(1).Instance("race")
 
 	const k = 2000
-	var got sync.Map
-	var count atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if msg, ok := inst.TryRecv(); ok {
-					if _, dup := got.LoadOrStore(msg.Aux, true); dup {
-						t.Errorf("duplicate delivery of %d", msg.Aux)
-						return
-					}
-					count.Add(1)
-					continue
+	seen := make(map[int64]bool, k)
+	reader := goTask(nw, nw.Endpoint(1), func(task *Task) {
+		ctx := WithTask(context.Background(), task)
+		poll := task.ep.NewPoll(ctx, time.Microsecond)
+		defer poll.Stop()
+		inst.Watch(task)
+		defer inst.Watch(nil)
+		err := poll.Until(ctx, func(bool) (bool, error) {
+			for range 3 {
+				msg, ok := inst.TryRecv()
+				if !ok {
+					break
 				}
-				select {
-				case <-stop:
-					// stop closes only after every message is pushed, so an
-					// empty ring here means the rest is in other workers'
-					// hands or already counted; anything pushed between our
-					// last look and the close is caught by the main
-					// goroutine's final drain.
-					return
-				default:
+				if seen[msg.Aux] {
+					return true, fmt.Errorf("duplicate delivery of %d", msg.Aux)
 				}
+				seen[msg.Aux] = true
 			}
-		}()
-	}
+			return len(seen) == k, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
 	src := nw.Endpoint(0).Instance("race")
 	for i := 0; i < k; i++ {
 		src.SendAux(1, "m", int64(i), 0, nil)
 	}
-	waitQuiesced(t, nw)
-	close(stop)
-	wg.Wait()
-	// Drain whatever the workers' final sweeps left behind.
-	for {
-		if _, ok := inst.TryRecv(); !ok {
-			break
-		}
-		count.Add(1)
+	waitTask(t, reader)
+	if len(seen) != k {
+		t.Fatalf("received %d/%d messages", len(seen), k)
 	}
-	if count.Load() != k {
-		t.Fatalf("received %d/%d messages", count.Load(), k)
+	if extra := drainBox(t, nw, inst); len(extra) != 0 {
+		t.Fatalf("%d messages left over after all %d were read", len(extra), k)
 	}
 }
 
@@ -218,11 +202,7 @@ func TestLargeFanInRingGrowthKeepsPerSenderFIFO(t *testing.T) {
 	waitQuiesced(t, nw)
 	last := make(map[int]int64, n)
 	total := 0
-	for {
-		msg, ok := sink.TryRecv()
-		if !ok {
-			break
-		}
+	for _, msg := range drainBox(t, nw, sink) {
 		total++
 		from := int(msg.From)
 		if prev, seen := last[from]; seen && msg.Aux <= prev {

@@ -130,6 +130,19 @@ func recvN(task *Task, instance string, k int) []Message {
 	return got
 }
 
+// drainBox returns every message buffered for the instance, read by a task
+// at its process: TryRecv is for tasks only.
+func drainBox(t *testing.T, nw *Network, in Instance) []Message {
+	t.Helper()
+	var got []Message
+	inTask(t, nw, in.ep, func(*Task) {
+		for m, ok := in.TryRecv(); ok; m, ok = in.TryRecv() {
+			got = append(got, m)
+		}
+	})
+	return got
+}
+
 // White-box queue access, for tests that drive an eventQueue no dispatcher
 // drains.
 
@@ -138,7 +151,7 @@ func recvN(task *Task, instance string, k int) []Message {
 func popEvent(t testing.TB, q *eventQueue, s *stepper) event {
 	t.Helper()
 	var ev event
-	if res := q.popStep(s, &ev); res != stepEvent {
+	if _, res := q.popStep(s, &ev); res != stepEvent {
 		t.Fatalf("popStep = %v on a non-empty open queue, want stepEvent", res)
 	}
 	return ev
@@ -146,3 +159,7 @@ func popEvent(t testing.TB, q *eventQueue, s *stepper) event {
 
 // live is the number of slab slots in use.
 func (s *slab[T]) live() int { return len(s.slots) - len(s.free) }
+
+// queued is the number of keys in both heaps. Caller holds q.mu, or knows
+// no dispatcher drains the queue.
+func (q *eventQueue) queued() int { return len(q.heap) + len(q.theap) }

@@ -19,7 +19,8 @@
 // hardware allows. Between deliveries the dispatcher resumes the tasks a
 // delivery woke (coroutines; see step.go) one at a time, so a seeded run laid
 // out under Freeze/Thaw is deterministic down to its full trace. Timers
-// (Endpoint.NewTicker, Endpoint.NewTimer) ride the same event heap, which is
+// (Endpoint.NewTicker, Endpoint.NewTimer) ride the same event queue, in a
+// heap of their own popped in the same (deliveryTime, seq) order, which is
 // how heartbeat-style failure detectors stay meaningful when time is virtual.
 // See ARCHITECTURE.md for the scheduler's design and its determinism
 // guarantees.
@@ -216,11 +217,6 @@ func (nw *Network) intern(name string) *instState {
 	nw.instMu.Lock()
 	if st = nw.instances[name]; st == nil {
 		st = &instState{name: name, boxes: make([]mailbox, nw.n)}
-		if nw.closed.Load() {
-			for i := range st.boxes {
-				st.boxes[i].stop()
-			}
-		}
 		nw.instances[name] = st
 	}
 	nw.instMu.Unlock()
@@ -230,20 +226,32 @@ func (nw *Network) intern(name string) *instState {
 // Crash kills process p: its crash is recorded in the failure pattern at the
 // current logical time, its context is cancelled, its timers are stopped, and
 // no further messages are delivered to or accepted from it. Crashing an
-// already-crashed process is a no-op.
+// already-crashed process is a no-op. Crash is for callers outside the step
+// discipline: its tasks' wakes are posted to the dispatcher (eventQueue.post),
+// while a crash the dispatcher executes itself (ScheduleCrash) wakes them
+// directly.
 func (nw *Network) Crash(p model.ProcessID) {
-	ep := &nw.endpoints[int(p)]
-	if ep.crashed.Swap(true) {
-		return
+	if ep := &nw.endpoints[int(p)]; nw.kill(ep) {
+		for _, t := range ep.registeredTasks() {
+			nw.q.post(t, false)
+		}
 	}
-	nw.pattern.Crash(p, nw.clock.Tick())
+}
+
+// kill records the crash of ep's process, cancels its context and stops its
+// timers, reporting false if it had already crashed. The caller then wakes
+// the process's tasks: each observes its cancelled context on its next
+// granted step and unwinds inside the step discipline, so the error return
+// of a crashed participant is part of the trace, not a race.
+func (nw *Network) kill(ep *Endpoint) bool {
+	if ep.crashed.Swap(true) {
+		return false
+	}
+	nw.pattern.Crash(ep.id, nw.clock.Tick())
 	nw.crashes.Add(1)
 	ep.ctx.cancel()
 	ep.stopTimers()
-	// Wake the crashed process's tasks: each observes its cancelled context
-	// on its next granted step and unwinds inside the step discipline, so the
-	// error return of a crashed participant is part of the trace, not a race.
-	ep.wakeTasks()
+	return true
 }
 
 // ScheduleCrash enqueues a crash of process p after the given span of virtual
@@ -277,8 +285,8 @@ func (nw *Network) Alive() model.ProcessSet {
 }
 
 // Close shuts the network down: all endpoints' contexts are cancelled, all
-// timers are stopped, the dispatcher drains, and all mailboxes stop. A closed
-// network drops every subsequent send.
+// timers are stopped, and the dispatcher runs every task to its exit. A
+// closed network drops every subsequent send.
 func (nw *Network) Close() {
 	if nw.closed.Swap(true) {
 		return
@@ -296,13 +304,6 @@ func (nw *Network) Close() {
 		nw.dropped.Add(int64(dropped))
 	}
 	nw.wg.Wait()
-	nw.instMu.RLock()
-	defer nw.instMu.RUnlock()
-	for _, st := range nw.instances {
-		for i := range st.boxes {
-			st.boxes[i].stop()
-		}
-	}
 }
 
 // Freeze pauses event dispatch: sends and timer schedules are accepted and
@@ -367,27 +368,32 @@ func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, au
 // delivery's entire wake cascade (including wakes issued by granted tasks
 // themselves) settles before the next event is popped — the quiescence
 // handshake. After Close it drains every task to its exit. No goroutine is
-// ever spawned per message, and no lock or lookup beyond the destination
-// mailbox's own mutex is taken per delivery.
+// ever spawned per message, and the queue's lock is the only lock between an
+// event and the task it wakes.
 func (nw *Network) dispatch() {
 	defer nw.wg.Done()
 	s := nw.stepper
 	var ev event
 	for {
-		switch nw.q.popStep(s, &ev) {
+		t, res := nw.q.popStep(s, &ev)
+		switch res {
 		case stepClosed:
 			s.drain(nw.endpoints)
 			return
 		case stepGrant:
-			s.runReady()
+			s.resume(t)
 		case stepEvent:
 			s.recordEvent(&ev)
 			nw.deliver(&ev)
+			if t != nil {
+				s.resume(t)
+			}
 		}
 	}
 }
 
-// deliver executes one popped event.
+// deliver executes one popped event. A timer fire took effect as its key
+// popped (eventQueue.materialise); its grant, if it woke a task, follows.
 func (nw *Network) deliver(ev *event) {
 	switch ev.kind {
 	case evMessage:
@@ -402,10 +408,12 @@ func (nw *Network) deliver(ev *event) {
 			// counters alone.
 			nw.delivered.Add(1)
 		}
-	case evTimer:
-		ev.tm.fired(ev.at)
 	case evCrash:
-		nw.Crash(ev.msg.To)
+		if ep := &nw.endpoints[int(ev.msg.To)]; nw.kill(ep) {
+			for _, t := range ep.registeredTasks() {
+				t.Wake()
+			}
+		}
 	}
 }
 
@@ -475,7 +483,11 @@ func (ep *Endpoint) Broadcast(instance, typ string, payload any) {
 // Instance is an interned handle on one (process, instance) pair: the mailbox
 // and counters are resolved once at Instance() time, so sends, broadcasts and
 // receives through the handle perform no map lookups. The zero Instance is
-// invalid. Instance values are cheap to copy and safe for concurrent use.
+// invalid. Instance values are cheap to copy. Sends and broadcasts are safe
+// from any goroutine (they go through the event queue's lock); the mailbox
+// side — TryRecv, Watch, Handle — belongs to the dispatcher and its tasks,
+// and takes no lock (Handle may also be called before any traffic to the
+// instance is sent).
 type Instance struct {
 	ep *Endpoint
 	st *instState
@@ -514,8 +526,10 @@ func (in Instance) BroadcastAux(typ string, aux, aux2 int64, payload any) {
 // network delivers a message it is visible here immediately — which is what
 // lets timeout-driven loops (internal/fdimpl) drain their traffic
 // synchronously before acting on a tick. Each instance has a single stream;
-// concurrent readers drain it cooperatively. A task that must wait for
-// traffic pairs TryRecv with Instance.Watch.
+// several tasks may drain it, one step at a time. Only a task may call
+// TryRecv: the dispatcher pushes into the ring without a lock, and the step
+// discipline is what keeps the two apart. A task that must wait for traffic
+// pairs TryRecv with Instance.Watch.
 func (in Instance) TryRecv() (Message, bool) {
 	return in.box().tryPop()
 }
@@ -544,7 +558,7 @@ type Handler interface {
 // messages are not replayed to the handler, so register it before traffic
 // starts. Passing nil restores buffered delivery.
 func (in Instance) Handle(h Handler) {
-	in.box().setHandler(h)
+	in.box().handler = h
 }
 
 func (in Instance) box() *mailbox { return &in.st.boxes[int(in.ep.id)] }
@@ -584,32 +598,24 @@ func (ep *Endpoint) stopTimers() {
 
 // mailbox is an unbounded FIFO queue: push never blocks the dispatcher, and
 // the consumer is either a registered Handler (called synchronously from
-// push) or a reader calling tryPop, optionally with a watcher task that push
-// wakes. Internally it is a ring buffer under one mutex; consumed slots are
-// cleared and the backing array is reused. Mailboxes live in the instState's
-// contiguous array, and the zero mailbox is ready to use.
+// push) or a task calling tryPop, optionally watching with a task that push
+// wakes. Internally it is a ring buffer; consumed slots are cleared and the
+// backing array is reused. The dispatcher pushes and tasks pop, so the step
+// discipline serializes every access and no lock guards it. Mailboxes live
+// in the instState's contiguous array, and the zero mailbox is ready to use.
 type mailbox struct {
-	mu      sync.Mutex
 	buf     []Message
 	head    int
 	count   int
-	closed  bool
 	handler Handler
 	watcher *Task // task woken per push; see Instance.Watch
 }
 
 func (m *mailbox) push(msg Message) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	if h := m.handler; h != nil {
+	if m.handler != nil {
 		// Handler mode: deliver synchronously on the pushing (dispatcher)
-		// goroutine, bypassing the ring. The handler is called outside the
-		// lock so it can trigger sends without re-entering the mailbox.
-		m.mu.Unlock()
-		h.HandleMessage(msg)
+		// goroutine, bypassing the ring.
+		m.handler.HandleMessage(msg)
 		return
 	}
 	if m.count == len(m.buf) {
@@ -617,12 +623,10 @@ func (m *mailbox) push(msg Message) {
 	}
 	m.buf[(m.head+m.count)%len(m.buf)] = msg
 	m.count++
-	watcher := m.watcher
-	m.mu.Unlock()
-	watcher.Wake()
+	m.watcher.Wake()
 }
 
-// grow doubles the ring, re-linearising the live window. Caller holds m.mu.
+// grow doubles the ring, re-linearising the live window.
 func (m *mailbox) grow() {
 	newCap := 2 * len(m.buf)
 	if newCap == 0 {
@@ -635,34 +639,14 @@ func (m *mailbox) grow() {
 	m.buf, m.head = buf, 0
 }
 
-func (m *mailbox) setHandler(h Handler) {
-	m.mu.Lock()
-	m.handler = h
-	m.mu.Unlock()
-}
-
 // tryPop pops the next message if one is queued, without blocking.
 func (m *mailbox) tryPop() (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed || m.count == 0 {
+	if m.count == 0 {
 		return Message{}, false
 	}
-	return m.popLocked(), true
-}
-
-func (m *mailbox) popLocked() Message {
 	msg := m.buf[m.head]
 	m.buf[m.head] = Message{} // release the payload reference
 	m.head = (m.head + 1) % len(m.buf)
 	m.count--
-	return msg
-}
-
-// stop marks the mailbox closed: later pushes are discarded and tryPop
-// reports nothing.
-func (m *mailbox) stop() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
+	return msg, true
 }

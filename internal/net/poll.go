@@ -44,14 +44,20 @@ func (ep *Endpoint) NewWait(ctx context.Context) Poll {
 // ctx error unwrapped.
 func (p *Poll) Until(ctx context.Context, cond func(tick bool) (bool, error)) error {
 	tick := false
+	done := ctx.Done()
 	for {
 		if err := p.ep.ctx.Err(); err != nil {
 			return err
 		}
-		if err := ctx.Err(); err != nil {
+		// The ctx check reads Done, not Err: once created, Done is an atomic
+		// load and a non-blocking receive, while a cancelCtx's Err takes its
+		// lock on every step.
+		select {
+		case <-done:
 			// A cancelled ctx is wall-clock time entering the schedule.
 			p.task.abort()
-			return err
+			return ctx.Err()
+		default:
 		}
 		if done, err := cond(tick); done || err != nil {
 			return err

@@ -36,15 +36,17 @@ func (s *Service) halted() bool {
 	return s.stopped.Load() || s.ep.ctx.Err() != nil
 }
 
-// Stop signals the service, wakes its task and waits for it to exit. It is
-// idempotent, and returns once the task is gone however it ended: after a
-// crash or a Network.Close it only joins.
+// Stop signals the service, posts a wake of its task to the dispatcher and
+// waits for the task to exit. It is called from outside the step discipline
+// (a task calling it would wait on itself). It is idempotent, and returns
+// once the task is gone however it ended: after a crash or a Network.Close
+// it only joins.
 func (s *Service) Stop() {
 	s.stopped.Store(true)
 	if s.cancel != nil {
 		s.cancel()
 	}
-	s.task.Wake()
+	s.ep.net.q.post(s.task, false)
 	<-s.done
 }
 

@@ -9,7 +9,6 @@ import (
 	"hash"
 	"iter"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -35,14 +34,23 @@ import (
 // a pure function of the seed and the initial schedule — which is what makes
 // the trace fingerprint below byte-reproducible, crash events included.
 //
+// Because only one of them runs at a time, the dispatcher and the task it is
+// running own the step path's state outright: a task's lifecycle, wake
+// credits and abort flag, a timer's owner and banked fires, a mailbox's ring
+// and watcher are plain fields that no lock guards. A goroutine outside the
+// step discipline never touches them; it reaches the step path only through
+// the event queue's lock — a send or a timer lease pushes a key, a spawn
+// queues a ready task, and a wake or an abort is posted (eventQueue.post)
+// for the dispatcher to apply before its next grant.
+//
 // A parked task cannot resume itself; wall-clock interruption reaches it
 // through the dispatcher as an abort. Network.Close aborts every task, and
 // the dispatcher resumes each live one before it exits (scenario.Run closes
-// the network when its ctx is cancelled); RunInTask aborts its task when the
-// caller's ctx is cancelled, and a running task that finds its ctx cancelled
-// in Poll.Until aborts itself. An aborted task taints the trace, and every
-// later Await returns at once, so its condition loops observe the
-// cancellation and unwind.
+// the network when its ctx is cancelled); RunInTask posts an abort of its
+// task when the caller's ctx is cancelled, and a running task that finds its
+// ctx cancelled in Poll.Until aborts itself. An aborted task taints the
+// trace, and every later Await returns at once, so its condition loops
+// observe the cancellation and unwind.
 
 // taskState is the lifecycle of a Task with respect to the dispatcher.
 type taskState uint8
@@ -79,13 +87,16 @@ type Task struct {
 	next  func() (struct{}, bool) // resumes the body to its next park or exit; the dispatcher's
 	yield func(struct{}) bool     // parks the body; the body's
 
-	// mu guards the fields below against wakers outside the dispatcher's
-	// steps: Service.Stop, a Crash called from outside any task, an abort.
-	mu      sync.Mutex
+	// Owned by the dispatcher and, while it runs, the task itself; callers
+	// outside the step discipline post instead (eventQueue.post).
 	state   taskState
 	aborted bool
 	wakes   uint64 // wake credits issued
 	seen    uint64 // wake credits consumed by Await
+
+	// exited is set once, when the body has returned: registerTask reads it
+	// to compact an endpoint's task list from any goroutine.
+	exited atomic.Bool
 }
 
 // Wake credits the task with one wakeup. If it is parked it joins the ready
@@ -94,19 +105,25 @@ type Task struct {
 // immediately, so a wakeup issued between a condition check and the park can
 // never be lost. Wake on a nil, done or already-ready task is a no-op beyond
 // the credit.
+//
+// Wake is for the dispatcher (handlers, timer fires, scheduled crashes) and
+// the tasks it runs. A goroutine outside the step discipline must not call
+// it: Service.Stop, RunInTask and Network.Crash post their wakes instead.
 func (t *Task) Wake() {
-	if t == nil {
-		return
+	if t != nil && t.credit() {
+		t.s.q.enqueue(t)
 	}
-	t.mu.Lock()
+}
+
+// credit records one wake and reports whether the task was parked, i.e.
+// must now join the ready queue; it is then marked ready.
+func (t *Task) credit() bool {
 	t.wakes++
 	if t.state != taskParked {
-		t.mu.Unlock()
-		return
+		return false
 	}
 	t.state = taskReady
-	t.mu.Unlock()
-	t.s.enqueue(t)
+	return true
 }
 
 // Await is the park point: it yields to the dispatcher and returns when the
@@ -121,37 +138,24 @@ func (t *Task) Wake() {
 // — a parked task resumes only when the dispatcher resumes it — and is kept
 // for source compatibility; pass nil.
 func (t *Task) Await(_ context.Context) {
-	t.mu.Lock()
 	if t.aborted || t.s.aborted.Load() {
-		t.mu.Unlock()
 		t.s.taint(t)
 		return
 	}
 	if t.seen < t.wakes {
 		t.seen = t.wakes
-		t.mu.Unlock()
 		return
 	}
 	t.state = taskParked
-	t.mu.Unlock()
 	t.yield(struct{}{})
 }
 
-// abort marks the task aborted, tainting the trace, and wakes it, so the
-// dispatcher resumes it even though no event will.
+// abort marks the running task aborted, tainting the trace: its next Await
+// returns at once. Only the task itself calls it (Poll.Until); an abort from
+// outside the step discipline is posted.
 func (t *Task) abort() {
-	t.mu.Lock()
 	t.aborted = true
-	t.mu.Unlock()
 	t.s.taint(t)
-	t.Wake()
-}
-
-// done reports whether the task has exited.
-func (t *Task) done() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state == taskDone
 }
 
 // taskCtxKey carries a Task through a context so protocol entry points
@@ -189,7 +193,8 @@ func TaskFrom(ctx context.Context) *Task {
 // This is what keeps raw-network callers (benchmarks, package tests calling
 // Propose from plain goroutines) inside the deterministic protocol: every
 // send and wait of the operation is a step the dispatcher grants. A
-// cancellation of ctx aborts the task, so its waits return ctx's error.
+// cancellation of ctx posts an abort of the task, so its waits return ctx's
+// error.
 func RunInTask[T any](ctx context.Context, ep *Endpoint, name string, op func(context.Context) (T, error)) (T, error) {
 	var v T
 	var err error
@@ -198,7 +203,7 @@ func RunInTask[T any](ctx context.Context, ep *Endpoint, name string, op func(co
 		v, err = op(WithTask(ctx, t))
 		close(done)
 	})
-	defer context.AfterFunc(ctx, t.abort)()
+	defer context.AfterFunc(ctx, func() { ep.net.q.post(t, true) })()
 	<-done
 	return v, err
 }
@@ -312,19 +317,12 @@ type TraceRecorder interface {
 }
 
 // stepper is the run-to-quiescence scheduler state owned by a Network: the
-// deterministic ready queue, the abort state and the streaming trace digest.
+// abort state and the streaming trace digest. The ready queue it grants from
+// lives in the event queue, under its lock (see eventQueue).
 type stepper struct {
 	q *eventQueue
 
-	// mu guards the ready queue against wakers and spawners outside the
-	// dispatcher's serialized steps. drained is set once the dispatcher has
-	// run every task to its exit after Close; a task spawned later runs at
-	// once on its spawner (see spawn).
-	mu        sync.Mutex
-	ready     []*Task
-	readyHead int
-	nextID    uint64
-	drained   bool
+	nextID atomic.Uint64 // task ids: in spawn order, which the step discipline fixes
 
 	// aborted is set by Network.Close: every task resumed or parking from
 	// then on is aborted.
@@ -375,68 +373,13 @@ func (s *stepper) taint(t *Task) {
 }
 
 func (s *stepper) newTask(ep *Endpoint, name string, group bool) *Task {
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
 	return &Task{
-		id:    id,
+		id:    s.nextID.Add(1),
 		name:  name,
 		ep:    ep,
 		s:     s,
 		group: group,
 		state: taskReady,
-	}
-}
-
-// enqueue appends t to the ready queue and pokes the dispatcher, which may be
-// idle-waiting for work. It reports false, queuing nothing, once the
-// dispatcher has drained.
-func (s *stepper) enqueue(t *Task) bool {
-	s.mu.Lock()
-	if s.drained {
-		s.mu.Unlock()
-		return false
-	}
-	s.ready = append(s.ready, t)
-	s.mu.Unlock()
-	s.q.poke(s.q.notify)
-	return true
-}
-
-// readyPending reports whether any task awaits a grant.
-func (s *stepper) readyPending() bool {
-	s.mu.Lock()
-	pending := s.readyHead < len(s.ready)
-	s.mu.Unlock()
-	return pending
-}
-
-// popReady removes and returns the oldest ready task, or nil.
-func (s *stepper) popReady() *Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readyHead >= len(s.ready) {
-		return nil
-	}
-	t := s.ready[s.readyHead]
-	s.ready[s.readyHead] = nil
-	s.readyHead++
-	if s.readyHead == len(s.ready) {
-		s.ready = s.ready[:0]
-		s.readyHead = 0
-	}
-	return t
-}
-
-// runReady grants every ready task, one at a time, in FIFO order, resuming
-// each until it parks or exits — the quiescence handshake. It returns only
-// when the ready queue is empty, i.e. every task is parked on a runtime
-// primitive and it is sound to pop the next event. Called only by the
-// dispatcher.
-func (s *stepper) runReady() {
-	for t := s.popReady(); t != nil; t = s.popReady() {
-		s.resume(t)
 	}
 }
 
@@ -446,16 +389,12 @@ func (s *stepper) runReady() {
 // drain already ran it — is skipped. Called by the dispatcher, or by the
 // spawner of a task born after the drain.
 func (s *stepper) resume(t *Task) {
-	t.mu.Lock()
 	if t.state != taskReady && t.state != taskParked {
-		t.mu.Unlock()
 		return
 	}
 	t.state = taskGranted
 	t.seen = t.wakes
-	aborted := t.aborted || s.aborted.Load()
-	t.mu.Unlock()
-	if aborted {
+	if t.aborted || s.aborted.Load() {
 		s.taint(t)
 	} else {
 		s.recordGrant(t)
@@ -469,10 +408,9 @@ func (s *stepper) resume(t *Task) {
 // into the trace; an aborted one only taints it. Either way the group
 // countdown moves.
 func (s *stepper) exit(t *Task) {
-	t.mu.Lock()
 	t.state = taskDone
+	t.exited.Store(true)
 	clean := !t.aborted && !s.aborted.Load()
-	t.mu.Unlock()
 	if clean {
 		s.recordExit(t)
 	} else {
@@ -486,24 +424,29 @@ func (s *stepper) exit(t *Task) {
 // unwinds — and repeats until no task is left, not even one spawned by an
 // unwinding body. Called by the dispatcher as its last act.
 func (s *stepper) drain(endpoints []Endpoint) {
+	q := s.q
 	for {
-		s.runReady()
+		for {
+			q.mu.Lock()
+			t := q.nextReady(s)
+			q.mu.Unlock()
+			if t == nil {
+				break
+			}
+			s.resume(t)
+		}
 		for i := range endpoints {
-			ep := &endpoints[i]
-			ep.mu.Lock()
-			tasks := slices.Clone(ep.tasks)
-			ep.mu.Unlock()
-			for _, t := range tasks {
+			for _, t := range endpoints[i].registeredTasks() {
 				s.resume(t)
 			}
 		}
-		s.mu.Lock()
-		if s.readyHead == len(s.ready) {
-			s.drained = true
-			s.mu.Unlock()
+		q.mu.Lock()
+		idle := q.readyHead == len(q.ready) && len(q.posts) == 0
+		q.drained = idle
+		q.mu.Unlock()
+		if idle {
 			return
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -608,7 +551,8 @@ func (nw *Network) GoGroup(ep *Endpoint, name string, fn func(*Task)) *Task {
 	return nw.spawn(ep, name, true, fn)
 }
 
-// spawn creates the task and queues its first step. A task spawned after
+// spawn creates the task and queues its first step, poking the dispatcher in
+// case the spawner runs outside the step discipline. A task spawned after
 // the dispatcher drained has nobody to resume it, so its spawner runs it,
 // aborted, to its exit.
 func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) *Task {
@@ -619,7 +563,9 @@ func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) 
 		fn(t)
 	})
 	ep.registerTask(t)
-	if !s.enqueue(t) {
+	if nw.q.enqueue(t) {
+		nw.q.poke(nw.q.notify)
+	} else {
 		s.resume(t)
 	}
 	return t
@@ -659,29 +605,23 @@ func (nw *Network) TraceResult() (string, TraceStats, time.Duration) {
 // tasks do not accumulate for the network's lifetime.
 func (ep *Endpoint) registerTask(t *Task) {
 	ep.mu.Lock()
-	ep.tasks = append(slices.DeleteFunc(ep.tasks, (*Task).done), t)
+	ep.tasks = append(slices.DeleteFunc(ep.tasks, func(t *Task) bool { return t.exited.Load() }), t)
 	ep.mu.Unlock()
 }
 
-// wakeTasks wakes every task registered on the endpoint.
-func (ep *Endpoint) wakeTasks() {
+// registeredTasks returns a copy of the tasks registered on the endpoint, in
+// registration order: the tasks a crash wakes.
+func (ep *Endpoint) registeredTasks() []*Task {
 	ep.mu.Lock()
-	tasks := make([]*Task, len(ep.tasks))
-	copy(tasks, ep.tasks)
-	ep.mu.Unlock()
-	for _, t := range tasks {
-		t.Wake()
-	}
+	defer ep.mu.Unlock()
+	return slices.Clone(ep.tasks)
 }
 
 // Watch registers t to be woken whenever the dispatcher pushes a message into
 // this process's mailbox for the instance: the wake of a wait whose cond
 // drains the mailbox with TryRecv (NewWait, NewPoll). Instance.Serve watches
 // for its service. Watch(nil) clears the watcher. A mailbox has one watcher:
-// a second Watch replaces the first.
+// a second Watch replaces the first. Like TryRecv, Watch is for tasks only.
 func (in Instance) Watch(t *Task) {
-	b := in.box()
-	b.mu.Lock()
-	b.watcher = t
-	b.mu.Unlock()
+	in.box().watcher = t
 }

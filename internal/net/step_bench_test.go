@@ -3,6 +3,7 @@ package net
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"weakestfd/internal/model"
 )
@@ -45,4 +46,36 @@ func BenchmarkGrantRoundRobin(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/grant")
 		})
 	}
+}
+
+// BenchmarkTickUnderBroadcastLoad is one poll tick as consensus at n=200
+// pays it: one fire of a bound ticker, the grant it wakes, and the task
+// parking again — with the 40 000 message keys of a decide wave (every
+// process broadcasting once) queued far in the future beside it.
+func BenchmarkTickUnderBroadcastLoad(b *testing.B) {
+	const n = 200
+	nw := NewNetwork(n, WithSeed(1), WithDelays(1000*time.Hour, 2000*time.Hour))
+	defer nw.Close()
+	nw.Freeze() // the wave is queued before the first tick
+	for p := range n {
+		nw.Endpoint(model.ProcessID(p)).Instance("wave").Broadcast("decide", nil)
+	}
+	done := make(chan struct{})
+	ep := nw.Endpoint(0)
+	nw.Go(ep, "tick", func(t *Task) {
+		defer close(done)
+		tk := ep.NewTicker(time.Microsecond)
+		defer tk.Stop()
+		tk.Bind(t)
+		for fires := 0; fires < b.N; {
+			if tk.TryFire() {
+				fires++
+				continue
+			}
+			t.Await(nil)
+		}
+	})
+	b.ResetTimer()
+	nw.Thaw()
+	<-done
 }

@@ -3,7 +3,10 @@ package net
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,5 +181,114 @@ func TestSpawnAfterCloseRunsAborted(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("sleep on a closed network never returned")
+	}
+}
+
+// TestOutsideCallersPost drives the three ways into the step path from
+// outside it — Service.Stop, a cancelled RunInTask ctx and Network.Crash —
+// from plain goroutines, all at once, while a ticking task runs. Each only
+// posts to the dispatcher, which owns the task state. The service, the
+// operation and one task of the crashed process park tickless, so only the
+// posted wake can end them. Every task exits before Close, the cancelled
+// operation taints the trace, and the crashed process's ticking task takes
+// no step after the crash beyond the one that may be in flight when Crash is
+// called. Low parallelism is where a goroutine outside the network and the
+// dispatcher interleave least fairly, so it runs at GOMAXPROCS 1, 2 and 4.
+func TestOutsideCallersPost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for round := range 5 {
+			outsideCallersRound(t, procs, round)
+		}
+	}
+}
+
+func outsideCallersRound(t *testing.T, procs, round int) {
+	t.Helper()
+	nw := NewNetwork(3, WithSeed(int64(round)))
+	defer nw.Close()
+	never := func(bool) (bool, error) { return false, nil }
+	parkTickless := func(ctx context.Context, ep *Endpoint) error {
+		wait := ep.NewWait(ctx)
+		return wait.Until(ctx, never)
+	}
+
+	// p0: a mailbox service, stopped from outside.
+	svc := nw.Endpoint(0).Instance("outside").Serve("outside.serve", func(Message) {})
+	// p2: the ticking task, whose every cond call is a step, and a tickless
+	// one; the process is crashed from outside.
+	var steps atomic.Int64
+	ticking := goTask(nw, nw.Endpoint(2), func(task *Task) {
+		ctx := WithTask(context.Background(), task)
+		poll := task.ep.NewPoll(ctx, 100*time.Microsecond)
+		defer poll.Stop()
+		_ = poll.Until(ctx, func(bool) (bool, error) {
+			steps.Add(1)
+			return false, nil
+		})
+	})
+	parked := goTask(nw, nw.Endpoint(2), func(task *Task) {
+		_ = parkTickless(WithTask(context.Background(), task), task.ep)
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for steps.Load() < 10 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Microsecond)
+	}
+
+	// p1: an operation run from outside, its ctx cancelled from outside.
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	var opErr error
+	var atCrash int64
+	wg.Add(4)
+	go func() {
+		defer wg.Done()
+		_, opErr = RunInTask(ctx, nw.Endpoint(1), "outside.op", func(ctx context.Context) (struct{}, error) {
+			return struct{}{}, parkTickless(ctx, nw.Endpoint(1))
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		cancel()
+	}()
+	go func() {
+		defer wg.Done()
+		svc.Stop()
+	}()
+	go func() {
+		defer wg.Done()
+		nw.Crash(2)
+		atCrash = steps.Load()
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	waitTask(t, done)
+	waitTask(t, ticking)
+	waitTask(t, parked)
+
+	if !errors.Is(opErr, context.Canceled) {
+		t.Fatalf("GOMAXPROCS=%d round %d: cancelled operation returned %v, want context.Canceled", procs, round, opErr)
+	}
+	if reason := nw.stepper.taintReason.Load(); reason == nil || !strings.Contains(*reason, `"outside.op"`) {
+		t.Fatalf("GOMAXPROCS=%d round %d: cancelled operation did not taint the trace (reason %v)", procs, round, reason)
+	}
+	if extra := steps.Load() - atCrash; extra > 1 {
+		t.Fatalf("GOMAXPROCS=%d round %d: crashed process took %d steps after Crash returned", procs, round, extra)
+	}
+	// A task's waiters are released from inside its body, so its exit can
+	// trail them by a moment; it must come without Close's drain.
+	for p := range nw.N() {
+		for _, task := range nw.Endpoint(model.ProcessID(p)).registeredTasks() {
+			for !task.exited.Load() && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Microsecond)
+			}
+			if !task.exited.Load() {
+				t.Fatalf("GOMAXPROCS=%d round %d: task %q at p%d still running before Close", procs, round, task.name, p)
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package net
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -17,14 +17,17 @@ import (
 // on a timer nobody reads.
 //
 // Timers are created through an Endpoint and stopped automatically when the
-// process crashes or the network closes.
+// process crashes or the network closes. Stop and Stopped are safe from any
+// goroutine; Bind and TryFire are for tasks, whose steps the dispatcher's
+// fires never overlap, so the fire bookkeeping takes no lock.
 type Timer struct {
 	q      *eventQueue
 	id     uint64 // run-local id (eventQueue.nextLease): the only timer identity the trace hashes
 	period int64  // ns; 0 for one-shot
 
-	mu      sync.Mutex
-	stopped bool
+	stopped atomic.Bool // set by Stop, by a crash or Close from any goroutine, and by a one-shot's fire
+
+	// Owned by the dispatcher and the task it is running.
 	owner   *Task // woken per fire; see Bind
 	pending int   // fires banked for TryFire
 }
@@ -39,9 +42,7 @@ func newTimer(q *eventQueue, delay, period time.Duration) *Timer {
 // stay consumable. Stop is idempotent and safe to call concurrently with
 // fires.
 func (t *Timer) Stop() {
-	t.mu.Lock()
-	t.stopped = true
-	t.mu.Unlock()
+	t.stopped.Store(true)
 }
 
 // Bind names the task this timer's fires wake. The task consumes fires with
@@ -49,53 +50,40 @@ func (t *Timer) Stop() {
 // bind before it first parks on the timer; fires that popped earlier are
 // already banked and the first TryFire takes them.
 func (t *Timer) Bind(task *Task) {
-	t.mu.Lock()
 	t.owner = task
-	t.mu.Unlock()
 }
 
 // TryFire consumes one banked fire, reporting whether one was pending. For a
 // ticker each fire banks one credit; for a one-shot at most one credit ever
 // exists.
 func (t *Timer) TryFire() bool {
-	t.mu.Lock()
-	ok := t.pending > 0
-	if ok {
-		t.pending--
+	if t.pending == 0 {
+		return false
 	}
-	t.mu.Unlock()
-	return ok
+	t.pending--
+	return true
 }
 
 // Stopped reports whether the timer is dead: stopped explicitly, or a
 // one-shot that has fired.
 func (t *Timer) Stopped() bool {
-	t.mu.Lock()
-	dead := t.stopped
-	t.mu.Unlock()
-	return dead
+	return t.stopped.Load()
 }
 
-// fired is called by the dispatcher when one of the timer's heap events pops
-// at virtual time at; events of a stopped timer are discarded here. A ticker
-// reschedules its next tick, a one-shot is spent. The dispatcher runs the
+// fire banks one fire of a live timer and returns its owner if the fire woke
+// it from its park, for the ready queue; a one-shot is spent. The dispatcher
+// calls it as the fire's key pops (eventQueue.materialise), and runs the
 // woken owner to its next park before popping further events, so virtual
 // time cannot outrun the consumer.
-func (t *Timer) fired(at int64) {
-	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
-		return
-	}
-	if t.period > 0 {
-		t.q.rearmTimer(t, at+t.period)
-	} else {
-		t.stopped = true
+func (t *Timer) fire() *Task {
+	if t.period == 0 {
+		t.stopped.Store(true)
 	}
 	t.pending++
-	owner := t.owner
-	t.mu.Unlock()
-	owner.Wake()
+	if t.owner != nil && t.owner.credit() {
+		return t.owner
+	}
+	return nil
 }
 
 // VirtualNow returns the network's current virtual time: the timestamp of the
