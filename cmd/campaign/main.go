@@ -43,24 +43,24 @@ func main() {
 
 func run() int {
 	if len(os.Args) < 2 {
-		return usageErr("want a subcommand: plan, run, resume, merge, status")
+		return usageErr("want a subcommand: plan, run, merge, status")
 	}
 	cmd, args := os.Args[1], os.Args[2:]
 	switch cmd {
 	case "plan":
 		return runPlan(args)
-	case "run", "resume":
-		// Running IS resuming: a shard continues past its watermark either way.
+	case "run":
+		// Running is resuming: a shard continues past its watermark.
 		return runShard(args)
 	case "merge":
 		return runMerge(args)
 	case "status":
 		return runStatus(args)
 	case "-h", "-help", "--help", "help":
-		fmt.Fprintln(os.Stderr, "usage: campaign <plan|run|resume|merge|status> [flags]")
+		fmt.Fprintln(os.Stderr, "usage: campaign <plan|run|merge|status> [flags]")
 		return 0
 	default:
-		return usageErr("unknown subcommand %q (want plan, run, resume, merge, status)", cmd)
+		return usageErr("unknown subcommand %q (want plan, run, merge, status)", cmd)
 	}
 }
 

@@ -249,8 +249,10 @@ func TestPlanRefusesCaseVariantKeys(t *testing.T) {
 }
 
 // TestPlanRefusesValuesTheRuntimeCannotHonour: a grid drop rate outside
-// [0, 1] and a negative timeout in either spec kind are refused at plan
-// time, naming the key, not by a panic or a second fingerprint in runshard.
+// [0, 1], and a negative timeout or consensus/multi rounds past
+// cliutil.MaxRounds in either spec kind, are refused at plan time, naming
+// the key, not by a panic, a memory blow-up or a second fingerprint in
+// runshard.
 func TestPlanRefusesValuesTheRuntimeCannotHonour(t *testing.T) {
 	dir := t.TempDir()
 	for i, c := range []struct{ kind, body, key string }{
@@ -258,6 +260,8 @@ func TestPlanRefusesValuesTheRuntimeCannotHonour(t *testing.T) {
 		{"-grid", `{"proto":"consensus","n":3,"seeds":"1-2","drop":-1}`, "drop:"},
 		{"-grid", `{"proto":"consensus","n":3,"seeds":"1-2","timeout":"-1s"}`, "timeout:"},
 		{"-explore", `{"proto":"consensus","n":3,"runs":4,"timeout":"-1s"}`, "timeout:"},
+		{"-grid", `{"proto":"consensus/multi","n":3,"seeds":"1-2","rounds":1025}`, "rounds:"},
+		{"-explore", `{"proto":"consensus/multi-majority","n":3,"runs":4,"rounds":10000000}`, "rounds:"},
 	} {
 		file := writeFile(t, dir, "spec.json", c.body)
 		code, msg := campaignCLI(t, "plan", "-dir", filepath.Join(dir, strconv.Itoa(i)), c.kind, file, "-units", "1")

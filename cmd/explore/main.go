@@ -16,14 +16,16 @@
 // an exploration: a campaign unit planned from a spec file with the same
 // keys runs the same search and reports the same space fingerprint.
 //
-// Persistence flags connect explorations across invocations and machines:
-// -corpus-in seeds this run with a serialized corpus (a -corpus-out file or
-// any explore report), -corpus-out serializes this run's corpus state, and
-// -frontier-state checkpoints the frontier bisection after every run so an
-// interrupted search resumes losing at most one run. Reports carry a
-// schema_version and a space fingerprint, so cmd/campaign can fold
-// differently-seeded reports into one campaign report and refuse mixing
-// incompatible searches.
+// The report is the one artifact. It carries the run's full corpus state,
+// so it is also the seed of the next exploration: -corpus-in seeds this run
+// from an explore report (an earlier -out, or a campaign unit report) or
+// from a merged campaign report's corpus, and refuses anything else, or a
+// corpus found with another protocol or n, with exit 2 (campaign.SeedCorpus). -frontier-state checkpoints the frontier
+// bisection after every run so an interrupted search resumes losing at most
+// one run. Reports carry a schema_version and a space fingerprint, so
+// cmd/campaign can fold differently-seeded reports into one campaign report
+// and refuse mixing incompatible searches; the merged report seeds the next
+// generation.
 //
 // Examples:
 //
@@ -34,7 +36,7 @@
 //	    -frontier 'eventually-perfect:stabilize:100000;eventually-strong:stabilize:1000' \
 //	    -frontier-seeds 1,2,3 -frontier-state frontier.json
 //	explore -proto consensus -n 5 -seed 8 -runs 500 \
-//	    -corpus-in gen1.corpus.json -corpus-out gen2.corpus.json
+//	    -corpus-in gen1.merged.json -out gen2.json
 //
 // Exit codes: 0 exploration completed (found failures are a result, not an
 // error), 2 usage or setup error, 3 cancelled (SIGINT/SIGTERM).
@@ -93,8 +95,7 @@ func run() int {
 		frontier      = flag.String("frontier", "", "frontier axes 'class:param:max' split by ';', e.g. 'eventually-perfect:stabilize:100000;eventually-strong:stabilize:1000'")
 		frontierSeeds = flag.String("frontier-seeds", "", "probe seeds for the frontier search (default: the master seed)")
 		frontierState = flag.String("frontier-state", "", "frontier checkpoint file: resumed from if present, rewritten after every probe run")
-		corpusIn      = flag.String("corpus-in", "", "seed corpus file (a -corpus-out file or any explore report)")
-		corpusOut     = flag.String("corpus-out", "", "serialize the final corpus state here (atomic write)")
+		corpusIn      = flag.String("corpus-in", "", "seed corpus: an explore report (-out, or a campaign unit report) or a merged campaign report")
 		out           = flag.String("out", "", "report path (default stdout)")
 		progress      = flag.Duration("progress", 0, "JSONL progress interval on stderr (0 = off)")
 	)
@@ -136,16 +137,16 @@ func run() int {
 		if err != nil {
 			return usageErr("corpus-in: %v", err)
 		}
-		// Accept either a serialized corpus state or a full explore report
-		// (whose corpus doubles as a seedable state).
-		if sw, ex, err := cliutil.ReadAnyReport(*corpusIn, data); err == nil {
-			if sw != nil {
-				return usageErr("corpus-in %s: is a sweep report, which carries no corpus", *corpusIn)
-			}
-			opts.SeedCorpus = ex.CorpusState()
-		} else if opts.SeedCorpus, err = explore.LoadCorpus(data); err != nil {
-			return usageErr("corpus-in %s: %v", *corpusIn, err)
+		st, proto, n, err := campaign.SeedCorpus("corpus-in "+*corpusIn, data)
+		if err != nil {
+			return usageErr("%v", err)
 		}
+		// The entries carry their configs: a corpus from another protocol or
+		// n would run outside the space this report names.
+		if proto != opts.Proto.Name() || n != opts.Base.N {
+			return usageErr("corpus-in %s: corpus is from %s at n=%d, not this exploration's %s at n=%d", *corpusIn, proto, n, opts.Proto.Name(), opts.Base.N)
+		}
+		opts.SeedCorpus = st
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -174,18 +175,8 @@ func run() int {
 	outRep.GeneratedBy = "cmd/explore " + strings.Join(os.Args[1:], " ")
 	outRep.GoVersion = runtime.Version()
 	outRep.ElapsedMS = float64(rep.Elapsed) / float64(time.Millisecond)
-	outRep.RunsPerSec = rep.RunsPerSec
+	outRep.ExploreRunsPerSec = rep.RunsPerSec
 	journals.DumpFailures(ctx, "", nil, &outRep, opts.Proto, logf)
-
-	if *corpusOut != "" {
-		data, err := rep.CorpusState().Marshal()
-		if err != nil {
-			return usageErr("corpus-out: %v", err)
-		}
-		if err := cliutil.WriteFileAtomic(*corpusOut, data); err != nil {
-			return usageErr("corpus-out %s: %v", *corpusOut, err)
-		}
-	}
 
 	if len(axes) > 0 && ctx.Err() == nil {
 		seeds := probeSeeds

@@ -44,13 +44,14 @@ func TestGridTypoExitsTwo(t *testing.T) {
 	}
 	// A value the runtime cannot honour is refused at the loader, not by a
 	// panic in a sweep worker.
-	for _, c := range []struct{ flag, value string }{
-		{"drop", "2"}, {"drop", "-1"}, {"drop", "NaN"}, {"timeout", "-1s"},
+	for _, c := range []struct{ proto, flag, value string }{
+		{"consensus", "drop", "2"}, {"consensus", "drop", "-1"}, {"consensus", "drop", "NaN"}, {"consensus", "timeout", "-1s"},
+		{"consensus/multi", "rounds", "1025"}, {"consensus/multi-majority", "rounds", "10000000"},
 	} {
-		code, msg := sweepStderr(t, "-proto", "consensus", "-n", "3", "-seeds", "1-2", "-"+c.flag, c.value,
+		code, msg := sweepStderr(t, "-proto", c.proto, "-n", "3", "-seeds", "1-2", "-"+c.flag, c.value,
 			"-out", filepath.Join(t.TempDir(), "report.json"))
 		if code != 2 || !strings.Contains(msg, c.flag+":") || strings.Contains(msg, "goroutine") {
-			t.Errorf("sweep -%s %s exited %d, want 2 naming %s without a goroutine trace: %s", c.flag, c.value, code, c.flag, msg)
+			t.Errorf("sweep -proto %s -%s %s exited %d, want 2 naming %s without a goroutine trace: %s", c.proto, c.flag, c.value, code, c.flag, msg)
 		}
 	}
 }

@@ -212,7 +212,7 @@ func exploreCorpus(t *testing.T, seed int64) *explore.CorpusState {
 
 func marshalCorpus(t *testing.T, c *explore.CorpusState) string {
 	t.Helper()
-	data, err := c.Marshal()
+	data, err := marshalJSON(c)
 	if err != nil {
 		t.Fatalf("marshal corpus: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestMergeRefusals(t *testing.T) {
 	mkExplore := func(seed int64, fp string) Input {
 		return Input{Name: "r", Explore: &cliutil.ExploreReport{
 			SchemaVersion: cliutil.ReportSchemaVersion, SpaceFingerprint: fp,
-			Proto: "consensus", N: 4, Seed: seed, Budget: 1, Runs: 1, Novel: 0,
+			Report: explore.Report{Proto: "consensus", N: 4, Seed: seed, Budget: 1, Runs: 1, Novel: 0},
 		}}
 	}
 	if _, err := MergeReports([]Input{mkExplore(1, "fpA"), mkExplore(2, "fpB")}); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {

@@ -110,6 +110,71 @@ func ReadInput(name string, data []byte) (Input, error) {
 	return Input{Name: name, Sweep: sw, Explore: ex}, nil
 }
 
+// SeedCorpus reads data as the seed corpus of a new exploration: the corpus
+// state of an explore report (cmd/explore -out, or a campaign unit report)
+// or of a merged campaign report (its explore.corpus) — the handoff from one
+// campaign generation to the next. It refuses everything else and names
+// what it saw: a sweep report or a merged sweep-only report (no corpus), a
+// report whose corpus is empty, a bare corpus state (what explore
+// -corpus-out once wrote), any other JSON, versions newer than this build
+// and entries whose configs do not fit the report's n. It also returns the
+// protocol and n the corpus was found with, so that the caller can refuse
+// a corpus from another search space. name labels errors.
+func SeedCorpus(name string, data []byte) (st *explore.CorpusState, proto string, n int, err error) {
+	var sniff struct {
+		SchemaVersion int             `json:"schema_version"`
+		Inputs        *int            `json:"inputs"`
+		Entries       json.RawMessage `json:"entries"`
+	}
+	if err = json.Unmarshal(data, &sniff); err != nil {
+		return nil, "", 0, fmt.Errorf("%s: parse: %w", name, err)
+	}
+	if err = cliutil.CheckReportVersion(name, sniff.SchemaVersion); err != nil {
+		return nil, "", 0, err
+	}
+	switch {
+	case sniff.Inputs != nil:
+		var m Merged
+		if err = json.Unmarshal(data, &m); err != nil {
+			return nil, "", 0, fmt.Errorf("%s: parse merged report: %w", name, err)
+		}
+		if m.Explore == nil {
+			return nil, "", 0, fmt.Errorf("%s: is a merged report of sweeps only, which carries no corpus", name)
+		}
+		st, proto, n = m.Explore.Corpus, m.Explore.Proto, m.Explore.N
+		if st != nil && st.SchemaVersion > explore.CorpusVersion {
+			return nil, "", 0, fmt.Errorf("%s: corpus schema_version %d is newer than supported version %d", name, st.SchemaVersion, explore.CorpusVersion)
+		}
+	case sniff.Entries != nil:
+		return nil, "", 0, fmt.Errorf("%s: is a bare corpus state (an old explore -corpus-out file), not a report; seed from the explore report of the same run", name)
+	default:
+		sw, ex, err := cliutil.ReadAnyReport(name, data)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		if sw != nil {
+			return nil, "", 0, fmt.Errorf("%s: is a sweep report, which carries no corpus", name)
+		}
+		st, proto, n = ex.CorpusState(), ex.Proto, ex.N
+	}
+	if st == nil || len(st.Entries) == 0 {
+		return nil, "", 0, fmt.Errorf("%s: the report's corpus is empty; there is nothing to seed from", name)
+	}
+	// The runtime panics on an entry whose config is not a run of n
+	// processes: another process count, a crash outside them, a drop rate
+	// outside [0, 1].
+	for i, e := range st.Entries {
+		fits := n >= 1 && e.Config.N == n && e.Config.DropRate >= 0 && e.Config.DropRate <= 1
+		for _, c := range e.Config.Crashes {
+			fits = fits && c.P >= 0 && int(c.P) < n
+		}
+		if !fits {
+			return nil, "", 0, fmt.Errorf("%s: corpus entry %d: config (n=%d, drop rate %v, crashes %v) is not a run of the report's n=%d processes", name, i, e.Config.N, e.Config.DropRate, e.Config.Crashes, n)
+		}
+	}
+	return st, proto, n, nil
+}
+
 // DirInputs collects a complete campaign directory's unit reports as merge
 // inputs, refusing unfinished shards and verifying every unit report against
 // its shard-recorded digest.
@@ -218,8 +283,9 @@ type MergedExplore struct {
 	Novel            int     `json:"novel"`
 	Duplicates       int     `json:"duplicates"`
 	Cancelled        int     `json:"cancelled"`
-	// Corpus is the merged corpus state — loadable as the next
-	// generation's seed corpus.
+	// Corpus is the merged corpus state: the next generation's seed
+	// corpus, which explore -corpus-in reads from the merged report itself
+	// (SeedCorpus).
 	Corpus *explore.CorpusState `json:"corpus,omitempty"`
 	// Failures are deduplicated by result fingerprint and sorted by
 	// (fingerprint, signature); Minimized by minimised fingerprint.

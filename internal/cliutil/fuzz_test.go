@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"weakestfd/internal/explore"
 	"weakestfd/internal/model"
 	"weakestfd/internal/scenario"
 )
@@ -89,7 +91,8 @@ func FuzzParseCrashes(f *testing.F) {
 
 // FuzzBuildGrid: a grid file decoded over the default table, as sweep -grid
 // and campaign plan -grid read it, either is refused by BuildGrid or builds
-// a grid whose spec re-encodes and rebuilds to the same fingerprint; an
+// a grid of at most MaxRounds rounds whose spec re-encodes and rebuilds to
+// the same fingerprint; an
 // accepted file spells every key as the encoder does; and a small accepted
 // grid's first point runs without panicking. That last property is what a
 // drop rate outside [0, 1] once broke, mid-sweep.
@@ -109,6 +112,7 @@ func FuzzBuildGrid(f *testing.F) {
 		`{"proto":"twopc","n":4,"rounds":8,"coordinator":3,"seeds":"1-4","timeout":"30s","keep":8,"shard":"2/2"}`,
 		// values the runtime cannot honour
 		`{"drop":2}`, `{"drop":-1}`, `{"drop":-0}`, `{"drop":1e999}`, `{"timeout":"-1s"}`, `{"timeout":"0s"}`,
+		`{"proto":"consensus/multi","n":3,"rounds":10000000,"seeds":"1"}`, `{"proto":"consensus/multi-majority","rounds":1025}`,
 		// mangled keys and documents
 		`{"seed":1}`, `{"Drop":0}`, `{"psi_switch":1}`, `{"n":"3"}`, `{"n":0}`, `{"proto":"qc"} {}`, `[]`, ``,
 		// keys in the wrong letter case, which encoding/json alone accepts
@@ -142,6 +146,9 @@ func FuzzBuildGrid(f *testing.F) {
 		base, grid, p, err := BuildGrid(sp)
 		if err != nil {
 			return
+		}
+		if name, v, ok := scenario.ProtocolParam(p); ok && name == "rounds" && v > MaxRounds {
+			t.Fatalf("accepted spec %q builds %d rounds, past MaxRounds %d", data, v, MaxRounds)
 		}
 		fp := GridFingerprint(base, grid, p)
 		again, err := json.Marshal(sp)
@@ -180,4 +187,78 @@ func readSpecBytes(t *testing.T, data []byte, v any) error {
 		t.Fatal(err)
 	}
 	return ReadSpec(path, v)
+}
+
+// FuzzReadAnyReport: whatever the bytes, ReadAnyReport returns an error or
+// exactly one report, never panics; an accepted report re-encodes to bytes
+// it reads back as the same kind of report encoding to the same bytes. Garbage, reports of the future and
+// reports whose probe blocks are from the future are refused.
+func FuzzReadAnyReport(f *testing.F) {
+	cfg := scenario.New(3, scenario.WithSeed(4)).Config()
+	unit := 2
+	explored, err := json.Marshal(ExploreReport{
+		SchemaVersion: ReportSchemaVersion, Campaign: "c", Unit: &unit, SpaceFingerprint: "explore{}",
+		Report: explore.Report{Seed: 4, Proto: "consensus", N: 3, Budget: 2, Runs: 2, Novel: 1, Duplicates: 1,
+			Corpus:     []explore.Entry{{Signature: "s", Config: cfg, Parent: -1, Mutator: "base", FoundAtRun: 1, Picks: 1, Energy: 1.5}},
+			Behaviours: []string{"b"}, Mutators: []*explore.MutatorStat{{Name: "base", Applied: 1, Novel: 1}}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	swept, err := json.Marshal(SweepReport{
+		SchemaVersion: ReportSchemaVersion, GridFingerprint: "grid{}", Proto: "consensus", N: 3, GridSize: 2, IndexHi: 2,
+		Runs: 2, Passed: 1, Faulted: 1, Detectors: []DetectorReport{{Spec: "perfect", Runs: 2, Passed: 1, Faulted: 1}},
+		Failures: []FailureReport{{Index: 1, Violations: []string{"v"}, Fingerprint: "f", Config: cfg}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(explored)
+	f.Add(swept)
+	for _, s := range []string{
+		`{"schema_version":99,"budget":1}`, `{"schema_version":99,"grid_size":1}`,
+		`{"schema_version":1,"grid_size":2,"probes":{"schema_version":99}}`,
+		`{"grid_size":2,"detectors":[{"spec":"p","probes":{"schema_version":99}}]}`,
+		`{"budget":1,"corpus":[{"config":{"N":"3"}}]}`, `{"Budget":1,"Seed":7}`, `{"grid_size":1,"budget":1}`,
+		`{"entrys":[1,2,3]}`, `{"schema_version":1,"entries":[]}`, `{"inputs":1,"explore":{}}`,
+		`null`, `[]`, `{}`, ``, `{"budget":1} {}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sw, ex, err := ReadAnyReport("report", data)
+		if err != nil {
+			if sw != nil || ex != nil {
+				t.Fatalf("ReadAnyReport(%q) errored (%v) but returned a report", data, err)
+			}
+			return
+		}
+		var rep any = sw
+		if (sw == nil) == (ex == nil) {
+			t.Fatalf("ReadAnyReport(%q) returned %v and %v, want exactly one report", data, sw, ex)
+		} else if ex != nil {
+			rep = ex
+		}
+		again, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("accepted report %q does not re-encode: %v", data, err)
+		}
+		sw2, ex2, err := ReadAnyReport("re-encoded report", again)
+		if err != nil {
+			t.Fatalf("re-encoded report %s refused: %v", again, err)
+		}
+		var rep2 any = sw2
+		if ex2 != nil {
+			rep2 = ex2
+		}
+		// Equal encodings are equal values up to what JSON cannot tell
+		// apart: an empty list and an absent one.
+		third, err := json.Marshal(rep2)
+		if err != nil {
+			t.Fatalf("re-read report %s does not re-encode: %v", again, err)
+		}
+		if (sw2 == nil) != (sw == nil) || !bytes.Equal(again, third) {
+			t.Fatalf("report %q re-read as a different value:\n%s\nvs\n%s", data, again, third)
+		}
+	})
 }

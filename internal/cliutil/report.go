@@ -74,18 +74,9 @@ type SweepReport struct {
 	Minimized *MinimizedReport `json:"minimized,omitempty"`
 }
 
-// DetectorReport is one detector spec's share of a sweep — the per-class
-// pass/fail column of the cross-detector comparison the -detectors axis runs.
-type DetectorReport struct {
-	Spec      string `json:"spec"`
-	Runs      int    `json:"runs"`
-	Passed    int    `json:"passed"`
-	Faulted   int    `json:"faulted"`
-	Cancelled int    `json:"cancelled"`
-	// Probes is the spec's probe aggregate (-probes): the per-class
-	// detection-latency vs message-cost comparison column.
-	Probes *probe.Agg `json:"probes,omitempty"`
-}
+// DetectorReport is one detector spec's share of a sweep report: the
+// sweep's own per-class count, whose JSON fields are the report's.
+type DetectorReport = scenario.DetectorCount
 
 // FailureReport pins one failing grid point: its global row-major index (the
 // stable coordinate for re-running it on any shard layout), the violations,
@@ -108,9 +99,11 @@ type MinimizedReport struct {
 }
 
 // ExploreReport is the JSON artifact of one exploration — cmd/explore's
-// output and the campaign explore-unit report. It carries the full corpus
-// state (corpus + behaviours + failure_sigs), so any explore report doubles
-// as a loadable seed corpus.
+// output and the campaign explore-unit report: the exploration's
+// explore.Report plus provenance, its space fingerprint and the frontier
+// table. It carries the full corpus state (corpus + behaviours +
+// failure_sigs), so any explore report doubles as a seed corpus
+// (Report.CorpusState).
 type ExploreReport struct {
 	SchemaVersion int    `json:"schema_version"`
 	GeneratedBy   string `json:"generated_by,omitempty"`
@@ -120,28 +113,15 @@ type ExploreReport struct {
 	// SpaceFingerprint is explore.SpaceFingerprint of the exploration's
 	// options: everything that shapes the search except the seed, so
 	// differently-seeded units of one campaign share it.
-	SpaceFingerprint string  `json:"space_fingerprint,omitempty"`
-	Proto            string  `json:"proto"`
-	N                int     `json:"n"`
-	Seed             int64   `json:"seed"`
-	Budget           int     `json:"budget"`
-	Runs             int     `json:"runs"`
-	Novel            int     `json:"novel"`
-	Duplicates       int     `json:"duplicates"`
-	Cancelled        int     `json:"cancelled,omitempty"`
-	FirstFail        int     `json:"first_failure_run,omitempty"`
-	ElapsedMS        float64 `json:"elapsed_ms,omitempty"`
-	RunsPerSec       float64 `json:"explore_runs_per_sec,omitempty"`
-
-	Corpus             []explore.Entry            `json:"corpus,omitempty"`
-	Behaviours         []string                   `json:"behaviours,omitempty"`
-	FailureSigs        []string                   `json:"failure_sigs,omitempty"`
-	Mutators           []*explore.MutatorStat     `json:"mutators,omitempty"`
-	Failures           []explore.Failure          `json:"failures,omitempty"`
-	Minimized          []explore.MinimizedFailure `json:"minimized,omitempty"`
-	MinimizeCandidates int                        `json:"minimize_candidates,omitempty"`
-	Frontier           []explore.Boundary         `json:"frontier,omitempty"`
-	FrontierRuns       int                        `json:"frontier_runs,omitempty"`
+	SpaceFingerprint string `json:"space_fingerprint,omitempty"`
+	explore.Report
+	// ElapsedMS and ExploreRunsPerSec are the wall-clock measurements
+	// (Report.Elapsed, Report.RunsPerSec) as the CLI renders them; left
+	// zero, and so absent, in campaign unit reports.
+	ElapsedMS         float64            `json:"elapsed_ms,omitempty"`
+	ExploreRunsPerSec float64            `json:"explore_runs_per_sec,omitempty"`
+	Frontier          []explore.Boundary `json:"frontier,omitempty"`
+	FrontierRuns      int                `json:"frontier_runs,omitempty"`
 }
 
 // NewExploreReport renders a finished exploration under opts as its
@@ -149,36 +129,7 @@ type ExploreReport struct {
 // explore units share. Callers add provenance (generated_by and timing, or
 // the campaign unit).
 func NewExploreReport(opts explore.Options, rep *explore.Report) ExploreReport {
-	return ExploreReport{
-		SchemaVersion:      ReportSchemaVersion,
-		SpaceFingerprint:   ExploreFingerprint(opts),
-		Proto:              rep.Proto,
-		N:                  rep.N,
-		Seed:               rep.Seed,
-		Budget:             rep.Budget,
-		Runs:               rep.Runs,
-		Novel:              rep.Novel,
-		Duplicates:         rep.Duplicates,
-		Cancelled:          rep.Cancelled,
-		FirstFail:          rep.FirstFailureRun,
-		Corpus:             rep.Corpus,
-		Behaviours:         rep.Behaviours,
-		FailureSigs:        rep.FailureSigs,
-		Mutators:           rep.Mutators,
-		Failures:           rep.Failures,
-		Minimized:          rep.Minimized,
-		MinimizeCandidates: rep.MinimizeCandidates,
-	}
-}
-
-// CorpusState extracts the report's corpus state — the seedable form.
-func (r *ExploreReport) CorpusState() *explore.CorpusState {
-	return &explore.CorpusState{
-		SchemaVersion: explore.CorpusVersion,
-		Entries:       r.Corpus,
-		Behaviours:    r.Behaviours,
-		FailureSigs:   r.FailureSigs,
-	}
+	return ExploreReport{SchemaVersion: ReportSchemaVersion, SpaceFingerprint: ExploreFingerprint(opts), Report: *rep}
 }
 
 // WriteJSON marshals v as indented JSON with a trailing newline — the
@@ -437,9 +388,7 @@ func NewSweepReport(sp GridSpec, base *scenario.Scenario, grid scenario.Grid, p 
 		Faulted:         res.Faulted,
 		Cancelled:       res.Cancelled,
 		Probes:          res.Probes,
-	}
-	for _, d := range res.Detectors {
-		rep.Detectors = append(rep.Detectors, DetectorReport(d))
+		Detectors:       res.Detectors,
 	}
 	for i, f := range res.Failures {
 		rep.Failures = append(rep.Failures, FailureReport{

@@ -1,8 +1,6 @@
 package explore
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -51,10 +49,12 @@ func SpaceFingerprint(opts Options) string {
 }
 
 // Corpus persistence: the exploration's full resumable state — corpus
-// entries with their energies, the behaviour set and the failure dedup set —
-// serialized as canonical JSON. A later exploration seeded with the state
-// (Options.SeedCorpus) continues where this one stopped, and campaign shards
-// hand corpora to each other across generations through the same files.
+// entries with their energies, the behaviour set and the failure dedup set.
+// It travels inside the explore report (Report's corpus, behaviours and
+// failure_sigs) and inside a merged campaign report (its explore.corpus); a
+// later exploration seeded with the state (Options.SeedCorpus) continues
+// where this one stopped, and campaign generations hand corpora to each
+// other through those reports.
 //
 // Entries keep their discovery order, so Parent indices stay valid within
 // one serialized corpus. Merging corpora (campaign.MergeCorpora) has no
@@ -62,11 +62,12 @@ func SpaceFingerprint(opts Options) string {
 // signature and their Parent links cleared — provenance fields survive a
 // merge as annotations only.
 
-// CorpusVersion is the schema version of serialized corpus state; loaders
-// reject versions newer than they understand.
+// CorpusVersion is the schema version of a merged report's corpus state;
+// loaders reject versions newer than they understand.
 const CorpusVersion = 1
 
-// CorpusState is the serializable exploration state.
+// CorpusState is the seedable exploration state: Options.SeedCorpus, and
+// the shape of a merged campaign report's corpus.
 type CorpusState struct {
 	SchemaVersion int `json:"schema_version"`
 	// Entries is the corpus; within one exploration's serialization, in
@@ -81,7 +82,9 @@ type CorpusState struct {
 	FailureSigs []string `json:"failure_sigs,omitempty"`
 }
 
-// CorpusState extracts the report's resumable corpus state.
+// CorpusState extracts the report's resumable corpus state: the seed an
+// explore report (cliutil.ExploreReport embeds Report) hands the next
+// exploration.
 func (r *Report) CorpusState() *CorpusState {
 	st := &CorpusState{
 		SchemaVersion: CorpusVersion,
@@ -92,31 +95,6 @@ func (r *Report) CorpusState() *CorpusState {
 	sort.Strings(st.Behaviours)
 	sort.Strings(st.FailureSigs)
 	return st
-}
-
-// Marshal renders the state as canonical indented JSON: byte-stable for
-// equal states, diffable, and re-loadable by LoadCorpus.
-func (c *CorpusState) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(c); err != nil {
-		return nil, fmt.Errorf("corpus: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// LoadCorpus parses a serialized corpus, rejecting versions newer than
-// CorpusVersion.
-func LoadCorpus(data []byte) (*CorpusState, error) {
-	var st CorpusState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("corpus: parse: %w", err)
-	}
-	if st.SchemaVersion > CorpusVersion {
-		return nil, fmt.Errorf("corpus: schema_version %d is newer than supported version %d", st.SchemaVersion, CorpusVersion)
-	}
-	return &st, nil
 }
 
 // sortedKeys returns the map's keys, sorted.

@@ -3,14 +3,14 @@ package explore
 import (
 	"bytes"
 	"context"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
-// TestCorpusRoundTrip: serialize → load → identical canonical bytes, and an
-// exploration seeded with the loaded state is indistinguishable from one
-// seeded with the original — the property that lets corpora travel through
-// files between campaign generations.
+// TestCorpusRoundTrip: report bytes → report → identical bytes, and an
+// exploration seeded with the corpus state read back from the bytes is
+// indistinguishable from one seeded with the original — the property that
+// lets corpora travel between campaign generations inside explore reports.
 func TestCorpusRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	rep, err := Explore(ctx, testOptions(exploreSeed))
@@ -21,21 +21,25 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if len(st.Entries) == 0 {
 		t.Fatal("exploration yielded an empty corpus")
 	}
-	data, err := st.Marshal()
+	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	loaded, err := LoadCorpus(data)
-	if err != nil {
-		t.Fatalf("load: %v", err)
+	var read Report
+	if err := json.Unmarshal(data, &read); err != nil {
+		t.Fatalf("read back: %v", err)
 	}
-	data2, err := loaded.Marshal()
+	data2, err := json.Marshal(&read)
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
 	}
 	if !bytes.Equal(data, data2) {
-		t.Fatalf("corpus round-trip not byte-stable:\n%s\nvs\n%s", data, data2)
+		t.Fatalf("report round-trip not byte-stable:\n%s\nvs\n%s", data, data2)
 	}
+	if read.Canonical() != rep.Canonical() {
+		t.Fatalf("report read back renders differently:\n%s\nvs\n%s", read.Canonical(), rep.Canonical())
+	}
+	loaded := read.CorpusState()
 
 	optsA := testOptions(exploreSeed + 1)
 	optsA.SeedCorpus = st
@@ -62,13 +66,5 @@ func TestCorpusRoundTrip(t *testing.T) {
 		if a.Corpus[i].Signature != e.Signature {
 			t.Fatalf("seeded entry %d: signature %s, want %s", i, a.Corpus[i].Signature, e.Signature)
 		}
-	}
-}
-
-// TestLoadCorpusRejectsFuture: a corpus from a newer build is refused, not
-// silently misread.
-func TestLoadCorpusRejectsFuture(t *testing.T) {
-	if _, err := LoadCorpus([]byte(`{"schema_version": 2}`)); err == nil || !strings.Contains(err.Error(), "newer") {
-		t.Fatalf("future corpus version: err=%v, want newer-version refusal", err)
 	}
 }

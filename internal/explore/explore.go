@@ -28,8 +28,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"weakestfd/internal/fd"
@@ -69,13 +67,15 @@ type Options struct {
 	// through scenario.Minimize after the exploration (in discovery order).
 	// 0 (or negative) minimises none.
 	MinimizeLimit int
-	// SeedCorpus, if non-nil, preloads a previously serialized corpus
-	// before the loop starts: its entries (with their energies), behaviour
-	// set and failure dedup set are restored without consuming any run
-	// budget, and the budget is spent mutating outward from them — the
-	// cross-generation handoff of a campaign. The seeded entries reappear
-	// in the report's corpus (in their stored order, ahead of new
-	// discoveries), so -corpus-out always carries the full state forward.
+	// SeedCorpus, if non-nil, preloads an earlier exploration's corpus
+	// state — an explore report's (Report.CorpusState) or a merged
+	// campaign report's — before the loop starts: its entries (with their
+	// energies), behaviour set and failure dedup set are restored without
+	// consuming any run budget, and the budget is spent mutating outward
+	// from them — the cross-generation handoff of a campaign. The seeded
+	// entries reappear in the report's corpus (in their stored order, ahead
+	// of new discoveries), so the report always carries the full state
+	// forward.
 	SeedCorpus *CorpusState
 	// DepthSignal mixes the log-bucketed suspect-history depth into the
 	// novelty signature: how hard the run worked its detectors. The step
@@ -89,9 +89,10 @@ type Options struct {
 	// byte-identical per seed with it on. Runs without a pinned trace
 	// (timeout-tainted runs) share one "~" territory.
 	TraceSignal bool
-	// OnRun, if non-nil, streams every executed run as it completes (run is
-	// the 1-based run index within the budget). Called concurrently from
-	// worker goroutines.
+	// OnRun, if non-nil, streams every run that counts as it completes (run
+	// is the 1-based run index within the budget); runs cut by a cancelled
+	// ctx count as Cancelled and are not reported, as with Grid.OnRun.
+	// Called concurrently from worker goroutines.
 	OnRun func(run int, res *scenario.Result)
 }
 
@@ -186,10 +187,6 @@ func Explore(ctx context.Context, opts Options) (*Report, error) {
 	batch := opts.Batch
 	if batch <= 0 {
 		batch = defaultBatch
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	muts := mutators(opts.Classes)
 
@@ -301,37 +298,30 @@ func Explore(ctx context.Context, opts Options) (*Report, error) {
 		jobs := plan(min(batch, opts.Runs-rep.Runs-rep.Cancelled))
 
 		// Execute the generation worker-parallel; results land by index so
-		// the feedback pass below is order-deterministic.
-		results := make([]scenario.Result, len(jobs))
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range jobs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				cfg := jobs[i].cfg
-				// Trace-signal explorations run every config with the probe
-				// analyzer attached, so traceShape can fold probe statistics
-				// into the signature. Observe-only and excluded from
-				// Config.Key, so corpus and tried-set identity are unchanged.
-				cfg.Probes = cfg.Probes || opts.TraceSignal
-				results[i] = scenario.FromConfig(cfg).Run(ctx, opts.Proto)
-				if opts.OnRun != nil {
-					opts.OnRun(rep.Runs+rep.Cancelled+i+1, &results[i])
-				}
-			}(i)
+		// the feedback pass below is order-deterministic. A run that does
+		// not count (cut by ctx) leaves its slot nil.
+		offset := rep.Runs + rep.Cancelled
+		results := make([]*scenario.Result, len(jobs))
+		config := func(i int) scenario.Config {
+			cfg := jobs[i].cfg
+			// Trace-signal explorations run every config with the probe
+			// analyzer attached, so traceShape can fold probe statistics
+			// into the signature. Observe-only and excluded from
+			// Config.Key, so corpus and tried-set identity are unchanged.
+			cfg.Probes = cfg.Probes || opts.TraceSignal
+			return cfg
 		}
-		wg.Wait()
+		scenario.RunEach(ctx, 0, len(jobs), opts.Workers, opts.Proto, config, func(i int, res *scenario.Result) {
+			results[i] = res
+			if opts.OnRun != nil {
+				opts.OnRun(offset+i+1, res)
+			}
+		})
 
 		// Feedback, sequentially in generation order.
 		for i := range jobs {
-			res := &results[i]
-			if !res.Verdict.OK && ctx.Err() != nil {
-				// In flight at cancellation: the failure is the cancellation
-				// echoing through the run's timeout backstop, not a
-				// discovery — same classification Sweep draws.
+			res := results[i]
+			if res == nil {
 				rep.Cancelled++
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,5 +214,25 @@ func TestExploreCancellation(t *testing.T) {
 	}
 	if len(rep.Failures) != 0 {
 		t.Fatalf("cancelled explore reported failures: %+v", rep.Failures)
+	}
+
+	// Cancelled inside a generation (generation zero is the base config
+	// alone), OnRun streams exactly the runs that count, as Grid.OnRun
+	// does: the runs in flight at the cut are Cancelled, not streamed.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	opts := testOptions(exploreSeed)
+	var streamed atomic.Int64
+	opts.OnRun = func(int, *scenario.Result) {
+		if streamed.Add(1) == 2 {
+			cancel()
+		}
+	}
+	rep, err = Explore(ctx, opts)
+	if err != nil {
+		t.Fatalf("explore: %v", err)
+	}
+	if n := streamed.Load(); n != int64(rep.Runs) || rep.Runs == 0 || rep.Runs+rep.Cancelled != rep.Budget {
+		t.Fatalf("OnRun streamed %d runs; report ran %d, cancelled %d of %d", n, rep.Runs, rep.Cancelled, rep.Budget)
 	}
 }

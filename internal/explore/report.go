@@ -10,7 +10,9 @@ import (
 // and RunsPerSec are deterministic per Options.Seed (for schedule-determined
 // protocols and no wall budget); Canonical renders exactly
 // that deterministic content, byte-stably — the form the determinism tests
-// compare and external tooling may diff.
+// compare and external tooling may diff. Its JSON fields are the explore
+// report's (cliutil.ExploreReport embeds it and adds provenance), which
+// carries the full corpus state: any explore report is a seed corpus.
 type Report struct {
 	Seed  int64  `json:"seed"`
 	Proto string `json:"proto"`
@@ -33,7 +35,7 @@ type Report struct {
 	// Corpus is the novelty corpus in discovery order (seeded entries, if
 	// any, first in their stored order). Novel counts its length, seeded
 	// entries included.
-	Corpus []Entry `json:"corpus"`
+	Corpus []Entry `json:"corpus,omitempty"`
 	// Behaviours is the sorted set of behaviour parts seen (including ones
 	// restored from a seed corpus); FailureSigs the sorted failure dedup
 	// set. Together with Corpus they are the full resumable corpus state —
@@ -42,7 +44,7 @@ type Report struct {
 	FailureSigs []string `json:"failure_sigs,omitempty"`
 	// Mutators aggregates applied/novel counts per mutator, in first-use
 	// order.
-	Mutators []*MutatorStat `json:"mutators"`
+	Mutators []*MutatorStat `json:"mutators,omitempty"`
 	// Failures are the found failing behaviour classes, deduplicated by
 	// signature, in discovery order.
 	Failures []Failure `json:"failures,omitempty"`
@@ -52,9 +54,10 @@ type Report struct {
 	Minimized          []MinimizedFailure `json:"minimized,omitempty"`
 	MinimizeCandidates int                `json:"minimize_candidates,omitempty"`
 	// Elapsed and RunsPerSec are wall-clock measurements: real but not
-	// reproducible, hence excluded from Canonical.
-	Elapsed    time.Duration `json:"elapsed"`
-	RunsPerSec float64       `json:"runs_per_sec"`
+	// reproducible, hence excluded from Canonical and from the report's
+	// deterministic fields (the report renders them as provenance).
+	Elapsed    time.Duration `json:"-"`
+	RunsPerSec float64       `json:"-"`
 }
 
 // Canonical renders the report's deterministic content byte-stably: the

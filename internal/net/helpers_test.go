@@ -75,10 +75,7 @@ func waitQuiesced(t *testing.T, nw *Network) {
 // next park after each wake.
 func goTask(nw *Network, ep *Endpoint, fn func(*Task)) <-chan struct{} {
 	done := make(chan struct{})
-	nw.Go(ep, "test", func(task *Task) {
-		defer close(done)
-		fn(task)
-	})
+	nw.spawn(ep, "test", false, done, fn)
 	return done
 }
 

@@ -17,16 +17,14 @@ type Service struct {
 	task    *Task
 	stopped atomic.Bool
 	cancel  context.CancelFunc // Spawn services: cancels the body's ctx
-	done    chan struct{}
 }
 
-// start spawns run as s's task at ep. run closes s.done when it returns; it
-// does so itself rather than through a wrapper so that the service adds no
-// frame under the step a task parks in.
+// start spawns run as s's task at ep, with a join channel the dispatcher
+// closes once the task's exit is recorded, so the service adds no frame
+// under the step a task parks in.
 func (s *Service) start(ep *Endpoint, name string, run func(*Task)) *Service {
 	s.ep = ep
-	s.done = make(chan struct{})
-	s.task = ep.net.Go(ep, name, run)
+	s.task = ep.net.spawn(ep, name, false, make(chan struct{}), run)
 	return s
 }
 
@@ -37,17 +35,17 @@ func (s *Service) halted() bool {
 }
 
 // Stop signals the service, posts a wake of its task to the dispatcher and
-// waits for the task to exit. It is called from outside the step discipline
-// (a task calling it would wait on itself). It is idempotent, and returns
-// once the task is gone however it ended: after a crash or a Network.Close
-// it only joins.
+// waits for the task's exit to be recorded. It is called from outside the
+// step discipline (a task calling it would wait on itself). It is
+// idempotent, and returns once the task is gone however it ended: after a
+// crash or a Network.Close it only joins.
 func (s *Service) Stop() {
 	s.stopped.Store(true)
 	if s.cancel != nil {
 		s.cancel()
 	}
 	s.ep.net.q.post(s.task, false)
-	<-s.done
+	<-s.task.done
 }
 
 // Stopped reports whether Stop has been called. Client operations that wait
@@ -70,7 +68,6 @@ func (s *Service) Stopped() bool { return s.stopped.Load() }
 func (ep *Endpoint) Periodic(name string, ticker *Timer, run func(next func() (time.Duration, bool))) *Service {
 	s := &Service{}
 	return s.start(ep, name, func(task *Task) {
-		defer close(s.done)
 		defer ticker.Stop()
 		ticker.Bind(task)
 		run(func() (time.Duration, bool) {
@@ -92,7 +89,6 @@ func (ep *Endpoint) Periodic(name string, ticker *Timer, run func(next func() (t
 func (in Instance) Serve(name string, handle func(Message)) *Service {
 	s := &Service{}
 	return s.start(in.ep, name, func(task *Task) {
-		defer close(s.done)
 		in.Watch(task)
 		for !s.halted() {
 			for msg, ok := in.TryRecv(); ok; msg, ok = in.TryRecv() {
@@ -111,7 +107,6 @@ func (ep *Endpoint) Spawn(ctx context.Context, name string, body func(ctx contex
 	ctx, cancel := context.WithCancel(ctx)
 	s := &Service{cancel: cancel}
 	return s.start(ep, name, func(task *Task) {
-		defer close(s.done)
 		defer cancel()
 		body(WithTask(ctx, task))
 	})

@@ -63,7 +63,7 @@ func TestServiceExitsOnCrash(t *testing.T) {
 	svcs := services(nw.Endpoint(0))
 	nw.ScheduleCrash(0, 2500*time.Microsecond)
 	for _, s := range svcs {
-		waitTask(t, s.done)
+		waitTask(t, s.task.done)
 	}
 	stopAll(t, svcs)
 }
@@ -107,7 +107,7 @@ func TestServiceTakesNoStepAfterCrash(t *testing.T) {
 		}),
 	}
 	for _, s := range svcs {
-		waitTask(t, s.done)
+		waitTask(t, s.task.done)
 	}
 	if steps != 0 {
 		t.Fatalf("services on a crashed process took %d steps, want 0", steps)
@@ -128,7 +128,7 @@ func TestServiceTakesNoStepAfterCrash(t *testing.T) {
 	})
 	nw2.ScheduleCrash(0, 2500*time.Microsecond)
 	nw2.Thaw()
-	waitTask(t, s.done)
+	waitTask(t, s.task.done)
 	if len(crashedSteps) != 2 || crashedSteps[0] || crashedSteps[1] {
 		t.Fatalf("steps across the crash (crashed at each): %v, want [false false]", crashedSteps)
 	}
@@ -157,7 +157,7 @@ func TestServicePeriodicStepsOncePerBankedFire(t *testing.T) {
 			}
 		})
 	})
-	waitTask(t, svc.done)
+	waitTask(t, svc.task.done)
 	svc.Stop()
 	ms := time.Millisecond
 	want := []time.Duration{3500 * time.Microsecond, 3500 * time.Microsecond, 3500 * time.Microsecond, 4 * ms, 5 * ms}

@@ -97,6 +97,9 @@ type Task struct {
 	// exited is set once, when the body has returned: registerTask reads it
 	// to compact an endpoint's task list from any goroutine.
 	exited atomic.Bool
+	// done, when non-nil, is closed once the exit is recorded: the join of a
+	// caller outside the step discipline (Service.Stop, RunInTask).
+	done chan struct{}
 }
 
 // Wake credits the task with one wakeup. If it is parked it joins the ready
@@ -181,7 +184,7 @@ func TaskFrom(ctx context.Context) *Task {
 }
 
 // RunInTask runs op as a task at ep, named name, with a ctx carrying the
-// task, and returns its results once the task has exited. Protocol entry
+// task, and returns its results once the task's exit is recorded. Protocol entry
 // points call it when their ctx carries no task, passing themselves as op:
 //
 //	if net.TaskFrom(ctx) == nil {
@@ -199,9 +202,8 @@ func RunInTask[T any](ctx context.Context, ep *Endpoint, name string, op func(co
 	var v T
 	var err error
 	done := make(chan struct{})
-	t := ep.net.Go(ep, name, func(t *Task) {
+	t := ep.net.spawn(ep, name, false, done, func(t *Task) {
 		v, err = op(WithTask(ctx, t))
-		close(done)
 	})
 	defer context.AfterFunc(ctx, func() { ep.net.q.post(t, true) })()
 	<-done
@@ -406,7 +408,7 @@ func (s *stepper) resume(t *Task) {
 
 // exit ends the task once its body has returned. A clean exit is recorded
 // into the trace; an aborted one only taints it. Either way the group
-// countdown moves.
+// countdown moves, and then the task's joiner, if any, is released.
 func (s *stepper) exit(t *Task) {
 	t.state = taskDone
 	t.exited.Store(true)
@@ -417,6 +419,9 @@ func (s *stepper) exit(t *Task) {
 		s.taint(t)
 	}
 	s.groupExit(t, clean)
+	if t.done != nil {
+		close(t.done)
+	}
 }
 
 // drain runs every remaining task to its exit after Close: it resumes each
@@ -542,22 +547,24 @@ func (s *stepper) recordExit(t *Task) {
 // Go spawns fn as a scheduler-visible task owned by ep: a coroutine the
 // dispatcher resumes for each step, parking in Await between them.
 func (nw *Network) Go(ep *Endpoint, name string, fn func(*Task)) *Task {
-	return nw.spawn(ep, name, false, fn)
+	return nw.spawn(ep, name, false, nil, fn)
 }
 
 // GoGroup is Go for tasks belonging to the trace group declared by
 // TraceGroup: the exit of the last group task is the trace boundary.
 func (nw *Network) GoGroup(ep *Endpoint, name string, fn func(*Task)) *Task {
-	return nw.spawn(ep, name, true, fn)
+	return nw.spawn(ep, name, true, nil, fn)
 }
 
 // spawn creates the task and queues its first step, poking the dispatcher in
 // case the spawner runs outside the step discipline. A task spawned after
 // the dispatcher drained has nobody to resume it, so its spawner runs it,
-// aborted, to its exit.
-func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) *Task {
+// aborted, to its exit. done, when non-nil, is closed once the exit is
+// recorded.
+func (nw *Network) spawn(ep *Endpoint, name string, group bool, done chan struct{}, fn func(*Task)) *Task {
 	s := nw.stepper
 	t := s.newTask(ep, name, group)
+	t.done = done
 	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		t.yield = yield
 		fn(t)

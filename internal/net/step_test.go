@@ -279,15 +279,13 @@ func outsideCallersRound(t *testing.T, procs, round int) {
 	if extra := steps.Load() - atCrash; extra > 1 {
 		t.Fatalf("GOMAXPROCS=%d round %d: crashed process took %d steps after Crash returned", procs, round, extra)
 	}
-	// A task's waiters are released from inside its body, so its exit can
-	// trail them by a moment; it must come without Close's drain.
+	// Every join returns only once its task's exit is recorded: Stop,
+	// RunInTask and the test tasks' done channels alike. So every task is
+	// gone now, without Close's drain.
 	for p := range nw.N() {
 		for _, task := range nw.Endpoint(model.ProcessID(p)).registeredTasks() {
-			for !task.exited.Load() && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Microsecond)
-			}
 			if !task.exited.Load() {
-				t.Fatalf("GOMAXPROCS=%d round %d: task %q at p%d still running before Close", procs, round, task.name, p)
+				t.Fatalf("GOMAXPROCS=%d round %d: task %q at p%d still running after its join returned", procs, round, task.name, p)
 			}
 		}
 	}

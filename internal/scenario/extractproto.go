@@ -13,7 +13,7 @@ import (
 // SigmaExtraction runs the Figure 1 necessity construction of Theorem 1 as a
 // sweepable workload: every process runs a SigmaExtractor over a bank of
 // atomic registers (Σ-based by default, majority-based with Majority),
-// repeatedly writing, reading and pinging until it has completed Rounds
+// repeatedly writing, reading and pinging until it has completed two
 // iterations, then returns its final emulated quorum. The combined Σ-output
 // history of all processes is checked against the quorum-detector
 // specification's perpetual clause — every pair of emulated quorums, across
@@ -33,13 +33,16 @@ type SigmaExtraction struct {
 	// Majority builds the registers on plain majorities (the "Σ ex nihilo"
 	// regime of majority-correct environments) instead of the Σ oracle.
 	Majority bool
-	// Rounds is how many extraction iterations each process completes
-	// before reporting its quorum (default 2).
-	Rounds int
-	// Interval is the extractor's inter-round pause in virtual time
-	// (default 200µs, matching the default delay range).
-	Interval time.Duration
 }
+
+const (
+	// sigmaExtractRounds is how many extraction iterations each process
+	// completes before reporting its quorum.
+	sigmaExtractRounds = 2
+	// sigmaExtractInterval is the extractor's inter-round pause in virtual
+	// time, matching the default delay range.
+	sigmaExtractInterval = 200 * time.Microsecond
+)
 
 // Name implements Protocol.
 func (s SigmaExtraction) Name() string {
@@ -52,23 +55,15 @@ func (s SigmaExtraction) Name() string {
 // Setup implements Protocol.
 func (s SigmaExtraction) Setup(cl *Cluster) (*Instance, error) {
 	n := cl.Net.N()
-	rounds := s.Rounds
-	if rounds <= 0 {
-		rounds = 2
-	}
-	interval := s.Interval
-	if interval <= 0 {
-		interval = 200 * time.Microsecond
-	}
 	var g *extract.SigmaExtractionGroup
 	if s.Majority {
-		g = extract.NewSigmaExtractionGroupFromMajorityRegisters(cl.Net, cl.Instance, interval)
+		g = extract.NewSigmaExtractionGroupFromMajorityRegisters(cl.Net, cl.Instance, sigmaExtractInterval)
 	} else {
 		sigma, err := cl.NeedSigma()
 		if err != nil {
 			return nil, err
 		}
-		g = extract.NewSigmaExtractionGroupFromSigmaRegisters(cl.Net, cl.Instance, sigma, interval)
+		g = extract.NewSigmaExtractionGroupFromSigmaRegisters(cl.Net, cl.Instance, sigma, sigmaExtractInterval)
 	}
 	inst := &Instance{
 		Runners: make([]Runner, n),
@@ -88,12 +83,10 @@ func (s SigmaExtraction) Setup(cl *Cluster) (*Instance, error) {
 	}
 	for i := 0; i < n; i++ {
 		inst.Runners[i] = &sigmaExtractRunner{
-			ex:     g.Extractors[i],
-			ep:     cl.Net.Endpoint(model.ProcessID(i)),
-			target: rounds,
-			poll:   interval,
+			ex: g.Extractors[i],
+			ep: cl.Net.Endpoint(model.ProcessID(i)),
 		}
-		inst.Inputs[i] = rounds
+		inst.Inputs[i] = sigmaExtractRounds
 	}
 	return inst, nil
 }
@@ -103,19 +96,17 @@ func (s SigmaExtraction) Setup(cl *Cluster) (*Instance, error) {
 // iterations, then report the emulated quorum. A crashed process's extractor
 // aborts, so the runner errors out instead of spinning.
 type sigmaExtractRunner struct {
-	ex     *extract.SigmaExtractor
-	ep     *net.Endpoint
-	target int
-	poll   time.Duration
+	ex *extract.SigmaExtractor
+	ep *net.Endpoint
 }
 
 // Run implements Runner.
 func (r *sigmaExtractRunner) Run(ctx context.Context, _ any) (any, error) {
-	for r.ex.Rounds() < r.target {
+	for r.ex.Rounds() < sigmaExtractRounds {
 		if r.ep.Crashed() {
 			return nil, fmt.Errorf("sigma extraction: process %v crashed after %d rounds", r.ep.ID(), r.ex.Rounds())
 		}
-		if err := r.ep.Sleep(ctx, r.poll); err != nil {
+		if err := r.ep.Sleep(ctx, sigmaExtractInterval); err != nil {
 			return nil, fmt.Errorf("sigma extraction: %w", err)
 		}
 	}

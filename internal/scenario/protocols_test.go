@@ -121,8 +121,8 @@ func TestScenarioSigmaExtraction(t *testing.T) {
 		name  string
 		proto SigmaExtraction
 	}{
-		{"sigma-registers", SigmaExtraction{Rounds: 2}},
-		{"majority-registers", SigmaExtraction{Majority: true, Rounds: 2}},
+		{"sigma-registers", SigmaExtraction{}},
+		{"majority-registers", SigmaExtraction{Majority: true}},
 	} {
 		res := New(3, WithSeed(28)).Run(context.Background(), tc.proto)
 		if !res.Verdict.OK {
@@ -171,7 +171,7 @@ func TestSweepSmokeNewProtocols(t *testing.T) {
 		{4, crashFree, TwoPC{}},
 		{4, crashy, NBACQC{}},
 		{4, crashy, MultiConsensus{Rounds: 2}},
-		{3, crashFree, SigmaExtraction{Rounds: 2}},
+		{3, crashFree, SigmaExtraction{}},
 	}
 	for _, tc := range cases {
 		res := Sweep(context.Background(), New(tc.n), tc.grid, tc.proto)

@@ -253,18 +253,18 @@ type SweepResult struct {
 // grid points ran, passed, violated the spec, or were cancelled.
 type DetectorCount struct {
 	// Spec is the canonical rendering of the detector spec (its fingerprint).
-	Spec string
+	Spec string `json:"spec"`
 	// Runs is the number of this sweep's grid points under the spec.
-	Runs int
+	Runs int `json:"runs"`
 	// Passed, Faulted and Cancelled partition Runs exactly like the
 	// sweep-wide counts.
-	Passed    int
-	Faulted   int
-	Cancelled int
+	Passed    int `json:"passed"`
+	Faulted   int `json:"faulted"`
+	Cancelled int `json:"cancelled"`
 	// Probes aggregates the spec's runs' probe folds (Grid.Probes) — the
 	// per-class detection-latency and message-cost comparison the sweep
 	// report surfaces; nil when probes were off.
-	Probes *probe.Agg
+	Probes *probe.Agg `json:"probes,omitempty"`
 }
 
 // AllPassed reports whether every grid point executed and passed.
@@ -281,26 +281,12 @@ func (r SweepResult) AllPassed() bool { return r.Passed == r.Runs }
 // are indexed by grid order, so identical inputs yield an identical
 // SweepResult whenever each individual run is deterministic.
 //
-// Cancelling ctx stops the sweep early: grid points not yet executed — and
-// runs in flight at that moment, whose verdicts are ctx-induced timeouts,
-// not spec violations — are counted as Cancelled and never retained in
-// Failures. The classification is deliberately conservative: a run whose
-// genuine violation completes inside the cancellation window is also
-// counted Cancelled (the harness cannot distinguish it from the
-// cancellation echoing through the run's timeout backstop without
-// re-checking); a schedule-determined failure is recovered by re-running
-// its grid point.
+// Cancelling ctx stops the sweep early: the grid points RunEach does not
+// count are Cancelled and never retained in Failures.
 func Sweep(ctx context.Context, base *Scenario, grid Grid, proto Protocol) SweepResult {
 	baseCfg := base.Config()
 	size := grid.Size()
 	lo, hi := grid.Shard.Bounds(size)
-	workers := grid.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > hi-lo {
-		workers = hi - lo
-	}
 
 	start := time.Now()
 	passed := make([]bool, hi-lo)
@@ -310,51 +296,25 @@ func Sweep(ctx context.Context, base *Scenario, grid Grid, proto Protocol) Sweep
 	if grid.Probes {
 		probed = make([]*probe.Probes, hi-lo)
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue // handed out but never started: Cancelled
-				}
-				cfg := grid.ConfigAt(baseCfg, i)
-				cfg.Probes = cfg.Probes || grid.Probes
-				res := FromConfig(cfg).Run(ctx, proto)
-				if !res.Verdict.OK && ctx.Err() != nil {
-					// The run was in flight when the sweep was cancelled:
-					// its failure is the cancellation echoing through the
-					// run's wall-clock backstop (timeout → no termination),
-					// not a spec violation. Count it as Cancelled.
-					continue
-				}
-				if res.Verdict.OK {
-					passed[i-lo] = true
-				} else {
-					faulted[i-lo] = true
-					failed[i-lo] = &res
-				}
-				if probed != nil {
-					probed[i-lo] = res.Probes
-				}
-				if grid.OnRun != nil {
-					grid.OnRun(i, &res)
-				}
-			}
-		}()
+	config := func(i int) Config {
+		cfg := grid.ConfigAt(baseCfg, i)
+		cfg.Probes = cfg.Probes || grid.Probes
+		return cfg
 	}
-submit:
-	for i := lo; i < hi; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break submit // stop submitting; the rest is reported as Cancelled
+	RunEach(ctx, lo, hi, grid.Workers, proto, config, func(i int, res *Result) {
+		if res.Verdict.OK {
+			passed[i-lo] = true
+		} else {
+			faulted[i-lo] = true
+			failed[i-lo] = res
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		if probed != nil {
+			probed[i-lo] = res.Probes
+		}
+		if grid.OnRun != nil {
+			grid.OnRun(i, res)
+		}
+	})
 
 	out := SweepResult{GridSize: size, IndexLo: lo, IndexHi: hi, Runs: hi - lo, Elapsed: time.Since(start)}
 	if len(grid.Detectors) > 0 {
@@ -405,6 +365,56 @@ submit:
 		out.RunsPerSec = float64(executed) / out.Elapsed.Seconds()
 	}
 	return out
+}
+
+// RunEach runs config(i) against proto for every index i in [lo, hi),
+// across workers goroutines (0 means GOMAXPROCS, and never more than there
+// are indices), handing out indices in order over an unbuffered channel. It
+// calls each, concurrently from the workers, for the runs that count and
+// only those: an index handed out after ctx is done never starts, and a run
+// that fails while ctx is done is the cancellation echoing through the run's
+// wall-clock backstop (timeout → no termination), not a spec violation.
+// Both count as cancelled, which the caller reads as each never called for
+// the index. The rule is deliberately conservative: a genuine violation
+// that completes inside the cancellation window is cancelled too (telling
+// it from the echo would take a re-check); a schedule-determined failure is
+// recovered by re-running its config. RunEach returns once every started
+// run has finished.
+func RunEach(ctx context.Context, lo, hi, workers int, proto Protocol, config func(i int) Config, each func(i int, res *Result)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > hi-lo {
+		workers = hi - lo
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				if ctx.Err() != nil {
+					continue // handed out but never started
+				}
+				res := FromConfig(config(i)).Run(ctx, proto)
+				if !res.Verdict.OK && ctx.Err() != nil {
+					continue
+				}
+				each(i, &res)
+			}
+		}()
+	}
+submit:
+	for i := lo; i < hi; i++ {
+		select {
+		case jobs <- i:
+		case <-ctx.Done():
+			break submit // stop submitting; the rest is never run
+		}
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // expand materialises the whole grid's cross product over the base config in
